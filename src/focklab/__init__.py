@@ -44,6 +44,7 @@ from .toeplitz import (
     operator_norm,
     radial_assemble,
     rayleigh,
+    region_compression,
     top_eigenpair,
 )
 from .experiments import (
@@ -100,6 +101,7 @@ __all__ = [
     "random_symbol",
     "random_unit",
     "rayleigh",
+    "region_compression",
     "sharpness_experiment",
     "symbol_norm_bound",
     "verify_concentration",

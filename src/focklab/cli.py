@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("norm", help="operator norm of a symbol's compression")
     p.add_argument("--symbol")
     p.add_argument("--truncation", type=int)
-    p.add_argument("--method", choices=("auto", "power", "jacobi"))
+    p.add_argument("--method", choices=("auto", "jacobi"))
     p.add_argument("--output", help="output file name or stem")
     _add_common(p)
     p.set_defaults(func=_cmd_norm)

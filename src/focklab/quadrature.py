@@ -22,6 +22,7 @@ sample points and return an array of the same shape (scalars broadcast).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -180,13 +181,23 @@ def integrate_plane(g: Callable, rule: ProductRule | None = None) -> float | com
     return rule.integrate(g(rule.grid()))
 
 
+@functools.lru_cache(maxsize=64)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and
+    read-only, since the cache hands the same arrays to every caller."""
+    x, w = leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(order: int, a: float, b: float):
     """Gauss-Legendre nodes and weights mapped onto [a, b]."""
     if not (1 <= order <= 1024):
         raise ValueError(f"Gauss-Legendre order must be in [1, 1024], got {order}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("interval endpoints must be finite")
-    x, w = leggauss(order)
+    x, w = _leggauss(order)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w

@@ -1,27 +1,32 @@
 """Toeplitz-operator compressions and their spectra.
 
 assemble() produces the truncated matrix M[m, n] = int phi e_n conj(e_m) dlambda
-for the first N basis elements. Pieces supported by closed forms (annular
-sectors, origin-centered discs) are assembled analytically; off-center discs
-go through a quadrature gram on the disc itself; sampled symbols use their own
-grid. Radial symbols produce diagonal matrices via radial_assemble().
+for the first N basis elements. Indicator pieces go through
+region_compression(), which is closed form for every region: annular sectors
+(and origin-centered discs) factor into angular integrals and incomplete-gamma
+increments, and an off-center disc D(c, r) is the Weyl translate
+W_c T_{1_D(0, r)} W_c^* of the diagonal centered disc. Sampled symbols use
+their own grid. Radial symbols produce diagonal matrices via radial_assemble().
 
-operator_norm() runs power iteration on M^2 with a deterministic start and a
-hand-rolled cyclic Jacobi eigensolver as fallback, so norm certificates do not
-depend on an external eigensolver.
+operator_norm() takes the largest eigenvalue modulus from LAPACK
+(numpy.linalg.eigvalsh); method="jacobi" runs a hand-rolled cyclic Jacobi
+eigensolver instead, an independent check that does not depend on LAPACK.
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .fock import FockFunction, weighted_basis_matrix
-from .quadrature import RadialRule, gauss_legendre, integrate_region
-from .regions import AnnularSector, Disc
+from .fock import FockFunction
+from .quadrature import MAX_RADIAL_ORDER, RadialRule, gauss_legendre
+from .regions import AnnularSector, Disc, Region
 from .special import gammainc_lower, gammainc_lower_int_prefix, log_factorial
 from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol
 
@@ -29,6 +34,7 @@ TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "HermitianMatrix",
+    "region_compression",
     "assemble",
     "radial_assemble",
     "operator_norm",
@@ -115,18 +121,14 @@ def _sector_entries(region: AnnularSector, truncation: int) -> np.ndarray:
     # Angular factors for k = -(N-1) .. N-1.
     ks = np.arange(-(truncation - 1), truncation)
     t1, t2 = region.theta_start, region.theta_end
-    ang = np.empty(ks.size, dtype=complex)
-    for i, k in enumerate(ks):
-        if k == 0:
-            ang[i] = t2 - t1
-        else:
-            ang[i] = (np.exp(1j * k * t2) - np.exp(1j * k * t1)) / (1j * k)
+    safe_k = np.where(ks == 0, 1, ks)
+    ang = np.where(ks == 0, t2 - t1,
+                   (np.exp(1j * ks * t2) - np.exp(1j * ks * t1)) / (1j * safe_k))
 
-    # Radial factors for l = n + m = 0 .. 2N-2 (s = l/2).
+    # Radial factors for l = n + m = 0 .. 2N-2 (s = l/2), both radii at once.
     ls = np.arange(2 * truncation - 1)
-    rad = np.array(
-        [gammainc_lower(l / 2.0 + 1.0, x2) - gammainc_lower(l / 2.0 + 1.0, x1) for l in ls]
-    )
+    p = gammainc_lower(ls[:, None] / 2.0 + 1.0, np.array([x1, x2]))
+    rad = p[:, 1] - p[:, 0]
     lgam = gammaln(ls / 2.0 + 1.0)
 
     lf = log_factorial(n_idx)
@@ -136,33 +138,71 @@ def _sector_entries(region: AnnularSector, truncation: int) -> np.ndarray:
     return (ang[kk + truncation - 1] / TWO_PI) * scale * rad[ll]
 
 
-def _disc_gram(region: Disc, truncation: int, radial_order: int,
-               angular_order: int) -> np.ndarray:
-    """Quadrature compression of an off-center disc indicator: Gauss-Legendre
-    in the disc radius crossed with a uniform angular rule, evaluated through
-    the weighted basis so no intermediate overflows."""
-    rho, w_rho = gauss_legendre(radial_order, 0.0, region.radius)
-    theta = TWO_PI * np.arange(angular_order) / angular_order
-    z = region.center + rho[:, None] * np.exp(1j * theta[None, :])
-    w = weighted_basis_matrix(truncation, z.reshape(-1))     # (N, Q)
-    omega = np.repeat(w_rho * rho * (TWO_PI / angular_order), angular_order)
-    return (np.conj(w) * omega) @ w.T
+@functools.lru_cache(maxsize=8)
+def _hermite_eigh(size: int):
+    """Eigenpairs (mu, V) of the size x size section of a + a^*: the Jacobi
+    matrix with zero diagonal and off-diagonals sqrt(1), ..., sqrt(size-1).
+    Read-only, since the cache hands the same arrays to every caller."""
+    mu, v = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1.0, size)))
+    mu.setflags(write=False)
+    v.setflags(write=False)
+    return mu, v
 
 
-def assemble(
-    symbol,
-    truncation: int,
-    *,
-    radial_order: int | None = None,
-    angular_order: int | None = None,
-) -> HermitianMatrix:
+def _displaced_disc(region: Disc, truncation: int) -> np.ndarray:
+    """Off-center disc indicator by translation invariance:
+    T_{1_D(c, r)} = W_c diag(P(k+1, pi r^2)) W_c^*.
+
+    W_c = exp(alpha a^* - conj(alpha) a) with alpha = sqrt(pi) conj(c) equals
+    U exp(i |alpha| X) U^* for X = a + a^* and U = diag(e^{i m (arg alpha -
+    pi/2)}), so the block P_N W_c P_K is U V e^{i |alpha| mu} V^T U^* from the
+    eigenpairs of a finite section of X: a product of unitaries, which stays
+    accurate where the column recurrence for W_c overflows. K stops where
+    P(k+1, pi r^2) has underflowed; the section size (sqrt(max(N, K)) +
+    |alpha| + 3)^2 keeps its boundary beyond where the columns carry mass,
+    rounded up to a multiple of 64 so nearby calls share a cached section.
+    """
+    alpha = math.sqrt(math.pi) * region.center.conjugate()
+    x = math.pi * region.radius**2
+    cols = math.ceil(x + 12.0 * math.sqrt(x + 1.0) + 40.0)
+    reach = (math.sqrt(max(truncation, cols)) + abs(alpha) + 3.0) ** 2
+    mu, v = _hermite_eigh(64 * math.ceil(reach / 64.0))
+    phase = abs(alpha) * mu
+    v_rows, v_cols = v[:truncation], v[:cols]
+    w = (v_rows * np.cos(phase)) @ v_cols.T + 1j * ((v_rows * np.sin(phase)) @ v_cols.T)
+    psi = cmath.phase(alpha) - 0.5 * math.pi
+    w *= np.exp(1j * psi * np.arange(truncation))[:, None]
+    w *= np.exp(-1j * psi * np.arange(cols))[None, :]
+    diag = gammainc_lower(np.arange(1.0, cols + 1.0), x)
+    return (w * diag) @ w.conj().T
+
+
+def region_compression(region: Region, truncation: int) -> np.ndarray:
+    """G[m, n] = int_region e_n conj(e_m) dlambda for m, n < truncation.
+
+    Closed form for every region: sectors and origin-centered discs by the
+    sector formula, off-center discs by Weyl translation of the centered
+    disc. int_region |f|^2 dlambda is the quadratic form Re(f^H G f).
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
+    if isinstance(region, AnnularSector):
+        return _sector_entries(region, truncation)
+    if isinstance(region, Disc):
+        if region.center == 0:
+            return _sector_entries(AnnularSector(0.0, region.radius, 0.0, TWO_PI), truncation)
+        return _displaced_disc(region, truncation)
+    raise TypeError(f"unsupported region type: {type(region).__name__}")
+
+
+def assemble(symbol, truncation: int) -> HermitianMatrix:
     """Compress a symbol to the first `truncation` basis elements.
 
-    SimpleSymbol pieces use closed forms where available (sectors and
-    origin-centered discs) and a disc-adapted quadrature gram otherwise.
-    SampledSymbol uses its own grid; the grid must resolve the requested
-    truncation (radial count >= truncation, angular count >= 2*truncation - 1).
-    RadialSymbol compressions are diagonal; use radial_assemble for those.
+    SimpleSymbol pieces sum their region compressions (closed form for every
+    region). SampledSymbol uses its own grid; the grid must resolve the
+    requested truncation (radial count >= truncation, angular count >=
+    2*truncation - 1). RadialSymbol compressions are diagonal; use
+    radial_assemble for those.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -172,16 +212,8 @@ def assemble(
 
     if isinstance(symbol, SimpleSymbol):
         total = np.zeros((truncation, truncation), dtype=np.complex128)
-        r_ord = radial_order if radial_order is not None else max(64, truncation + 8)
-        a_ord = angular_order if angular_order is not None else max(128, 2 * truncation + 16)
         for region, coeff in symbol.pieces:
-            if isinstance(region, AnnularSector):
-                total += coeff * _sector_entries(region, truncation)
-            elif region.center == 0:
-                sector = AnnularSector(0.0, region.radius, 0.0, TWO_PI)
-                total += coeff * _sector_entries(sector, truncation)
-            else:
-                total += coeff * _disc_gram(region, truncation, r_ord, a_ord)
+            total += coeff * region_compression(region, truncation)
         total = 0.5 * (total + total.conj().T)
         return HermitianMatrix(total)
 
@@ -225,13 +257,22 @@ def assemble(
     raise TypeError(f"cannot assemble {type(symbol).__name__}")
 
 
-def radial_assemble(
-    symbol: RadialSymbol,
-    truncation: int,
-    *,
-    rule: RadialRule | None = None,
-    segment_order: int | None = None,
-) -> HermitianMatrix:
+# The gaussian profile integrates on a Gauss-Laguerre rule of max(80, 2N)
+# nodes in radial_assemble and max(80, N + 16) in rayleigh; neither may
+# exceed MAX_RADIAL_ORDER.
+GAUSSIAN_ASSEMBLE_MAX_TRUNCATION = MAX_RADIAL_ORDER // 2
+GAUSSIAN_RAYLEIGH_MAX_TRUNCATION = MAX_RADIAL_ORDER - 16
+
+
+def _check_gaussian_truncation(truncation: int, largest: int) -> None:
+    if truncation > largest:
+        raise ValueError(
+            f"truncation {truncation} exceeds the largest supported truncation "
+            f"{largest} for the gaussian radial symbol"
+        )
+
+
+def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
     """Diagonal compression of a radial symbol.
 
     gamma_n = (1/n!) int_0^inf phi(sqrt(t/pi)) t^n e^{-t} dt. Profiles with
@@ -248,7 +289,8 @@ def radial_assemble(
     lf = log_factorial(n_idx)
 
     if symbol.kind == "gaussian":
-        rul = rule if rule is not None else RadialRule.gauss_laguerre(max(80, 2 * truncation))
+        _check_gaussian_truncation(truncation, GAUSSIAN_ASSEMBLE_MAX_TRUNCATION)
+        rul = RadialRule.gauss_laguerre(max(80, 2 * truncation))
         t = rul.nodes
         vals = symbol.profile(rul.radii)
         # G[n, j] = w_j t_j^n / n!  via  exp(n ln t - t + ln sw - lf_n)
@@ -258,7 +300,7 @@ def radial_assemble(
         )
         gamma = g @ vals
     else:
-        order = segment_order if segment_order is not None else max(64, truncation + 8)
+        order = max(64, truncation + 8)
         edges = [0.0] + [float(b) for b in symbol.breakpoints] + [symbol.support_radius]
         gamma = np.zeros(truncation)
         for a, b in zip(edges[:-1], edges[1:]):
@@ -287,43 +329,12 @@ def _as_hermitian_array(matrix, tol: float = 1e-10) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def top_eigenpair(matrix, *, tol: float = 1e-12, max_iterations: int = 10000):
-    """(lambda, v) for the eigenvalue of largest magnitude, by power iteration
-    on M^2 from the deterministic all-ones start. Raises RuntimeError if the
-    successive-estimate test never settles."""
-    a = _as_hermitian_array(matrix)
-    n = a.shape[0]
-    if not np.any(a):
-        v = np.zeros(n, dtype=np.complex128)
-        v[0] = 1.0
-        return 0.0, v
-
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    kernel_restarts = 0
-    prev = -1.0
-    for _ in range(max_iterations):
-        u = a @ v
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            # start vector sat in the kernel; restart from a basis vector
-            v = np.zeros(n, dtype=np.complex128)
-            v[kernel_restarts % n] = 1.0
-            kernel_restarts += 1
-            if kernel_restarts > n:
-                return 0.0, v
-            continue
-        est = nu  # = sqrt(v^H M^2 v), nondecreasing along the iteration
-        w = a @ u
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            v = u / nu
-        else:
-            v = w / nw
-        if abs(est - prev) <= tol * max(1.0, est):
-            lam = float(np.real(np.vdot(v, a @ v)))
-            return lam, v
-        prev = est
-    raise RuntimeError("power iteration did not converge")
+def top_eigenpair(matrix):
+    """(lambda, v) for the eigenvalue of largest magnitude, from LAPACK eigh;
+    v has unit norm."""
+    eigs, vecs = np.linalg.eigh(_as_hermitian_array(matrix))
+    i = int(np.argmax(np.abs(eigs)))
+    return float(eigs[i]), vecs[:, i]
 
 
 def jacobi_eigenvalues(matrix, *, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
@@ -380,25 +391,19 @@ def jacobi_eigenvalues(matrix, *, tol: float = 1e-13, max_sweeps: int = 60) -> n
     return np.sort(np.diag(a).real)
 
 
-def operator_norm(matrix, *, tol: float = 1e-12, max_iterations: int = 10000,
-                  method: str = "auto") -> float:
-    """Spectral norm of a Hermitian matrix.
+def operator_norm(matrix, *, method: str = "auto") -> float:
+    """Spectral norm of a Hermitian matrix: the largest eigenvalue modulus.
 
-    method="power" runs power iteration on M^2 only; "jacobi" diagonalizes;
-    "auto" tries power iteration and falls back to Jacobi (dimension <= 256)
-    if it fails to settle.
+    method="auto" takes the spectrum from LAPACK (numpy.linalg.eigvalsh);
+    "jacobi" diagonalizes with jacobi_eigenvalues, independently of LAPACK.
     """
     a = _as_hermitian_array(matrix)
-    if method not in ("auto", "power", "jacobi"):
+    if method == "auto":
+        eigs = np.linalg.eigvalsh(a)
+    elif method == "jacobi":
+        eigs = jacobi_eigenvalues(a)
+    else:
         raise ValueError(f"unknown method: {method!r}")
-    if method in ("auto", "power"):
-        try:
-            lam, _ = top_eigenpair(a, tol=tol, max_iterations=max_iterations)
-            return abs(lam)
-        except RuntimeError:
-            if method == "power" or a.shape[0] > 256:
-                raise
-    eigs = jacobi_eigenvalues(a)
     return float(np.max(np.abs(eigs)))
 
 
@@ -406,39 +411,30 @@ def operator_norm(matrix, *, tol: float = 1e-12, max_iterations: int = 10000,
 # quadratic forms
 
 
-def rayleigh(symbol, f: FockFunction, *, radial_order: int | None = None,
-             angular_order: int | None = None) -> float:
+def rayleigh(symbol, f: FockFunction) -> float:
     """int phi |f|^2 dlambda for a unit-normalized or general f.
 
-    Region pieces integrate on region-adapted rules; radial profiles use
-    breakpoint-aligned panels (or Gauss-Laguerre for the gaussian); sampled
-    symbols are paired with their own grid.
+    Simple symbols take the quadratic form Re(f^H M f) of their closed-form
+    compression; radial profiles use breakpoint-aligned panels (or
+    Gauss-Laguerre for the gaussian); sampled symbols are paired with their
+    own grid.
     """
     n = f.truncation
-    a_ord = angular_order if angular_order is not None else max(128, 2 * n + 16)
 
     if isinstance(symbol, SimpleSymbol):
-        r_ord = radial_order if radial_order is not None else max(64, n + 8)
-        total = 0.0
-        for region, coeff in symbol.pieces:
-            val = integrate_region(
-                lambda z: np.abs(f.eval_weighted(z)) ** 2,
-                region,
-                radial_order=r_ord,
-                angular_order=a_ord,
-                include_weight=False,
-            )
-            total += coeff * float(val)
-        return total
+        v = f.coeffs
+        return float(np.real(np.vdot(v, assemble(symbol, n).data @ v)))
 
     if isinstance(symbol, RadialSymbol):
+        a_ord = max(128, 2 * n + 16)
         theta = TWO_PI * np.arange(a_ord) / a_ord
         if symbol.kind == "gaussian":
+            _check_gaussian_truncation(n, GAUSSIAN_RAYLEIGH_MAX_TRUNCATION)
             rul = RadialRule.gauss_laguerre(max(80, n + 16))
             z = rul.radii[:, None] * np.exp(1j * theta[None, :])
             mean_sq = np.mean(np.abs(f.eval_weighted(z)) ** 2, axis=1)
             return float(np.dot(rul.scaled_weights, symbol.profile(rul.radii) * mean_sq))
-        order = radial_order if radial_order is not None else max(64, n + 8)
+        order = max(64, n + 8)
         edges = [0.0] + [float(b) for b in symbol.breakpoints] + [symbol.support_radius]
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):

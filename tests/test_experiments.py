@@ -19,6 +19,7 @@ from focklab import (
     WeightedPartition,
     approximation_experiment,
     coherent,
+    integrate_region,
     make_report,
     random_partition,
     random_region,
@@ -120,6 +121,22 @@ class TestVerifyConcentration:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             verify_concentration(FockFunction([2.0]), Disc(0.0, 1.0))
+
+    def test_against_region_quadrature(self):
+        # The closed-form compression against integrate_region at twice the
+        # orders the quadrature path used, on random discs and sectors.
+        rng = np.random.default_rng(41)
+        for n in (32, 96):
+            for _ in range(10):
+                region = random_region(rng)
+                f = random_unit(rng, int(rng.integers(0, 26)), truncation=n)
+                quad = integrate_region(
+                    lambda z: np.abs(f.eval_weighted(z)) ** 2, region,
+                    radial_order=2 * max(64, n + 8),
+                    angular_order=2 * max(128, 2 * n + 16),
+                    include_weight=False,
+                )
+                assert abs(verify_concentration(f, region).lhs - quad) < 1e-12
 
 
 class TestVerifyWeightedPartition:

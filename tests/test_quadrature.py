@@ -104,6 +104,14 @@ class TestGaussLegendre:
         assert np.all((x > 2.0) & (x < 5.0))
         assert math.isclose(float(np.sum(w)), 3.0, rel_tol=1e-14)
 
+    def test_cached_rule_is_not_shared(self):
+        x1, w1 = gauss_legendre(9, 0.0, 1.0)
+        x1[:] = 0.0
+        w1[:] = 0.0
+        x2, w2 = gauss_legendre(9, 0.0, 1.0)
+        assert math.isclose(float(np.sum(w2)), 1.0, rel_tol=1e-14)
+        assert np.all(np.diff(x2) > 0.0)
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             gauss_legendre(0, 0.0, 1.0)

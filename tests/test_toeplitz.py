@@ -18,13 +18,20 @@ from focklab import (
     SampledSymbol,
     SimpleSymbol,
     assemble,
+    coherent,
+    integrate_region,
     jacobi_eigenvalues,
     operator_norm,
     radial_assemble,
+    random_region,
     random_unit,
     rayleigh,
+    region_compression,
     top_eigenpair,
+    verify_norm_bound,
 )
+from focklab.fock import weighted_basis_matrix
+from focklab.quadrature import gauss_legendre
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,11 +229,75 @@ class TestRadialAssemble:
         off = mat - np.diag(np.diag(mat))
         assert np.max(np.abs(off)) == 0.0
 
+    def test_gaussian_truncation_limit(self):
+        mat = radial_assemble(RadialSymbol.gaussian(), 128).data
+        n = np.arange(128)
+        oracle = (math.pi / (math.pi + 1.0)) ** (n + 1.0)
+        assert np.max(np.abs(np.diag(mat).real - oracle)) < 1e-12
+        with pytest.raises(ValueError, match="largest supported truncation 128"):
+            radial_assemble(RadialSymbol.gaussian(), 129)
+
     def test_validation(self):
         with pytest.raises(TypeError):
             radial_assemble(SimpleSymbol(((Disc(0.0, 1.0), 1.0),)), 4)
         with pytest.raises(ValueError):
             radial_assemble(RadialSymbol.disc(1.0), 0)
+
+
+def _quadrature_disc_gram(disc, truncation, radial_order, angular_order):
+    """Disc compression by quadrature: Gauss-Legendre in the disc radius
+    crossed with a uniform angular rule about the disc center, through the
+    weighted basis so nothing overflows. Accumulated over blocks of radial
+    nodes to bound memory."""
+    rho, w_rho = gauss_legendre(radial_order, 0.0, disc.radius)
+    ring = np.exp(1j * TWO_PI * np.arange(angular_order) / angular_order)
+    gram = np.zeros((truncation, truncation), dtype=complex)
+    for i in range(0, radial_order, 16):
+        z = disc.center + rho[i:i + 16, None] * ring[None, :]
+        w = weighted_basis_matrix(truncation, z.reshape(-1))
+        omega = np.repeat(w_rho[i:i + 16] * rho[i:i + 16] * (TWO_PI / angular_order),
+                          angular_order)
+        gram += (np.conj(w) * omega) @ w.T
+    return gram
+
+
+def _doubled_orders(truncation):
+    """Twice the quadrature orders the disc gram used at this truncation."""
+    return 2 * max(64, truncation + 8), 2 * max(128, 2 * truncation + 16)
+
+
+class TestRegionCompression:
+    @pytest.mark.parametrize("radius", [0.3, 1.2, 2.0])
+    @pytest.mark.parametrize("modulus", [0.5, 2.1, 3.6, 5.7, 8.0])
+    def test_off_center_disc_against_quadrature(self, modulus, radius):
+        # One gram at the doubled orders of N = 128; its leading blocks are
+        # the compressions at the smaller truncations.
+        angle = 1.7 * modulus + 0.4
+        disc = Disc(modulus * complex(math.cos(angle), math.sin(angle)), radius)
+        gram = _quadrature_disc_gram(disc, 128, *_doubled_orders(128))
+        for n in (1, 20, 96, 128):
+            got = region_compression(disc, n)
+            assert np.max(np.abs(got - gram[:n, :n])) < 1e-12
+
+    def test_far_disc_where_the_column_recurrence_fails(self):
+        disc = Disc(4.0 + 4.0j, 1.2)
+        gram = _quadrature_disc_gram(disc, 100, *_doubled_orders(100))
+        assert np.max(np.abs(region_compression(disc, 100) - gram)) < 1e-12
+
+    def test_coherent_state_concentration(self):
+        # W_c e_0 is the coherent state at c, so its mass on D(c, r) is the
+        # centered disc's first diagonal entry 1 - e^{-pi r^2}.
+        for center, radius in ((0.7 + 0.3j, 0.6), (-2.5 + 1.0j, 1.5)):
+            f = coherent(center, 96)
+            g = region_compression(Disc(center, radius), 96)
+            mass = float(np.real(np.vdot(f.coeffs, g @ f.coeffs)))
+            assert abs(mass + math.expm1(-math.pi * radius**2)) < 1e-12
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            region_compression(Disc(1.0, 1.0), 0)
+        with pytest.raises(TypeError):
+            region_compression("nope", 4)
 
 
 def _random_hermitian(rng, n):
@@ -242,17 +313,31 @@ class TestSpectra:
     def test_operator_norm_zero(self):
         assert operator_norm(HermitianMatrix(np.zeros((3, 3), dtype=complex))) == 0.0
 
-    def test_power_kernel_restart(self):
-        # the all-ones start vector lies in the kernel of this matrix
-        a = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)
-        assert math.isclose(operator_norm(a, method="power"), 2.0, rel_tol=1e-10)
+    def test_symmetric_spectrum_norm(self):
+        # +1 on the upper half of the unit disc, -1 on the lower half: odd
+        # under rotation by pi, so the spectrum is exactly symmetric, and the
+        # eigenvalues +-lambda must not cancel in the reported norm.
+        sym = SimpleSymbol(
+            (
+                (AnnularSector(0.0, 1.0, 0.0, math.pi), 1.0),
+                (AnnularSector(0.0, 1.0, math.pi, TWO_PI), -1.0),
+            )
+        )
+        mat = assemble(sym, 60)
+        eig_norm = float(np.max(np.abs(np.linalg.eigvalsh(mat.data))))
+        assert abs(operator_norm(mat) - 0.683246591459) < 1e-11
+        assert math.isclose(operator_norm(mat), eig_norm, rel_tol=1e-12)
+        assert math.isclose(verify_norm_bound(sym, 60).lhs, eig_norm, rel_tol=1e-12)
+        lam, _ = top_eigenpair(mat)
+        assert math.isclose(abs(lam), eig_norm, rel_tol=1e-12)
 
     def test_methods_agree(self):
         rng = np.random.default_rng(11)
-        a = _random_hermitian(rng, 24)
-        np_norm = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        assert math.isclose(operator_norm(a, method="power"), np_norm, rel_tol=1e-9)
-        assert math.isclose(operator_norm(a, method="jacobi"), np_norm, rel_tol=1e-11)
+        for a in (_random_hermitian(rng, 24),
+                  np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)):
+            np_norm = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+            assert math.isclose(operator_norm(a), np_norm, rel_tol=1e-12)
+            assert math.isclose(operator_norm(a, method="jacobi"), np_norm, rel_tol=1e-11)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -276,9 +361,8 @@ class TestSpectra:
         a = _random_hermitian(rng, 15)
         lam, v = top_eigenpair(a)
         assert math.isclose(abs(lam), float(np.max(np.abs(np.linalg.eigvalsh(a)))),
-                            rel_tol=1e-9)
-        # the stop rule targets the eigenvalue; the vector residual is looser
-        assert float(np.linalg.norm(a @ v - lam * v)) < 1e-4
+                            rel_tol=1e-12)
+        assert float(np.linalg.norm(a @ v - lam * v)) < 1e-12
         assert math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=1e-12)
 
     def test_top_eigenpair_negative_dominant(self):
@@ -323,6 +407,25 @@ class TestRayleigh:
         v = f.coeffs
         direct = float(np.real(np.conj(v) @ mat @ v))
         assert abs(rayleigh(sym, f) - direct) < 1e-12
+
+    def test_gaussian_truncation_limit(self):
+        f = coherent(0.5, 240)
+        gamma = (math.pi / (math.pi + 1.0)) ** (np.arange(240) + 1.0)
+        expect = float(np.dot(gamma, np.abs(f.coeffs) ** 2))
+        assert abs(rayleigh(RadialSymbol.gaussian(), f) - expect) < 1e-12
+        with pytest.raises(ValueError, match="largest supported truncation 240"):
+            rayleigh(RadialSymbol.gaussian(), coherent(0.5, 241))
+
+    def test_simple_symbol_against_region_quadrature(self):
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            region = random_region(rng)
+            f = random_unit(rng, int(rng.integers(0, 26)), truncation=48)
+            quad = integrate_region(
+                lambda z: np.abs(f.eval_weighted(z)) ** 2, region,
+                radial_order=112, angular_order=224, include_weight=False,
+            )
+            assert abs(rayleigh(SimpleSymbol(((region, -0.7),)), f) + 0.7 * quad) < 1e-12
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
