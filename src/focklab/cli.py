@@ -44,7 +44,7 @@ from .quadrature import AngularRule, ProductRule, RadialRule
 from .regions import AnnularSector, Disc
 from .reports import format_line, write_jsonl, write_summary_csv
 from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol
-from .toeplitz import assemble, operator_norm, radial_assemble
+from .toeplitz import assemble, operator_norm
 
 
 class ConfigError(Exception):
@@ -135,10 +135,7 @@ def _cmd_assemble(args) -> int:
     fmt = _resolve(args, "format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"--format must be json or csv, got {fmt!r}")
-    if isinstance(symbol, RadialSymbol):
-        matrix = radial_assemble(symbol, truncation)
-    else:
-        matrix = assemble(symbol, truncation)
+    matrix = assemble(symbol, truncation)
     out = _out_dir(args)
     stem = _stem(_resolve(args, "output", "matrix"), f".{fmt}")
     if fmt == "json":
@@ -157,10 +154,7 @@ def _cmd_norm(args) -> int:
     symbol = load_symbol(_resolve(args, "symbol", required=True))
     truncation = int(_resolve(args, "truncation", required=True))
     method = _resolve(args, "method", "auto")
-    if isinstance(symbol, RadialSymbol):
-        matrix = radial_assemble(symbol, truncation)
-    else:
-        matrix = assemble(symbol, truncation)
+    matrix = assemble(symbol, truncation)
     try:
         norm = operator_norm(matrix, method=method)
     except ValueError as exc:
@@ -281,11 +275,7 @@ def _cmd_norm_table(args) -> int:
     bound = symbol_norm_bound(l1, linf)
     rows = []
     for n in truncations:
-        if isinstance(symbol, RadialSymbol):
-            matrix = radial_assemble(symbol, n)
-        else:
-            matrix = assemble(symbol, n)
-        rows.append((n, operator_norm(matrix)))
+        rows.append((n, operator_norm(assemble(symbol, n))))
     out = _out_dir(args)
     stem = _stem(_resolve(args, "output", "norm_table"), ".csv")
     path = out / f"{stem}.csv"

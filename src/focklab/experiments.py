@@ -13,18 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import FockFunction, coherent
-from .regions import AnnularSector, Disc, Region, area, disjoint
-from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol, discretize
-from .toeplitz import (
-    assemble,
-    operator_norm,
-    radial_assemble,
-    rayleigh,
-    region_compression,
-    top_eigenpair,
-)
-
-TWO_PI = 2.0 * math.pi
+from .regions import TWO_PI, AnnularSector, Disc, Region, area, disjoint, region_to_json
+from .symbols import RadialSymbol, SimpleSymbol, discretize
+from .toeplitz import assemble, operator_norm, rayleigh, region_compression, top_eigenpair
 
 DEFAULT_SLACK = 1e-10
 NORM_SLACK = 1e-8
@@ -85,14 +76,6 @@ def make_report(experiment: str, lhs: float, rhs: float, slack: float,
     )
 
 
-def _region_dict(region: Region) -> dict:
-    if isinstance(region, Disc):
-        return {"disc": {"center": [region.center.real, region.center.imag],
-                         "radius": region.radius}}
-    return {"sector": {"r": [region.r_inner, region.r_outer],
-                       "theta": [region.theta_start, region.theta_end]}}
-
-
 def _require_unit(f: FockFunction) -> None:
     if abs(f.norm() - 1.0) > 1e-12:
         raise ValueError(f"function must be unit-normalized, norm = {f.norm()!r}")
@@ -150,7 +133,7 @@ def verify_concentration(f: FockFunction, region: Region, *,
     rhs = -math.expm1(-a)
     return make_report(
         "concentration", lhs, rhs, slack,
-        metadata={"region": _region_dict(region), "area": a, "truncation": n},
+        metadata={"region": region_to_json(region), "area": a, "truncation": n},
     )
 
 
@@ -164,7 +147,7 @@ def verify_weighted_partition(f: FockFunction, partition: WeightedPartition, *,
     rhs = -math.expm1(-partition.weighted_area())
     meta = {
         "pieces": [
-            {**_region_dict(region), "weight": eps, "integral": val}
+            {**region_to_json(region), "weight": eps, "integral": val}
             for (region, eps), val in zip(partition.pieces, integrals)
         ],
         "weighted_area": partition.weighted_area(),
@@ -176,11 +159,7 @@ def verify_weighted_partition(f: FockFunction, partition: WeightedPartition, *,
 def verify_norm_bound(symbol, truncation: int, *,
                       slack: float = NORM_SLACK) -> VerificationReport:
     """Measured compression norm against the closed-form symbol bound."""
-    if isinstance(symbol, RadialSymbol):
-        matrix = radial_assemble(symbol, truncation)
-    else:
-        matrix = assemble(symbol, truncation)
-    lhs = operator_norm(matrix)
+    lhs = operator_norm(assemble(symbol, truncation))
     l1 = symbol.l1_norm()
     linf = symbol.linf_norm()
     rhs = symbol_norm_bound(l1, linf)
@@ -255,11 +234,7 @@ def approximation_experiment(symbol, grids, truncation: int, *,
         raise ValueError("grid sizes must be strictly increasing")
 
     radial = isinstance(symbol, RadialSymbol)
-    if radial:
-        true_matrix = radial_assemble(symbol, truncation)
-    else:
-        true_matrix = assemble(symbol, truncation)
-    true_norm = operator_norm(true_matrix)
+    true_norm = operator_norm(assemble(symbol, truncation))
     exact_bound = symbol_norm_bound(symbol.l1_norm(), symbol.linf_norm())
 
     reports = []

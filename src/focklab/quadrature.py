@@ -31,10 +31,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 
-from .regions import AnnularSector, Disc, Region
+from .regions import TWO_PI, AnnularSector, Disc, Region
 
 MAX_RADIAL_ORDER = 256
-TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "RadialRule",

@@ -1,9 +1,11 @@
 """Measurable plane regions used as symbol pieces.
 
 Two shapes cover every experiment: discs (anywhere in the plane) and annular
-sectors centered at the origin. Disjointness between a disc and a sector is
-decided conservatively through the disc's polar bounding box, so a True
-answer is trustworthy while a False may only mean "could not certify".
+sectors centered at the origin. disjoint() decides a whole family in one
+sorted sweep over radial bands; between a disc and a sector it decides
+conservatively through the disc's polar bounding box, so a True answer is
+trustworthy while a False may only mean "could not certify".
+region_to_json() and region_from_json() are the one JSON form of a region.
 """
 from __future__ import annotations
 
@@ -85,25 +87,6 @@ def area(region: Region) -> float:
     raise TypeError(f"unsupported region type: {type(region).__name__}")
 
 
-def _intervals_disjoint(a1: float, b1: float, a2: float, b2: float) -> bool:
-    # Measure-zero touching counts as disjoint.
-    return min(b1, b2) - max(a1, a2) <= _TOL
-
-
-def _arc_overlap(start1: float, span1: float, start2: float, span2: float) -> float:
-    """Overlap length of two arcs on the circle (spans in (0, 2pi])."""
-    if span1 >= TWO_PI - _TOL or span2 >= TWO_PI - _TOL:
-        return min(span1, span2)
-    s = (start2 - start1) % TWO_PI
-    overlap = 0.0
-    for shift in (s, s - TWO_PI):
-        lo = max(0.0, shift)
-        hi = min(span1, shift + span2)
-        if hi > lo:
-            overlap += hi - lo
-    return overlap
-
-
 def _radial_band(region: Region) -> tuple[float, float]:
     if isinstance(region, AnnularSector):
         return region.r_inner, region.r_outer
@@ -124,65 +107,66 @@ def _angular_arc(region: Region) -> tuple[float, float] | None:
     return (cmath.phase(region.center) - half) % TWO_PI, 2.0 * half
 
 
-def _pair_disjoint(r1: Region, r2: Region) -> bool:
-    if isinstance(r1, Disc) and isinstance(r2, Disc):
-        return abs(r1.center - r2.center) >= r1.radius + r2.radius - _TOL
+def disjoint(regions) -> bool:
+    """True iff all pairwise intersections have measure zero (certified).
 
-    # Sector/sector and the conservative disc/sector test share one skeleton:
-    # certified disjoint if the radial bands or the angular arcs are.
-    lo1, hi1 = _radial_band(r1)
-    lo2, hi2 = _radial_band(r2)
-    if _intervals_disjoint(lo1, hi1, lo2, hi2):
-        return True
-    arc1 = _angular_arc(r1)
-    arc2 = _angular_arc(r2)
-    if arc1 is None or arc2 is None:
-        return False
-    return _arc_overlap(*arc1, *arc2) <= _TOL
+    One sorted sweep: regions are ordered by the lower edge of their radial
+    band, and np.searchsorted keeps only the pairs whose bands overlap by
+    more than _TOL. Those are tested by center distance for two discs and by
+    arc overlap otherwise, one offset k at a time (region i against i + k),
+    so memory stays linear in the number of regions. Disc against sector is
+    decided through the disc's polar bounding box, so the test is
+    conservative: geometrically disjoint pairs may come back False, but True
+    is always safe.
+    """
+    regions = list(regions)
+    bands = np.array([_radial_band(r) for r in regions]).reshape(-1, 2)
+    order = np.argsort(bands[:, 0], kind="stable")
+    regions = [regions[k] for k in order]
+    lo, hi = bands[order, 0], bands[order, 1]
+    arcs = [_angular_arc(r) for r in regions]
+    full = np.array([a is None for a in arcs], dtype=bool)
+    start, span = np.array([a or (0.0, TWO_PI) for a in arcs]).reshape(-1, 2).T
+    disc = np.array([isinstance(r, Disc) for r in regions], dtype=bool)
+    center = np.array([r.center if isinstance(r, Disc) else 0j for r in regions], dtype=complex)
+    radius = np.array([r.radius if isinstance(r, Disc) else 0.0 for r in regions])
 
-
-def _sectors_disjoint_vec(sectors) -> bool:
-    """Vectorized all-pairs check for sector-only families (same decisions as
-    _pair_disjoint), chunked so discretization lattices with thousands of
-    cells validate in milliseconds."""
-    lo = np.array([s.r_inner for s in sectors])
-    hi = np.array([s.r_outer for s in sectors])
-    start = np.array([s.theta_start % TWO_PI for s in sectors])
-    span = np.array([s.span for s in sectors])
-    full = np.array([s.full_span for s in sectors])
-    p = lo.size
-    chunk = 256
-    for i0 in range(0, p, chunk):
-        i1 = min(i0 + chunk, p)
-        rad = (
-            np.minimum(hi[i0:i1, None], hi[None, :])
-            - np.maximum(lo[i0:i1, None], lo[None, :])
-        ) <= _TOL
-        s = (start[None, :] - start[i0:i1, None]) % TWO_PI
-        overlap = np.zeros_like(s)
-        for shift in (s, s - TWO_PI):
-            seg = np.minimum(span[i0:i1, None], shift + span[None, :]) - np.maximum(0.0, shift)
-            overlap += np.maximum(0.0, seg)
-        ang = ~full[i0:i1, None] & ~full[None, :] & (overlap <= _TOL)
-        ok = rad | ang
-        ok[np.arange(i1 - i0), np.arange(i0, i1)] = True  # exempt self-pairs
-        if not np.all(ok):
+    # Region i meets candidates i + 1 .. i + reach[i] - 1, the later regions
+    # whose bands start below hi[i] - _TOL.
+    reach = np.searchsorted(lo, hi - _TOL) - np.arange(lo.size)
+    for k in range(1, int(reach.max(initial=0))):
+        i = np.flatnonzero(reach > k)
+        j = i + k
+        bands_meet = np.minimum(hi[i], hi[j]) - lo[j] > _TOL
+        discs_apart = np.abs(center[i] - center[j]) >= radius[i] + radius[j] - _TOL
+        s = (start[j] - start[i]) % TWO_PI
+        arc_overlap = sum(
+            np.maximum(0.0, np.minimum(span[i], shift + span[j]) - np.maximum(0.0, shift))
+            for shift in (s, s - TWO_PI)
+        )
+        arcs_apart = ~full[i] & ~full[j] & (arc_overlap <= _TOL)
+        if np.any(bands_meet & ~np.where(disc[i] & disc[j], discs_apart, arcs_apart)):
             return False
     return True
 
 
-def disjoint(regions) -> bool:
-    """True iff all pairwise intersections have measure zero (certified).
+def region_to_json(region: Region) -> dict:
+    """{"disc": {"center": [re, im], "radius": r}} or
+    {"sector": {"r": [r_inner, r_outer], "theta": [start, end]}}."""
+    if isinstance(region, Disc):
+        return {"disc": {"center": [region.center.real, region.center.imag],
+                         "radius": region.radius}}
+    return {"sector": {"r": [region.r_inner, region.r_outer],
+                       "theta": [region.theta_start, region.theta_end]}}
 
-    Disc against sector is decided through the disc's polar bounding box, so
-    the test is conservative: geometrically disjoint pairs may come back
-    False, but True is always safe.
-    """
-    regions = list(regions)
-    if len(regions) >= 32 and all(isinstance(r, AnnularSector) for r in regions):
-        return _sectors_disjoint_vec(regions)
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            if not _pair_disjoint(regions[i], regions[j]):
-                return False
-    return True
+
+def region_from_json(data: dict) -> Region:
+    """The region of a region_to_json dict; other keys are ignored."""
+    if "disc" in data:
+        spec = data["disc"]
+        return Disc(complex(spec["center"][0], spec["center"][1]), float(spec["radius"]))
+    if "sector" in data:
+        spec = data["sector"]
+        return AnnularSector(float(spec["r"][0]), float(spec["r"][1]),
+                             float(spec["theta"][0]), float(spec["theta"][1]))
+    raise ValueError("piece must have a 'disc' or 'sector' entry")

@@ -25,9 +25,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import ProductRule, gauss_legendre
-from .regions import AnnularSector, Disc, Region, area, disjoint
-
-TWO_PI = 2.0 * math.pi
+from .regions import (
+    TWO_PI,
+    AnnularSector,
+    Disc,
+    area,
+    disjoint,
+    region_from_json,
+    region_to_json,
+)
 
 # Effective support of the gaussian builtin: the analytic tail pi e^{-r^2}
 # beyond 4.8 is ~3.1e-10, small enough for every tolerance in the lab while
@@ -72,25 +78,8 @@ class SimpleSymbol:
         return SimpleSymbol(tuple((r, c * factor) for r, c in self.pieces))
 
     def to_json_dict(self) -> dict:
-        out = []
-        for region, coeff in self.pieces:
-            if isinstance(region, Disc):
-                entry = {
-                    "disc": {
-                        "center": [region.center.real, region.center.imag],
-                        "radius": region.radius,
-                    }
-                }
-            else:
-                entry = {
-                    "sector": {
-                        "r": [region.r_inner, region.r_outer],
-                        "theta": [region.theta_start, region.theta_end],
-                    }
-                }
-            entry["coeff"] = coeff
-            out.append(entry)
-        return {"pieces": out}
+        return {"pieces": [{**region_to_json(region), "coeff": coeff}
+                           for region, coeff in self.pieces]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -100,18 +89,7 @@ class SimpleSymbol:
         pieces = []
         for entry in data["pieces"]:
             coeff = float(entry["coeff"])
-            if "disc" in entry:
-                spec = entry["disc"]
-                region = Disc(complex(spec["center"][0], spec["center"][1]), float(spec["radius"]))
-            elif "sector" in entry:
-                spec = entry["sector"]
-                region = AnnularSector(
-                    float(spec["r"][0]), float(spec["r"][1]),
-                    float(spec["theta"][0]), float(spec["theta"][1]),
-                )
-            else:
-                raise ValueError("piece must have a 'disc' or 'sector' entry")
-            pieces.append((region, coeff))
+            pieces.append((region_from_json(entry), coeff))
         return cls(tuple(pieces))
 
     @classmethod
@@ -163,16 +141,21 @@ class RadialSymbol:
     def linf_norm(self) -> float:
         return self.linf
 
-    def l1_norm(self, *, segment_order: int = 64) -> float:
-        """2pi int |phi(r)| r dr by breakpoint-aligned Gauss-Legendre in r,
-        plus the analytic tail. Sign changes sit on breakpoints, so every
-        segment integrand is smooth."""
+    def panels(self, order: int):
+        """(r, w): Gauss-Legendre nodes and weights in r of the given order on
+        each non-empty panel between consecutive edges 0, breakpoints...,
+        support_radius, so no panel straddles a jump or kink."""
         edges = [0.0] + [float(b) for b in self.breakpoints] + [self.support_radius]
-        total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
-            r, w = gauss_legendre(segment_order, a, b)
+            if b > a:
+                yield gauss_legendre(order, a, b)
+
+    def l1_norm(self) -> float:
+        """2pi int |phi(r)| r dr on the breakpoint panels, plus the analytic
+        tail. Sign changes sit on breakpoints, so every panel integrand is
+        smooth."""
+        total = 0.0
+        for r, w in self.panels(64):
             total += TWO_PI * float(np.dot(w * r, np.abs(self.profile(r))))
         return total + self.tail_l1_beyond(self.support_radius)
 

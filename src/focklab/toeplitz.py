@@ -1,12 +1,13 @@
 """Toeplitz-operator compressions and their spectra.
 
 assemble() produces the truncated matrix M[m, n] = int phi e_n conj(e_m) dlambda
-for the first N basis elements. Indicator pieces go through
-region_compression(), which is closed form for every region: annular sectors
-(and origin-centered discs) factor into angular integrals and incomplete-gamma
-increments, and an off-center disc D(c, r) is the Weyl translate
-W_c T_{1_D(0, r)} W_c^* of the diagonal centered disc. Sampled symbols use
-their own grid. Radial symbols produce diagonal matrices via radial_assemble().
+for the first N basis elements, for every symbol type. Indicator pieces go
+through region_compression(), which is closed form for every region: annular
+sectors (and origin-centered discs) factor into angular integrals and
+incomplete-gamma increments, and an off-center disc D(c, r) is the Weyl
+translate W_c T_{1_D(0, r)} W_c^* of the diagonal centered disc. Sampled
+symbols use their own grid. Radial symbols produce diagonal matrices via
+radial_assemble(). rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() takes the largest eigenvalue modulus from LAPACK
 (numpy.linalg.eigvalsh); method="jacobi" runs a hand-rolled cyclic Jacobi
@@ -25,12 +26,10 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .fock import FockFunction
-from .quadrature import MAX_RADIAL_ORDER, RadialRule, gauss_legendre
-from .regions import AnnularSector, Disc, Region
+from .quadrature import MAX_RADIAL_ORDER, RadialRule
+from .regions import TWO_PI, AnnularSector, Disc, Region
 from .special import gammainc_lower, gammainc_lower_int_prefix, log_factorial
 from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol
-
-TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "HermitianMatrix",
@@ -201,14 +200,14 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
     SimpleSymbol pieces sum their region compressions (closed form for every
     region). SampledSymbol uses its own grid; the grid must resolve the
     requested truncation (radial count >= truncation, angular count >=
-    2*truncation - 1). RadialSymbol compressions are diagonal; use
-    radial_assemble for those.
+    2*truncation - 1). RadialSymbol compressions are the diagonal ones of
+    radial_assemble.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
 
     if isinstance(symbol, RadialSymbol):
-        raise TypeError("radial symbols produce diagonal compressions; use radial_assemble")
+        return radial_assemble(symbol, truncation)
 
     if isinstance(symbol, SimpleSymbol):
         total = np.zeros((truncation, truncation), dtype=np.complex128)
@@ -257,19 +256,9 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
     raise TypeError(f"cannot assemble {type(symbol).__name__}")
 
 
-# The gaussian profile integrates on a Gauss-Laguerre rule of max(80, 2N)
-# nodes in radial_assemble and max(80, N + 16) in rayleigh; neither may
-# exceed MAX_RADIAL_ORDER.
-GAUSSIAN_ASSEMBLE_MAX_TRUNCATION = MAX_RADIAL_ORDER // 2
-GAUSSIAN_RAYLEIGH_MAX_TRUNCATION = MAX_RADIAL_ORDER - 16
-
-
-def _check_gaussian_truncation(truncation: int, largest: int) -> None:
-    if truncation > largest:
-        raise ValueError(
-            f"truncation {truncation} exceeds the largest supported truncation "
-            f"{largest} for the gaussian radial symbol"
-        )
+# The gaussian profile integrates on a Gauss-Laguerre rule of max(80, N + 16)
+# nodes, which may not exceed MAX_RADIAL_ORDER.
+GAUSSIAN_MAX_TRUNCATION = MAX_RADIAL_ORDER - 16
 
 
 def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
@@ -289,8 +278,12 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
     lf = log_factorial(n_idx)
 
     if symbol.kind == "gaussian":
-        _check_gaussian_truncation(truncation, GAUSSIAN_ASSEMBLE_MAX_TRUNCATION)
-        rul = RadialRule.gauss_laguerre(max(80, 2 * truncation))
+        if truncation > GAUSSIAN_MAX_TRUNCATION:
+            raise ValueError(
+                f"truncation {truncation} exceeds the largest supported truncation "
+                f"{GAUSSIAN_MAX_TRUNCATION} for the gaussian radial symbol"
+            )
+        rul = RadialRule.gauss_laguerre(max(80, truncation + 16))
         t = rul.nodes
         vals = symbol.profile(rul.radii)
         # G[n, j] = w_j t_j^n / n!  via  exp(n ln t - t + ln sw - lf_n)
@@ -300,13 +293,8 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
         )
         gamma = g @ vals
     else:
-        order = max(64, truncation + 8)
-        edges = [0.0] + [float(b) for b in symbol.breakpoints] + [symbol.support_radius]
         gamma = np.zeros(truncation)
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
-            r, w = gauss_legendre(order, a, b)
+        for r, w in symbol.panels(max(64, truncation + 8)):
             t = math.pi * r * r
             vals = symbol.profile(r)
             g = np.exp(np.outer(n_idx, np.log(t)) - t[None, :] - lf[:, None])
@@ -412,44 +400,8 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
 
 
 def rayleigh(symbol, f: FockFunction) -> float:
-    """int phi |f|^2 dlambda for a unit-normalized or general f.
-
-    Simple symbols take the quadratic form Re(f^H M f) of their closed-form
-    compression; radial profiles use breakpoint-aligned panels (or
-    Gauss-Laguerre for the gaussian); sampled symbols are paired with their
-    own grid.
-    """
-    n = f.truncation
-
-    if isinstance(symbol, SimpleSymbol):
-        v = f.coeffs
-        return float(np.real(np.vdot(v, assemble(symbol, n).data @ v)))
-
-    if isinstance(symbol, RadialSymbol):
-        a_ord = max(128, 2 * n + 16)
-        theta = TWO_PI * np.arange(a_ord) / a_ord
-        if symbol.kind == "gaussian":
-            _check_gaussian_truncation(n, GAUSSIAN_RAYLEIGH_MAX_TRUNCATION)
-            rul = RadialRule.gauss_laguerre(max(80, n + 16))
-            z = rul.radii[:, None] * np.exp(1j * theta[None, :])
-            mean_sq = np.mean(np.abs(f.eval_weighted(z)) ** 2, axis=1)
-            return float(np.dot(rul.scaled_weights, symbol.profile(rul.radii) * mean_sq))
-        order = max(64, n + 8)
-        edges = [0.0] + [float(b) for b in symbol.breakpoints] + [symbol.support_radius]
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
-            r, w = gauss_legendre(order, a, b)
-            z = r[:, None] * np.exp(1j * theta[None, :])
-            mean_sq = np.mean(np.abs(f.eval_weighted(z)) ** 2, axis=1)
-            total += TWO_PI * float(np.dot(w * r, symbol.profile(r) * mean_sq))
-        return total
-
-    if isinstance(symbol, SampledSymbol):
-        z = symbol.rule.grid()
-        sq = np.abs(f.eval_weighted(z)) ** 2
-        row = np.sum(symbol.values * sq, axis=1) / symbol.rule.angular.count
-        return float(np.dot(symbol.rule.radial.scaled_weights, row))
-
-    raise TypeError(f"cannot integrate against {type(symbol).__name__}")
+    """int phi |f|^2 dlambda for a unit-normalized or general f: the quadratic
+    form Re(f^H M f) of M = assemble(symbol, N) at f's truncation N, for every
+    symbol type (so a sampled symbol's grid must resolve N)."""
+    v = f.coeffs
+    return float(np.real(np.vdot(v, assemble(symbol, f.truncation).data @ v)))

@@ -39,7 +39,7 @@ from focklab.quadrature import default_plane_rule
 
 ONE_MINUS_EXP_NEG_ONE = 0.6321205588285577
 ONE_MINUS_EXP_NEG_PI = 0.9567860817362276
-PI_OVER_PI_PLUS_ONE = 0.7585469929944808
+PI_OVER_PI_PLUS_ONE = math.pi / (math.pi + 1.0)
 
 
 def _report(num, label, ok, detail):

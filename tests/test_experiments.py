@@ -33,7 +33,7 @@ from focklab import (
 )
 
 ONE_MINUS_EXP_NEG_PI = 0.9567860817362276
-PI_OVER_PI_PLUS_ONE = 0.7585469929944808
+PI_OVER_PI_PLUS_ONE = math.pi / (math.pi + 1.0)
 
 
 class TestMakeReport:

@@ -1,18 +1,73 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from focklab.regions import (
+    TWO_PI,
     AnnularSector,
     Disc,
-    _pair_disjoint,
-    _sectors_disjoint_vec,
     area,
     disjoint,
 )
 
-TWO_PI = 2.0 * math.pi
+_TOL = 1e-12
+
+
+def _band(region):
+    if isinstance(region, AnnularSector):
+        return region.r_inner, region.r_outer
+    dist = abs(region.center)
+    return max(0.0, dist - region.radius), dist + region.radius
+
+
+def _arc(region):
+    """(start, span) of an arc covering the region, or None for all angles."""
+    if isinstance(region, AnnularSector):
+        if region.theta_end - region.theta_start >= TWO_PI - _TOL:
+            return None
+        return region.theta_start % TWO_PI, region.theta_end - region.theta_start
+    dist = abs(region.center)
+    if dist <= region.radius + _TOL:
+        return None
+    half = math.asin(min(1.0, region.radius / dist))
+    return (cmath.phase(region.center) - half) % TWO_PI, 2.0 * half
+
+
+def _pair_disjoint(r1, r2):
+    """Brute-force oracle for one pair: discs by center distance, anything
+    else certified apart by its radial bands or its angular arcs."""
+    if isinstance(r1, Disc) and isinstance(r2, Disc):
+        return abs(r1.center - r2.center) >= r1.radius + r2.radius - _TOL
+    (lo1, hi1), (lo2, hi2) = _band(r1), _band(r2)
+    if min(hi1, hi2) - max(lo1, lo2) <= _TOL:
+        return True
+    arc1, arc2 = _arc(r1), _arc(r2)
+    if arc1 is None or arc2 is None:
+        return False
+    (start1, span1), (start2, span2) = arc1, arc2
+    s = (start2 - start1) % TWO_PI
+    overlap = 0.0
+    for shift in (s, s - TWO_PI):
+        overlap += max(0.0, min(span1, shift + span2) - max(0.0, shift))
+    return overlap <= _TOL
+
+
+def _brute_force_disjoint(regions):
+    return all(_pair_disjoint(regions[i], regions[j])
+               for i in range(len(regions)) for j in range(i + 1, len(regions)))
+
+
+def _polar_lattice(radial, angular, r_max=2.0):
+    r_edges = np.sqrt(np.linspace(0.0, r_max**2, radial + 1))
+    t_edges = np.linspace(0.0, TWO_PI, angular + 1)
+    return [
+        AnnularSector(float(r_edges[i]), float(r_edges[i + 1]),
+                      float(t_edges[j]), float(t_edges[j + 1]))
+        for i in range(radial)
+        for j in range(angular)
+    ]
 
 
 class TestShapes:
@@ -111,29 +166,68 @@ class TestDisjoint:
 
 
 class TestVectorizedPath:
-    def _random_sectors(self, rng, count):
-        sectors = []
-        for _ in range(count):
-            r1 = float(rng.uniform(0.0, 2.0))
-            r2 = r1 + float(rng.uniform(0.05, 1.0))
-            if rng.uniform() < 0.15:
-                sectors.append(AnnularSector(r1, r2, 0.0, TWO_PI))
-                continue
-            start = float(rng.uniform(0.0, TWO_PI))
-            span = float(rng.uniform(0.05, TWO_PI - 0.05))
-            sectors.append(AnnularSector(r1, r2, start, start + span))
-        return sectors
+    """disjoint's sorted sweep against a brute-force pairwise oracle."""
 
-    def test_matches_pairwise_loop(self):
+    @staticmethod
+    def _random_piece(rng):
+        """A disc, sector, full annulus or arc wrapping past 2pi, drawn from a
+        few shared edge values so that touching edges are common."""
+        u = rng.uniform()
+        if u < 0.3:
+            center = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
+            return Disc(center, float(rng.choice([0.5, 1.0, rng.uniform(0.05, 1.5)])))
+        r1 = float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, rng.uniform(0.0, 2.5)]))
+        r2 = r1 + float(rng.choice([0.5, 1.0, rng.uniform(0.05, 1.5)]))
+        if u < 0.45:
+            return AnnularSector(r1, r2, 0.0, TWO_PI)
+        start = float(rng.choice([0.0, 1.0, math.pi, 5.5, rng.uniform(-TWO_PI, TWO_PI)]))
+        span = float(rng.choice([1e-13, 1.0, math.pi, 2.0, rng.uniform(0.05, TWO_PI - 0.05)]))
+        return AnnularSector(r1, r2, start, start + span)
+
+    def _random_family(self, rng):
+        """Random pieces, or cells of a rotated polar lattice (disjoint, with
+        touching edges and an arc across 2pi), sometimes with a random piece
+        added; now and then a disc gets a touching neighbour or a cell is
+        duplicated."""
+        if rng.uniform() < 0.4:
+            family = [self._random_piece(rng) for _ in range(int(rng.integers(2, 6)))]
+        else:
+            r_edges = np.cumsum(rng.choice([0.5, 1.0, rng.uniform(0.1, 1.0)], size=4))
+            arcs = int(rng.integers(1, 5))
+            t_edges = rng.uniform(0.0, TWO_PI) + np.linspace(0.0, TWO_PI, arcs + 1)
+            family = [
+                AnnularSector(float(r_edges[i]), float(r_edges[i + 1]),
+                              float(t_edges[j]), float(t_edges[j + 1]))
+                for i in range(3) for j in range(arcs) if rng.uniform() < 0.6
+            ] + [self._random_piece(rng) for _ in range(int(rng.integers(0, 2)))]
+        discs = [r for r in family if isinstance(r, Disc)]
+        if discs and rng.uniform() < 0.5:
+            disc, radius = discs[0], float(rng.uniform(0.05, 1.0))
+            step = cmath.exp(1j * rng.uniform(0.0, TWO_PI)) * (disc.radius + radius)
+            family.append(Disc(disc.center + step, radius))
+        if family and rng.uniform() < 0.15:
+            family.append(family[int(rng.integers(len(family)))])
+        return family
+
+    def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(17)
-        for trial in range(20):
-            sectors = self._random_sectors(rng, 36)
-            loop = all(
-                _pair_disjoint(sectors[i], sectors[j])
-                for i in range(len(sectors))
-                for j in range(i + 1, len(sectors))
-            )
-            assert _sectors_disjoint_vec(sectors) == loop
+        verdicts = []
+        for _ in range(2500):
+            family = self._random_family(rng)
+            expect = _brute_force_disjoint(family)
+            assert disjoint(family) == expect, family
+            assert disjoint(family[::-1]) == expect, family
+            verdicts.append(expect)
+        # Both answers occur often enough to exercise both.
+        assert 500 < sum(verdicts) < 2000
+
+    def test_large_lattices(self):
+        annuli = _polar_lattice(4096, 1, r_max=4.8)
+        cells = _polar_lattice(64, 64)
+        for family in (annuli, cells):
+            assert disjoint(family)
+            assert not disjoint(family + [family[len(family) // 3]])
+            assert not disjoint([family[-1]] + family)
 
     def test_lattice_family_disjoint(self):
         r_edges = np.linspace(0.0, 2.0, 9)
@@ -151,5 +245,6 @@ class TestVectorizedPath:
         cells = [
             AnnularSector(float(r_edges[i]), float(r_edges[i + 1]), 0.0, 1.0)
             for i in range(6)
-        ] * 6  # 36 cells with duplicates, triggers the vectorized path
+        ] * 6  # 36 cells, each one six times
         assert not disjoint(cells)
+

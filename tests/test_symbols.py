@@ -60,6 +60,8 @@ class TestSimpleSymbol:
                 (AnnularSector(1.0, 2.0, 0.5, 1.5), -0.75),
             )
         )
+        assert [list(piece) for piece in sym.to_json_dict()["pieces"]] == [
+            ["disc", "coeff"], ["sector", "coeff"]]
         back = SimpleSymbol.from_json(sym.to_json())
         assert len(back.pieces) == 2
         disc, c0 = back.pieces[0]

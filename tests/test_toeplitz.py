@@ -137,8 +137,8 @@ class TestAssembleSimple:
         sym = SimpleSymbol(((Disc(0.0, 1.0), 1.0),))
         with pytest.raises(ValueError):
             assemble(sym, 0)
-        with pytest.raises(TypeError):
-            assemble(RadialSymbol.disc(1.0), 4)
+        radial = RadialSymbol.disc(1.0)
+        assert np.array_equal(assemble(radial, 4).data, radial_assemble(radial, 4).data)
         with pytest.raises(TypeError):
             assemble("nope", 4)
 
@@ -230,12 +230,12 @@ class TestRadialAssemble:
         assert np.max(np.abs(off)) == 0.0
 
     def test_gaussian_truncation_limit(self):
-        mat = radial_assemble(RadialSymbol.gaussian(), 128).data
-        n = np.arange(128)
+        mat = radial_assemble(RadialSymbol.gaussian(), 240).data
+        n = np.arange(240)
         oracle = (math.pi / (math.pi + 1.0)) ** (n + 1.0)
         assert np.max(np.abs(np.diag(mat).real - oracle)) < 1e-12
-        with pytest.raises(ValueError, match="largest supported truncation 128"):
-            radial_assemble(RadialSymbol.gaussian(), 129)
+        with pytest.raises(ValueError, match="largest supported truncation 240"):
+            radial_assemble(RadialSymbol.gaussian(), 241)
 
     def test_validation(self):
         with pytest.raises(TypeError):
@@ -372,6 +372,35 @@ class TestSpectra:
         assert abs(abs(v[0]) - 1.0) < 1e-10
 
 
+def _grid_rayleigh_radial(symbol, f):
+    """int phi |f|^2 dlambda by direct quadrature of |f|^2 on a polar grid:
+    Gauss-Laguerre in t for the gaussian, else Gauss-Legendre panels in r
+    between breakpoints, each crossed with a uniform angular rule."""
+    n = f.truncation
+    a_ord = max(128, 2 * n + 16)
+    ring = np.exp(1j * TWO_PI * np.arange(a_ord) / a_ord)
+
+    def ring_mean(r):
+        return np.mean(np.abs(f.eval_weighted(r[:, None] * ring[None, :])) ** 2, axis=1)
+
+    if symbol.kind == "gaussian":
+        rul = RadialRule.gauss_laguerre(max(80, n + 16))
+        return float(np.dot(rul.scaled_weights, symbol.profile(rul.radii) * ring_mean(rul.radii)))
+    edges = [0.0, *symbol.breakpoints, symbol.support_radius]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        r, w = gauss_legendre(max(64, n + 8), a, b)
+        total += TWO_PI * float(np.dot(w * r, symbol.profile(r) * ring_mean(r)))
+    return total
+
+
+def _grid_rayleigh_sampled(symbol, f):
+    """Sum of phi |f|^2 over the sampled symbol's own product grid."""
+    sq = np.abs(f.eval_weighted(symbol.rule.grid())) ** 2
+    row = np.sum(symbol.values * sq, axis=1) / symbol.rule.angular.count
+    return float(np.dot(symbol.rule.radial.scaled_weights, row))
+
+
 class TestRayleigh:
     def test_simple_symbol_matches_quadratic_form(self):
         rng = np.random.default_rng(5)
@@ -407,6 +436,34 @@ class TestRayleigh:
         v = f.coeffs
         direct = float(np.real(np.conj(v) @ mat @ v))
         assert abs(rayleigh(sym, f) - direct) < 1e-12
+
+    def test_radial_and_sampled_against_grid_quadrature(self):
+        rng = np.random.default_rng(12)
+        for truncation in (9, 40):
+            f = random_unit(rng, truncation - 1)
+            for sym in (
+                RadialSymbol.gaussian(),
+                RadialSymbol.disc(1.1, -0.6),
+                RadialSymbol.annulus(0.4, 1.3),
+                RadialSymbol.table([0.0, 0.6, 1.2, 1.9], [0.9, -0.5, 0.3, 0.0]),
+            ):
+                assert abs(rayleigh(sym, f) - _grid_rayleigh_radial(sym, f)) < 1e-12
+        f = random_unit(rng, 11)
+        sym = _sampled(lambda z: np.exp(-np.abs(z) ** 2) * (1.0 + 0.4 * np.cos(3 * np.angle(z))))
+        assert abs(rayleigh(sym, f) - _grid_rayleigh_sampled(sym, f)) < 1e-12
+
+    def test_sampled_needs_resolving_grid(self):
+        # 2N - 1 angular nodes must resolve the truncation, as in assemble.
+        sym = _sampled(lambda z: np.ones(z.shape), radial_count=40, angular_count=64)
+        assert abs(rayleigh(sym, coherent(0.2, 32)) - coherent(0.2, 32).norm() ** 2) < 1e-12
+        with pytest.raises(ValueError, match="angular count"):
+            rayleigh(sym, coherent(0.2, 33))
+
+    def test_disc_at_truncation_512(self):
+        # The grid branch this replaced built a 512 x 520 x 1040 complex array.
+        f = coherent(0.3 + 0.1j, 512)
+        expect = float(np.dot(gammainc(np.arange(512) + 1.0, math.pi), np.abs(f.coeffs) ** 2))
+        assert abs(rayleigh(RadialSymbol.disc(1.0), f) - expect) < 1e-12
 
     def test_gaussian_truncation_limit(self):
         f = coherent(0.5, 240)
