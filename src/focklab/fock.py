@@ -210,11 +210,6 @@ def coherent(w0: complex, truncation: int = DEFAULT_TRUNCATION) -> FockFunction:
     return FockFunction(coeffs)
 
 
-def coherent_tail_mass(w0: complex, truncation: int) -> float:
-    """Poisson tail Pr[N(pi|w0|^2) >= truncation] dropped by coherent()."""
-    return poisson_tail(truncation, math.pi * abs(complex(w0)) ** 2)
-
-
 def pointwise_bound_check(f: FockFunction, points) -> float:
     """max over the samples of |f(z)|^2 e^{-pi|z|^2}.
 

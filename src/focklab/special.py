@@ -8,6 +8,7 @@ from scipy.special import gammainc as _gammainc_scipy
 from scipy.special import gammaln
 
 LN_PI = math.log(math.pi)
+_TINY = np.finfo(float).tiny
 
 # ln(n!) table; 4096 covers every truncation and quadrature order we accept.
 _LOG_FACTORIAL = gammaln(np.arange(4097, dtype=float) + 1.0)
@@ -18,67 +19,37 @@ def log_factorial(n):
     return _LOG_FACTORIAL[n]
 
 
-def gammainc_lower_int(a: int, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for integer shape a >= 1.
-
-    Uses the finite Poisson sum P(a, x) = 1 - e^{-x} sum_{j<a} x^j/j!,
-    accumulated in increasing j with compensated (Kahan) summation. Exact up
-    to rounding; no continued fractions.
-    """
-    a = int(a)
-    if a < 1:
-        raise ValueError(f"integer shape must be >= 1, got {a}")
-    if not (x >= 0.0):
-        raise ValueError(f"x must be >= 0, got {x}")
-    term = math.exp(-x)
-    total = 0.0
-    carry = 0.0
-    for j in range(a):
-        y = term - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        term *= x / (j + 1)
-    return 1.0 - total
-
-
 def gammainc_lower(a, x):
-    """Regularized P(a, x) for real shape a > 0 (vectorized).
-
-    Integer shapes take the closed-form Poisson sum; anything else (the
-    half-integer shapes that odd n+m sector entries produce) goes through
-    scipy's implementation.
-    """
-    a_arr = np.asarray(a, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    if a_arr.ndim == 0 and x_arr.ndim == 0:
-        av = float(a_arr)
-        if av == int(av):
-            return gammainc_lower_int(int(av), float(x_arr))
-        return float(_gammainc_scipy(av, x_arr))
-    return _gammainc_scipy(a_arr, x_arr)
+    """Regularized lower incomplete gamma P(a, x) for real shape a > 0
+    (vectorized, scipy's implementation)."""
+    return _gammainc_scipy(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
 
 
-def gammainc_lower_int_prefix(a_max: int, x: float) -> np.ndarray:
-    """P(a, x) for all integer a = 1 .. a_max in one pass.
+def gammainc_lower_int_prefix(a_max: int, x) -> np.ndarray:
+    """P(a, x) for all integer a = 1 .. a_max in one pass, for a scalar x or
+    an array of x; the result has shape x.shape + (a_max,).
 
-    Accumulates the Poisson pmf terms exp(j ln x - x - ln j!) by cumsum; for
-    a_max in the hundreds the cumsum rounding stays far below 1e-13. Vector
-    analogue of gammainc_lower_int for diagonal assembly loops.
+    Uses the finite Poisson sum P(a, x) = 1 - sum_{j<a} e^{-x} x^j / j!,
+    accumulating the pmf terms exp(j ln x - x - ln j!) by cumsum; for a_max
+    in the hundreds the cumsum rounding stays far below 1e-13.
     """
     if a_max < 1:
         raise ValueError("a_max must be >= 1")
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if x.size and not x.min() >= 0.0:
         raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return np.zeros(a_max)
-    j = np.arange(a_max, dtype=float)
-    terms = np.exp(j * math.log(x) - x - log_factorial(np.arange(a_max)))
-    return 1.0 - np.cumsum(terms)
+    x = x[..., None]
+    # ln x is taken at max(x, tiny): at x = 0 every term past the first then
+    # underflows to 0, and P = 1 - 1 = 0 exactly.
+    terms = np.log(np.maximum(x, _TINY)) * np.arange(a_max)
+    terms -= x
+    terms -= _LOG_FACTORIAL[:a_max]
+    np.exp(terms, out=terms)
+    return 1.0 - terms.cumsum(axis=-1)
 
 
 def poisson_tail(n: int, mu: float) -> float:
     """Pr[Poisson(mu) >= n]: the mass a degree-(n-1) truncation drops."""
     if n <= 0:
         return 1.0
-    return gammainc_lower_int(n, mu)
+    return float(_gammainc_scipy(n, mu))

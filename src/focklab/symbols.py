@@ -373,9 +373,14 @@ def _segments_abs_integral(phi: Callable, c: np.ndarray, lo: np.ndarray,
     return TWO_PI * total
 
 
-def _radial_grid_edges(symbol: RadialSymbol, radial_cells: int) -> np.ndarray:
-    x_max = math.pi * symbol.support_radius**2
-    return np.linspace(0.0, x_max, radial_cells + 1)
+def _polar_cells(radii: np.ndarray, theta_edges: np.ndarray, values: np.ndarray) -> SimpleSymbol:
+    """One AnnularSector piece per cell (j, i) of the polar grid with these
+    radial and angular edges, radial index outer, with coefficient values[j, i]."""
+    return SimpleSymbol(tuple(
+        (AnnularSector(radii[j], radii[j + 1], theta_edges[i], theta_edges[i + 1]),
+         float(values[j, i]))
+        for j in range(len(radii) - 1) for i in range(len(theta_edges) - 1)
+    ))
 
 
 def discretize(
@@ -406,23 +411,14 @@ def discretize(
                 f"tail mass {tail:.3e} beyond the declared support exceeds "
                 f"tail_tol={tail_tol:.3e}"
             )
-        edges = _radial_grid_edges(symbol, radial_cells)
+        edges = np.linspace(0.0, math.pi * symbol.support_radius**2, radial_cells + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         cvals = np.asarray(symbol.profile_t(centers), dtype=float)
 
         radii = np.sqrt(edges / math.pi)
         theta_edges = np.linspace(0.0, TWO_PI, angular_cells + 1)
-        pieces = []
-        for j in range(radial_cells):
-            for i in range(angular_cells):
-                pieces.append(
-                    (
-                        AnnularSector(radii[j], radii[j + 1],
-                                      theta_edges[i], theta_edges[i + 1]),
-                        float(cvals[j]),
-                    )
-                )
-        approx = SimpleSymbol(tuple(pieces))
+        approx = _polar_cells(radii, theta_edges,
+                              np.broadcast_to(cvals[:, None], (radial_cells, angular_cells)))
 
         # Error estimate: split cells at breakpoints so each integration
         # segment sees a smooth monotone profile piece.
@@ -447,18 +443,7 @@ def discretize(
         theta_centers = 0.5 * (theta_edges[:-1] + theta_edges[1:])
         cvals = symbol.value_at(t_centers[:, None], theta_centers[None, :])
 
-        radii = np.sqrt(t_edges / math.pi)
-        pieces = []
-        for j in range(radial_cells):
-            for i in range(angular_cells):
-                pieces.append(
-                    (
-                        AnnularSector(radii[j], radii[j + 1],
-                                      theta_edges[i], theta_edges[i + 1]),
-                        float(cvals[j, i]),
-                    )
-                )
-        approx = SimpleSymbol(tuple(pieces))
+        approx = _polar_cells(np.sqrt(t_edges / math.pi), theta_edges, cvals)
 
         # Midpoint subsampling (16 x 8 per cell) of |phi - c|, inflated 10%
         # so the estimate stays above any finer reference measurement.

@@ -1,13 +1,15 @@
 """Toeplitz-operator compressions and their spectra.
 
 assemble() produces the truncated matrix M[m, n] = int phi e_n conj(e_m) dlambda
-for the first N basis elements, for every symbol type. Indicator pieces go
-through region_compression(), which is closed form for every region: annular
-sectors (and origin-centered discs) factor into angular integrals and
-incomplete-gamma increments, and an off-center disc D(c, r) is the Weyl
-translate W_c T_{1_D(0, r)} W_c^* of the diagonal centered disc. Sampled
-symbols use their own grid. Radial symbols produce diagonal matrices via
-radial_assemble(). rayleigh() is the quadratic form Re(f^H M f) of assemble().
+for the first N basis elements, for every symbol type. The origin-centered
+pieces of a symbol are compressed in one pass: partial annular sectors sum
+into one moment table D[l = m+n, k = n-m], which one gather turns into M
+(_gather_moments, shared with sampled symbols, which build D from their
+grid), and full annuli and centered discs sum into one diagonal. An
+off-center disc D(c, r) is the Weyl translate W_c T_{1_D(0, r)} W_c^* of the
+diagonal centered disc. region_compression() is the same pass for one
+region. Radial symbols produce diagonal matrices via radial_assemble().
+rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() takes the largest eigenvalue modulus from LAPACK
 (numpy.linalg.eigvalsh); method="jacobi" runs a hand-rolled cyclic Jacobi
@@ -97,44 +99,86 @@ class HermitianMatrix:
 # assembly
 
 
-def _sector_entries(region: AnnularSector, truncation: int) -> np.ndarray:
-    """Closed-form compression of an annular-sector indicator.
+def _gather_moments(radial: np.ndarray, angular: np.ndarray, truncation: int) -> np.ndarray:
+    """M[m, n] = Gamma((m+n)/2 + 1) / sqrt(m! n!) * D[m+n, n-m] for the moment
+    table D = radial @ angular of a real symbol.
 
-    Entry (m, n) factors into an angular integral of e^{i(n-m)theta} and a
-    radial incomplete-gamma increment at s = (n + m)/2:
-        A_{n-m}/(2pi) * exp(lgamma(s+1) - (lf_n + lf_m)/2)
-                      * (P(s+1, pi r_out^2) - P(s+1, pi r_in^2)).
+    radial is real with rows l = m + n = 0 .. 2N-2; angular is complex and
+    C-contiguous with columns k = n - m = 0 .. N-1. A real symbol has
+    D[l, -k] = conj(D[l, k]), so M below the diagonal is the conjugate
+    transpose of M above it. D is one real GEMM on angular's interleaved real
+    and imaginary parts.
     """
-    n_idx = np.arange(truncation)
-    x1 = math.pi * region.r_inner**2
-    x2 = math.pi * region.r_outer**2
+    n = truncation
+    d = (radial @ angular.view(np.float64)).view(np.complex128)
+    # D[m+n, n-m] sits at flat offset m(N-1) + n(N+1) of d for n >= m, and
+    # lgam[m+n] at offset m + n of lgam: both gathers are strided views.
+    step = d.itemsize
+    upper = np.ndarray((n, n), np.complex128, d, 0, ((n - 1) * step, (n + 1) * step))
+    idx = np.arange(n)
+    out = np.where(np.greater.outer(idx, idx), upper.T.conj(), upper)
+    lgam = gammaln(np.arange(1.0, n + 0.5, 0.5))  # Gamma(l/2 + 1), l = 0 .. 2N-2
+    hankel = np.ndarray((n, n), np.float64, lgam, 0, (lgam.itemsize,) * 2)
+    lf = log_factorial(idx)
+    out *= np.exp(hankel - 0.5 * np.add.outer(lf, lf))
+    return out
 
-    if region.full_span:
-        # Full annulus: angular integrals kill every off-diagonal entry and
-        # the diagonal reduces to increments of integer incomplete gammas.
-        diag = gammainc_lower_int_prefix(truncation, x2)
-        if x1 > 0.0:
-            diag = diag - gammainc_lower_int_prefix(truncation, x1)
-        return np.diag(diag.astype(np.complex128))
 
-    # Angular factors for k = -(N-1) .. N-1.
-    ks = np.arange(-(truncation - 1), truncation)
-    t1, t2 = region.theta_start, region.theta_end
-    safe_k = np.where(ks == 0, 1, ks)
-    ang = np.where(ks == 0, t2 - t1,
-                   (np.exp(1j * ks * t2) - np.exp(1j * ks * t1)) / (1j * safe_k))
+def _radius_index(edges):
+    """The distinct x = pi r^2 over (r_inner, r_outer) edge pairs, and where
+    each pair's x(r_outer), then each pair's x(r_inner), sits among them."""
+    index = {}
+    at = [index.setdefault(math.pi * r**2, len(index))
+          for r in [r_out for _, r_out in edges] + [r_in for r_in, _ in edges]]
+    return list(index), at
 
-    # Radial factors for l = n + m = 0 .. 2N-2 (s = l/2), both radii at once.
-    ls = np.arange(2 * truncation - 1)
-    p = gammainc_lower(ls[:, None] / 2.0 + 1.0, np.array([x1, x2]))
-    rad = p[:, 1] - p[:, 0]
-    lgam = gammaln(ls / 2.0 + 1.0)
 
-    lf = log_factorial(n_idx)
-    ll = np.add.outer(n_idx, n_idx)          # ll[m, n] = m + n
-    kk = -np.subtract.outer(n_idx, n_idx)    # kk[m, n] = n - m
-    scale = np.exp(lgam[ll] - 0.5 * np.add.outer(lf, lf))
-    return (ang[kk + truncation - 1] / TWO_PI) * scale * rad[ll]
+def _centred_compression(pieces, truncation: int) -> np.ndarray:
+    """sum_p c_p G_p over (region, c_p) pieces whose regions are annular
+    sectors or origin-centered discs, in one pass.
+
+    With x = pi r^2, entry (m, n) of a sector's compression factors into the
+    angular integral A(k) of e^{ik theta} over its arc, k = n - m, and the
+    radial increment P(l/2 + 1, x_out) - P(l/2 + 1, x_in), l = m + n:
+        G[m, n] = Gamma(l/2 + 1) / sqrt(m! n!) * A(k) / (2pi) * increment.
+    A full span kills every k != 0, so annuli and centered discs sum into one
+    diagonal of integer-shape increments. Partial sectors sum into one moment
+    table D[l, k] = sum_p c_p increment_p(l) A_p(k) / (2pi) for
+    _gather_moments. Both sums are taken per distinct radius, each piece
+    adding its weight at its outer radius and subtracting it at its inner
+    one, so each incomplete gamma is evaluated once per radius.
+    """
+    n = truncation
+    rings, part = [], []
+    for region, c in pieces:
+        if isinstance(region, Disc):
+            rings.append((0.0, region.radius, c))
+        elif region.full_span:
+            rings.append((region.r_inner, region.r_outer, c))
+        else:
+            part.append((region, c))
+
+    if part:
+        t1, t2, coeffs = np.array([(s.theta_start, s.theta_end, c) for s, c in part]).T[:, :, None]
+        ks = np.arange(n)
+        safe_k = np.where(ks == 0, 1, ks)
+        angular = np.where(ks == 0, t2 - t1,
+                           (np.exp(1j * ks * t2) - np.exp(1j * ks * t1)) / (1j * safe_k))
+        angular *= coeffs / TWO_PI
+        xs, at = _radius_index([(s.r_inner, s.r_outer) for s, _ in part])
+        by_radius = np.zeros((len(xs), n), dtype=np.complex128)
+        np.add.at(by_radius, at, np.concatenate([angular, -angular]))
+        radial = gammainc_lower(np.arange(1.0, n + 0.5, 0.5)[:, None], xs)
+        total = _gather_moments(radial, by_radius, n)
+    else:
+        total = np.zeros((n, n), dtype=np.complex128)
+
+    if rings:
+        xs, at = _radius_index([ring[:2] for ring in rings])
+        coeffs = [ring[2] for ring in rings]
+        by_radius = np.bincount(at, coeffs + [-c for c in coeffs], len(xs))
+        total.reshape(-1)[::n + 1] += by_radius @ gammainc_lower_int_prefix(n, xs)
+    return total
 
 
 @functools.lru_cache(maxsize=8)
@@ -180,25 +224,25 @@ def region_compression(region: Region, truncation: int) -> np.ndarray:
     """G[m, n] = int_region e_n conj(e_m) dlambda for m, n < truncation.
 
     Closed form for every region: sectors and origin-centered discs by the
-    sector formula, off-center discs by Weyl translation of the centered
-    disc. int_region |f|^2 dlambda is the quadratic form Re(f^H G f).
+    sector formula of _centred_compression, off-center discs by Weyl
+    translation of the centered disc. int_region |f|^2 dlambda is the
+    quadratic form Re(f^H G f).
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    if isinstance(region, AnnularSector):
-        return _sector_entries(region, truncation)
-    if isinstance(region, Disc):
-        if region.center == 0:
-            return _sector_entries(AnnularSector(0.0, region.radius, 0.0, TWO_PI), truncation)
+    if not isinstance(region, (AnnularSector, Disc)):
+        raise TypeError(f"unsupported region type: {type(region).__name__}")
+    if isinstance(region, Disc) and region.center != 0:
         return _displaced_disc(region, truncation)
-    raise TypeError(f"unsupported region type: {type(region).__name__}")
+    return _centred_compression(((region, 1.0),), truncation)
 
 
 def assemble(symbol, truncation: int) -> HermitianMatrix:
     """Compress a symbol to the first `truncation` basis elements.
 
-    SimpleSymbol pieces sum their region compressions (closed form for every
-    region). SampledSymbol uses its own grid; the grid must resolve the
+    SimpleSymbol pieces are compressed in closed form: the origin-centered
+    ones in one batched pass, each off-center disc by Weyl translation.
+    SampledSymbol uses its own grid; the grid must resolve the
     requested truncation (radial count >= truncation, angular count >=
     2*truncation - 1). RadialSymbol compressions are the diagonal ones of
     radial_assemble.
@@ -210,9 +254,14 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
         return radial_assemble(symbol, truncation)
 
     if isinstance(symbol, SimpleSymbol):
+        centred = []
         total = np.zeros((truncation, truncation), dtype=np.complex128)
         for region, coeff in symbol.pieces:
-            total += coeff * region_compression(region, truncation)
+            if isinstance(region, Disc) and region.center != 0:
+                total += coeff * _displaced_disc(region, truncation)
+            else:
+                centred.append((region, coeff))
+        total += _centred_compression(centred, truncation)
         total = 0.5 * (total + total.conj().T)
         return HermitianMatrix(total)
 
@@ -228,28 +277,19 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
                 f"angular count {m_ang} cannot resolve truncation {truncation} "
                 f"(need >= {2 * truncation - 1})"
             )
-        n_idx = np.arange(truncation)
-        lf = log_factorial(n_idx)
         t = symbol.rule.radial.nodes
         log_sw = np.log(symbol.rule.radial.scaled_weights)
         theta = symbol.rule.angular.nodes
-        ks = np.arange(-(truncation - 1), truncation)
         ls = np.arange(2 * truncation - 1)
 
-        # C[kidx, j] = sum_i v[j, i] e^{i k theta_i}
-        e_mat = np.exp(1j * np.outer(theta, ks))             # (M, 2N-1)
-        c_mat = (symbol.values @ e_mat).T                    # (2N-1, K)
-        # T2w[l, j] = w_j t_j^{l/2} / Gamma(l/2 + 1), kept in log domain
-        t2w = np.exp(
+        # radial[l, j] = w_j t_j^{l/2} / Gamma(l/2 + 1), kept in log domain
+        radial = np.exp(
             0.5 * np.outer(ls, np.log(t)) - t[None, :] + log_sw[None, :]
             - gammaln(ls / 2.0 + 1.0)[:, None]
         )
-        d_mat = t2w @ c_mat.T                                # (2N-1, 2N-1)
-
-        ll = np.add.outer(n_idx, n_idx)
-        kk = -np.subtract.outer(n_idx, n_idx)
-        scale = np.exp(gammaln(ll / 2.0 + 1.0) - 0.5 * np.add.outer(lf, lf))
-        total = scale * d_mat[ll, kk + truncation - 1] / m_ang
+        # angular[j, k] = (1/M) sum_i v[j, i] e^{i k theta_i}
+        angular = symbol.values @ np.exp(1j * np.outer(theta, np.arange(truncation))) / m_ang
+        total = _gather_moments(radial, angular, truncation)
         total = 0.5 * (total + total.conj().T)
         return HermitianMatrix(total)
 

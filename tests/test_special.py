@@ -6,7 +6,6 @@ from scipy.special import gammainc as scipy_gammainc
 
 from focklab.special import (
     gammainc_lower,
-    gammainc_lower_int,
     gammainc_lower_int_prefix,
     log_factorial,
     poisson_tail,
@@ -22,19 +21,22 @@ def test_log_factorial_values():
 
 
 def test_gammainc_int_against_direct_sum():
-    # P(a, x) = 1 - e^{-x} sum_{j<a} x^j / j!
+    # P(a, x) = 1 - e^{-x} sum_{j<a} x^j / j!, for a vector of x with x = 0
+    xs = np.array([0.0, 0.3, 1.0, 4.7, 30.0])
+    prefix = gammainc_lower_int_prefix(20, xs)
+    assert prefix.shape == (5, 20)
     for a in (1, 2, 5, 20):
-        for x in (0.0, 0.3, 1.0, 4.7, 30.0):
+        for x, got in zip(xs, prefix[:, a - 1]):
             direct = 1.0 - math.fsum(
                 math.exp(-x) * x**j / math.factorial(j) for j in range(a)
             )
-            assert abs(gammainc_lower_int(a, x) - direct) < 5e-15
+            assert abs(got - direct) < 5e-15
+    assert np.all(prefix[0] == 0.0)
 
 
 def test_gammainc_int_monotone_in_x():
-    xs = np.linspace(0.0, 12.0, 50)
-    vals = [gammainc_lower_int(4, float(x)) for x in xs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    vals = gammainc_lower_int_prefix(4, np.linspace(0.0, 12.0, 50))[:, 3]
+    assert np.all(np.diff(vals) >= 0.0)
     assert vals[0] == 0.0
     assert vals[-1] < 1.0
 
@@ -46,10 +48,15 @@ def test_gammainc_matches_scipy():
 
 
 def test_gammainc_prefix_matches_scalar():
+    a = np.arange(1, 61)
     for x in (0.2, 1.0, 3.7, 25.0):
         prefix = gammainc_lower_int_prefix(60, x)
-        for a in (1, 2, 13, 60):
-            assert abs(prefix[a - 1] - gammainc_lower_int(a, x)) < 1e-13
+        assert prefix.shape == (60,)
+        assert np.max(np.abs(prefix - scipy_gammainc(a, x))) < 1e-13
+    xs = np.array([[0.2, 1.0], [3.7, 25.0]])
+    prefix = gammainc_lower_int_prefix(60, xs)
+    assert prefix.shape == (2, 2, 60)
+    assert np.max(np.abs(prefix - scipy_gammainc(a, xs[..., None]))) < 1e-13
 
 
 def test_gammainc_prefix_edge_cases():
@@ -58,13 +65,10 @@ def test_gammainc_prefix_edge_cases():
         gammainc_lower_int_prefix(0, 1.0)
     with pytest.raises(ValueError):
         gammainc_lower_int_prefix(3, -0.1)
-
-
-def test_gammainc_validation():
-    with pytest.raises(ValueError):
-        gammainc_lower_int(0, 1.0)
-    with pytest.raises(ValueError):
-        gammainc_lower_int(3, -1.0)
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        gammainc_lower_int_prefix(3, np.array([0.0, 2.0, -1e-300]))
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        gammainc_lower_int_prefix(3, np.array([1.0, math.nan]))
 
 
 def test_poisson_tail():

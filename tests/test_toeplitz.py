@@ -32,6 +32,7 @@ from focklab import (
 )
 from focklab.fock import weighted_basis_matrix
 from focklab.quadrature import gauss_legendre
+from focklab.symbols import discretize
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,6 +262,29 @@ def _quadrature_disc_gram(disc, truncation, radial_order, angular_order):
     return gram
 
 
+def _quadrature_sector_gram(sector, truncation, radial_order, angular_order):
+    """Sector compression by quadrature: Gauss-Legendre in r on [r_inner,
+    r_outer] crossed with Gauss-Legendre on the arc, through the weighted
+    basis, accumulated over blocks of radial nodes."""
+    r, w_r = gauss_legendre(radial_order, sector.r_inner, sector.r_outer)
+    theta, w_t = gauss_legendre(angular_order, sector.theta_start, sector.theta_end)
+    ring = np.exp(1j * theta)
+    gram = np.zeros((truncation, truncation), dtype=complex)
+    for i in range(0, radial_order, 16):
+        z = r[i:i + 16, None] * ring[None, :]
+        w = weighted_basis_matrix(truncation, z.reshape(-1))
+        omega = np.outer(w_r[i:i + 16] * r[i:i + 16], w_t).reshape(-1)
+        gram += (np.conj(w) * omega) @ w.T
+    return gram
+
+
+def _quadrature_gram(region, truncation):
+    """Test-local quadrature compression of any region at doubled orders."""
+    if isinstance(region, Disc):
+        return _quadrature_disc_gram(region, truncation, *_doubled_orders(truncation))
+    return _quadrature_sector_gram(region, truncation, *_doubled_orders(truncation))
+
+
 def _doubled_orders(truncation):
     """Twice the quadrature orders the disc gram used at this truncation."""
     return 2 * max(64, truncation + 8), 2 * max(128, 2 * truncation + 16)
@@ -298,6 +322,88 @@ class TestRegionCompression:
             region_compression(Disc(1.0, 1.0), 0)
         with pytest.raises(TypeError):
             region_compression("nope", 4)
+
+
+def _random_mixed_symbol(rng):
+    """Random SimpleSymbol on disjoint radial bands, one kind per band: a
+    centered disc (innermost band only), a full annulus, one or two partial
+    sectors whose arcs may wrap past 2pi, or an off-center disc inside the
+    band. Coefficients are uniform in [-1, 1]."""
+    edges = np.cumsum(rng.uniform(0.25, 0.6, size=int(rng.integers(2, 6))))
+    edges = np.concatenate([[0.0], edges])
+    pieces = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        kind = rng.choice(["disc", "annulus", "sector", "sectors", "off-center"])
+        if kind == "disc" and a == 0.0:
+            pieces.append(Disc(0.0, b))
+        elif kind in ("disc", "annulus"):
+            pieces.append(AnnularSector(a, b, 0.0, TWO_PI))
+        elif kind == "off-center":
+            angle = rng.uniform(0.0, TWO_PI)
+            center = 0.5 * (a + b) * complex(math.cos(angle), math.sin(angle))
+            pieces.append(Disc(center, 0.45 * (b - a)))
+        else:
+            start = rng.uniform(0.0, TWO_PI)
+            split = rng.uniform(0.5, TWO_PI - 0.5)
+            pieces.append(AnnularSector(a, b, start, start + split))
+            if kind == "sectors":
+                pieces.append(AnnularSector(a, b, start + split, start + TWO_PI - 0.2))
+    return SimpleSymbol(tuple((region, float(rng.uniform(-1.0, 1.0))) for region in pieces))
+
+
+class TestCentredCompression:
+    def test_mixed_symbols_against_quadrature(self):
+        # One oracle at N = 48 per symbol; its leading blocks are the
+        # compressions at the smaller truncations.
+        rng = np.random.default_rng(404)
+        kinds = set()
+        for _ in range(6):
+            sym = _random_mixed_symbol(rng)
+            oracle = sum(c * _quadrature_gram(region, 48) for region, c in sym.pieces)
+            for n in (1, 2, 17, 48):
+                got = assemble(sym, n).data
+                assert np.max(np.abs(got - oracle[:n, :n])) < 1e-12
+            for region, _ in sym.pieces:
+                if isinstance(region, Disc):
+                    kinds.add("centered" if region.center == 0 else "off-center")
+                else:
+                    kinds.add("full" if region.full_span else "partial")
+                    if region.theta_end > TWO_PI:
+                        kinds.add("wrapping")
+        assert kinds == {"centered", "off-center", "full", "partial", "wrapping"}
+
+    def test_empty_symbol(self):
+        for n in (1, 7):
+            assert np.array_equal(assemble(SimpleSymbol(()), n).data, np.zeros((n, n)))
+
+    def test_truncation_one(self):
+        # G[0, 0] = span / (2pi) * (e^{-pi r_in^2} - e^{-pi r_out^2})
+        sector = AnnularSector(0.4, 1.3, 5.9, 5.9 + 2.2)
+        expect = 2.2 / TWO_PI * (math.exp(-math.pi * 0.16) - math.exp(-math.pi * 1.69))
+        assert abs(region_compression(sector, 1)[0, 0] - expect) < 1e-15
+        sym = SimpleSymbol(((sector, -0.5), (Disc(0.0, 0.3), 2.0)))
+        expect = -0.5 * expect - 2.0 * math.expm1(-math.pi * 0.09)
+        assert abs(assemble(sym, 1).data[0, 0] - expect) < 1e-15
+
+    def test_radial_discretization_is_diagonal(self):
+        # 4,096 full annuli: the off-diagonal entries vanish exactly, and the
+        # diagonal is radial_assemble of the step profile, one panel per cell.
+        table = RadialSymbol.table([0.0, 0.6, 1.2, 1.9], [0.9, -0.5, 0.3, 0.0])
+        approx, _ = discretize(table, 4096, 1)
+        mat = assemble(approx, 48).data
+        assert np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
+        radii = np.array([s.r_inner for s, _ in approx.pieces] + [approx.pieces[-1][0].r_outer])
+        cvals = np.array([c for _, c in approx.pieces])
+
+        def step(r):
+            cell = np.clip(np.searchsorted(radii, r, side="right") - 1, 0, cvals.size - 1)
+            return np.where(r <= radii[-1], cvals[cell], 0.0)
+
+        profile = RadialSymbol(kind="step", linf=float(np.max(np.abs(cvals))),
+                               support_radius=float(radii[-1]),
+                               breakpoints=tuple(radii[1:-1]), params={}, profile_fn=step)
+        ref = radial_assemble(profile, 48).data
+        assert np.max(np.abs(mat - ref)) < 1e-13
 
 
 def _random_hermitian(rng, n):
