@@ -1,10 +1,12 @@
 """Numerical verification lab for Toeplitz operator norm bounds on the
 Bargmann-Fock space.
 
-The package computes truncated Toeplitz matrices for indicator-type and
-radial symbols, certifies their operator norms, and checks the exponential
-saturation bound ||T_phi|| <= ||phi||_inf (1 - e^{-||phi||_1 / ||phi||_inf})
-together with the Gaussian concentration inequality it rests on.
+The package computes truncated Toeplitz matrices for indicator-type,
+radial and sampled symbols and their operator norms (LAPACK eigenvalues,
+with a Jacobi solver as an independent check; the norms carry no residual
+certificate), and checks the exponential saturation bound
+||T_phi|| <= ||phi||_inf (1 - e^{-||phi||_1 / ||phi||_inf}) together with
+the Gaussian concentration inequality it rests on.
 """
 
 import os as _os

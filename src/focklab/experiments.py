@@ -15,7 +15,7 @@ import numpy as np
 from .fock import FockFunction, coherent
 from .regions import TWO_PI, AnnularSector, Disc, Region, area, disjoint, region_to_json
 from .symbols import RadialSymbol, SimpleSymbol, discretize
-from .toeplitz import assemble, operator_norm, rayleigh, region_compression, top_eigenpair
+from .toeplitz import _quadratic_form, assemble, operator_norm, region_compression, top_eigenpair
 
 DEFAULT_SLACK = 1e-10
 NORM_SLACK = 1e-8
@@ -83,8 +83,7 @@ def _require_unit(f: FockFunction) -> None:
 
 def _region_mass(f: FockFunction, region: Region) -> float:
     """int_region |f|^2 dlambda as the quadratic form of the region's compression."""
-    v = f.coeffs
-    return float(np.real(np.vdot(v, region_compression(region, f.truncation) @ v)))
+    return _quadratic_form(region_compression(region, f.truncation), f.coeffs)
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,7 @@ def symbol_norm_bound(l1: float, linf: float) -> float:
     return linf * (-math.expm1(-l1 / linf))
 
 
-def verify_concentration(f: FockFunction, region: Region, *,
-                         slack: float = DEFAULT_SLACK) -> VerificationReport:
+def verify_concentration(f: FockFunction, region: Region) -> VerificationReport:
     """int_Omega |f|^2 dlambda <= 1 - e^{-|Omega|} for unit f."""
     _require_unit(f)
     n = f.truncation
@@ -132,13 +130,12 @@ def verify_concentration(f: FockFunction, region: Region, *,
     a = area(region)
     rhs = -math.expm1(-a)
     return make_report(
-        "concentration", lhs, rhs, slack,
+        "concentration", lhs, rhs, DEFAULT_SLACK,
         metadata={"region": region_to_json(region), "area": a, "truncation": n},
     )
 
 
-def verify_weighted_partition(f: FockFunction, partition: WeightedPartition, *,
-                              slack: float = DEFAULT_SLACK) -> VerificationReport:
+def verify_weighted_partition(f: FockFunction, partition: WeightedPartition) -> VerificationReport:
     """sum_k eps_k int_{Omega_k} |f|^2 dlambda <= 1 - exp(-sum_k eps_k |Omega_k|)."""
     _require_unit(f)
     n = f.truncation
@@ -153,25 +150,22 @@ def verify_weighted_partition(f: FockFunction, partition: WeightedPartition, *,
         "weighted_area": partition.weighted_area(),
         "truncation": n,
     }
-    return make_report("weighted-partition", float(lhs), rhs, slack, metadata=meta)
+    return make_report("weighted-partition", float(lhs), rhs, DEFAULT_SLACK, metadata=meta)
 
 
-def verify_norm_bound(symbol, truncation: int, *,
-                      slack: float = NORM_SLACK) -> VerificationReport:
+def verify_norm_bound(symbol, truncation: int) -> VerificationReport:
     """Measured compression norm against the closed-form symbol bound."""
     lhs = operator_norm(assemble(symbol, truncation))
     l1 = symbol.l1_norm()
     linf = symbol.linf_norm()
     rhs = symbol_norm_bound(l1, linf)
     return make_report(
-        "norm-bound", lhs, rhs, slack,
+        "norm-bound", lhs, rhs, NORM_SLACK,
         metadata={"l1": l1, "linf": linf, "truncation": truncation},
     )
 
 
-def sharpness_experiment(center: complex, radius: float, truncation: int, *,
-                         equality_slack: float = DEFAULT_SLACK,
-                         norm_slack: float = NORM_SLACK) -> list:
+def sharpness_experiment(center: complex, radius: float, truncation: int) -> list:
     """Disc indicators meet the norm bound: the state concentrated at the
     disc center achieves it.
 
@@ -185,8 +179,9 @@ def sharpness_experiment(center: complex, radius: float, truncation: int, *,
     phi = SimpleSymbol(((disc, 1.0),))
     state = coherent(center, truncation)
     bound = symbol_norm_bound(disc.area, 1.0)
-    ray = rayleigh(phi, state)
-    lam, vec = top_eigenpair(assemble(phi, truncation))
+    matrix = assemble(phi, truncation)
+    ray = _quadratic_form(matrix.data, state.coeffs)
+    lam, vec = top_eigenpair(matrix)
     norm = abs(lam)
     overlap = abs(np.vdot(vec, state.coeffs))
 
@@ -198,24 +193,22 @@ def sharpness_experiment(center: complex, radius: float, truncation: int, *,
     }
     return [
         make_report(
-            "sharpness-rayleigh-equality", abs(ray - bound), 0.0, equality_slack,
+            "sharpness-rayleigh-equality", abs(ray - bound), 0.0, DEFAULT_SLACK,
             metadata={**meta, "equality": True, "rayleigh": ray, "bound": bound},
         ),
         make_report(
-            "sharpness-rayleigh-below-norm", ray, norm, norm_slack,
+            "sharpness-rayleigh-below-norm", ray, norm, NORM_SLACK,
             metadata={**meta, "norm": norm},
         ),
         make_report(
-            "sharpness-norm-below-bound", norm, bound, norm_slack,
+            "sharpness-norm-below-bound", norm, bound, NORM_SLACK,
             metadata={**meta, "eigvec_overlap": float(overlap),
                       "top_eigenvalue": lam},
         ),
     ]
 
 
-def approximation_experiment(symbol, grids, truncation: int, *,
-                             stage_slack: float = NORM_SLACK,
-                             convergence_slack: float = 5e-3) -> list:
+def approximation_experiment(symbol, grids, truncation: int) -> list:
     """Discretize a symbol on a refining family of grids and verify the
     composite bound chain at every stage.
 
@@ -224,8 +217,7 @@ def approximation_experiment(symbol, grids, truncation: int, *,
     for sampled ones) with an L1 error estimate err_m. Stage reports check
     the compression norm of phi_m against its own closed-form bound; the
     composite value bound(phi_m) + err_m dominates the true symbol's norm.
-    The final composite must land within convergence_slack of the exact
-    closed-form bound.
+    The final composite must land within 5e-3 of the exact closed-form bound.
     """
     grids = [int(m) for m in grids]
     if not grids or any(m < 1 for m in grids):
@@ -254,7 +246,7 @@ def approximation_experiment(symbol, grids, truncation: int, *,
         composites.append(composite)
         reports.append(
             make_report(
-                "approx-stage-bound", norm_m, stage_bound, stage_slack,
+                "approx-stage-bound", norm_m, stage_bound, NORM_SLACK,
                 metadata={
                     "grid": m,
                     "cells": len(approx.pieces),
@@ -280,14 +272,14 @@ def approximation_experiment(symbol, grids, truncation: int, *,
     )
     reports.append(
         make_report(
-            "approx-composite-dominates", true_norm, min(composites), stage_slack,
+            "approx-composite-dominates", true_norm, min(composites), NORM_SLACK,
             metadata={"true_norm": true_norm, "composites": composites},
         )
     )
     reports.append(
         make_report(
             "approx-convergence", abs(composites[-1] - exact_bound), 0.0,
-            convergence_slack,
+            5e-3,
             metadata={"equality": True, "exact_bound": exact_bound,
                       "final_composite": composites[-1]},
         )

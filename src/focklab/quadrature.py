@@ -161,16 +161,10 @@ class ProductRule:
         return float(total)
 
 
-_DEFAULT_RULE: list[ProductRule] = []
-
-
+@functools.cache
 def default_plane_rule() -> ProductRule:
     """The shared K=80 x M=128 rule (built once)."""
-    if not _DEFAULT_RULE:
-        _DEFAULT_RULE.append(
-            ProductRule(RadialRule.gauss_laguerre(80), AngularRule.uniform(128))
-        )
-    return _DEFAULT_RULE[0]
+    return ProductRule(RadialRule.gauss_laguerre(80), AngularRule.uniform(128))
 
 
 def integrate_plane(g: Callable, rule: ProductRule | None = None) -> float | complex:

@@ -10,13 +10,10 @@ from scipy.special import gammaln
 LN_PI = math.log(math.pi)
 _TINY = np.finfo(float).tiny
 
-# ln(n!) table; 4096 covers every truncation and quadrature order we accept.
-_LOG_FACTORIAL = gammaln(np.arange(4097, dtype=float) + 1.0)
-
 
 def log_factorial(n):
-    """ln(n!) for an int or integer array, from the precomputed table."""
-    return _LOG_FACTORIAL[n]
+    """ln(n!) for an int or integer array, as gammaln(n + 1)."""
+    return gammaln(np.asarray(n) + 1.0)
 
 
 def gammainc_lower(a, x):
@@ -43,7 +40,7 @@ def gammainc_lower_int_prefix(a_max: int, x) -> np.ndarray:
     # underflows to 0, and P = 1 - 1 = 0 exactly.
     terms = np.log(np.maximum(x, _TINY)) * np.arange(a_max)
     terms -= x
-    terms -= _LOG_FACTORIAL[:a_max]
+    terms -= log_factorial(np.arange(a_max))
     np.exp(terms, out=terms)
     return 1.0 - terms.cumsum(axis=-1)
 

@@ -333,14 +333,13 @@ class SampledSymbol:
 # discretization
 
 
-def _bisect_crossing(phi: Callable, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                     iters: int = 60) -> np.ndarray:
+def _bisect_crossing(phi: Callable, c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Crossing radii of phi(r) = c on segments where the signs differ at the
     endpoints (phi monotone per segment). Vectorized bisection."""
     g_lo = phi(lo) - c
     a = lo.copy()
     b = hi.copy()
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (a + b)
         g_mid = phi(mid) - c
         left = (g_lo * g_mid) > 0.0
@@ -350,12 +349,11 @@ def _bisect_crossing(phi: Callable, c: np.ndarray, lo: np.ndarray, hi: np.ndarra
     return 0.5 * (a + b)
 
 
-def _segments_abs_integral(phi: Callable, c: np.ndarray, lo: np.ndarray,
-                           hi: np.ndarray, order: int = 16) -> float:
+def _segments_abs_integral(phi: Callable, c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     """sum over radial segments of 2pi int_lo^hi |phi(r) - c| r dr, splitting
     each segment at the (single, by monotonicity) sign change when there is
     one. Polynomial profile pieces are integrated exactly."""
-    x, w = gauss_legendre(order, -1.0, 1.0)
+    x, w = gauss_legendre(16, -1.0, 1.0)
     g_lo = phi(lo) - c
     g_hi = phi(hi) - c
     crossing = (g_lo * g_hi) < 0.0
@@ -375,7 +373,10 @@ def _segments_abs_integral(phi: Callable, c: np.ndarray, lo: np.ndarray,
 
 def _polar_cells(radii: np.ndarray, theta_edges: np.ndarray, values: np.ndarray) -> SimpleSymbol:
     """One AnnularSector piece per cell (j, i) of the polar grid with these
-    radial and angular edges, radial index outer, with coefficient values[j, i]."""
+    radial and angular edges, radial index outer, with coefficient values[j, i].
+    Edges go in as Python floats: np.float64 fields slow every later use of
+    the cells (validation, l1_norm, assemble's per-piece bookkeeping)."""
+    radii, theta_edges = radii.tolist(), theta_edges.tolist()
     return SimpleSymbol(tuple(
         (AnnularSector(radii[j], radii[j + 1], theta_edges[i], theta_edges[i + 1]),
          float(values[j, i]))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focklab import experiments, toeplitz
 from focklab import (
     AngularRule,
     AnnularSector,
@@ -18,6 +19,7 @@ from focklab import (
     SimpleSymbol,
     WeightedPartition,
     approximation_experiment,
+    assemble,
     coherent,
     integrate_region,
     make_report,
@@ -25,6 +27,7 @@ from focklab import (
     random_region,
     random_symbol,
     random_unit,
+    rayleigh,
     sharpness_experiment,
     symbol_norm_bound,
     verify_concentration,
@@ -225,6 +228,21 @@ class TestSharpness:
         assert math.isclose(
             reports[2].metadata["top_eigenvalue"], reports[1].rhs, rel_tol=1e-9
         )
+
+
+    def test_assembles_once(self, monkeypatch):
+        calls = []
+
+        def counting(symbol, truncation):
+            calls.append(truncation)
+            return assemble(symbol, truncation)
+
+        monkeypatch.setattr(experiments, "assemble", counting)
+        monkeypatch.setattr(toeplitz, "assemble", counting)
+        reports = sharpness_experiment(0.7 + 0.3j, 0.6, 48)
+        assert calls == [48]
+        assert reports[0].metadata["rayleigh"] == rayleigh(
+            SimpleSymbol(((Disc(0.7 + 0.3j, 0.6), 1.0),)), coherent(0.7 + 0.3j, 48))
 
 
 class TestApproximation:

@@ -21,6 +21,17 @@ from focklab.quadrature import default_plane_rule, integrate_plane
 
 
 class TestBasis:
+    def test_high_order(self):
+        # degree 5000 lies past the 4,097-entry ln n! table the basis once used
+        assert basis_eval(5000, 0.1) == 0.0
+        f = coherent(0.5 + 0.2j, 5000)
+        assert math.isclose(f.norm(), 1.0, rel_tol=1e-13)
+        # |w_n| peaks at pi |z|^2 = n with the value sqrt(n^n e^{-n} / n!)
+        n = 5000
+        peak = math.exp(0.5 * (n * math.log(n) - n - math.lgamma(n + 1)))
+        got = abs(weighted_basis_eval(n, math.sqrt(n / math.pi)))
+        assert math.isclose(got, peak, rel_tol=1e-9)
+
     def test_low_order_values(self):
         assert basis_eval(0, 0.7 + 0.2j) == 1.0 + 0.0j
         # e_1(z) = sqrt(pi) z

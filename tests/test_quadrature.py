@@ -84,6 +84,9 @@ class TestPlaneIntegration:
         grid = rule.grid()
         assert math.isclose(rule.integrate(np.ones(grid.shape)), 1.0, rel_tol=1e-13)
 
+    def test_default_rule_built_once(self):
+        assert default_plane_rule() is default_plane_rule()
+
     def test_second_moment(self):
         # int |z|^2 e^{-pi |z|^2} dA = 1/pi
         val = integrate_plane(lambda z: np.abs(z) ** 2)

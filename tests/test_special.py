@@ -20,6 +20,19 @@ def test_log_factorial_values():
     assert np.allclose(arr, [0.0, math.log(6.0), math.log(3628800.0)], rtol=1e-14)
 
 
+def test_log_factorial_has_no_cap():
+    # ln n! once came from a 4,097-entry table and failed past it
+    assert log_factorial(5000) == math.lgamma(5001)
+    arr = log_factorial(np.array([4096, 4097, 100000]))
+    assert np.allclose(arr, [math.lgamma(n + 1) for n in (4096, 4097, 100000)], rtol=1e-15)
+
+
+def test_gammainc_prefix_past_old_table():
+    a = np.arange(1, 5001)
+    for x in (0.0, 0.5, 3.0, 40.0):
+        assert np.max(np.abs(gammainc_lower_int_prefix(5000, x) - scipy_gammainc(a, x))) < 1e-13
+
+
 def test_gammainc_int_against_direct_sum():
     # P(a, x) = 1 - e^{-x} sum_{j<a} x^j / j!, for a vector of x with x = 0
     xs = np.array([0.0, 0.3, 1.0, 4.7, 30.0])

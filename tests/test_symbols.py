@@ -272,6 +272,14 @@ class TestDiscretize:
         )
         assert math.isclose(total_area, math.pi, rel_tol=1e-12)
 
+    def test_cells_hold_python_floats(self):
+        radial, _ = discretize(RadialSymbol.gaussian(), 16, 3)
+        sampled, _ = discretize(_smooth_sampled(), 4, 5)
+        for approx in (radial, sampled):
+            for cell, coeff in approx.pieces:
+                fields = (cell.r_inner, cell.r_outer, cell.theta_start, cell.theta_end, coeff)
+                assert all(type(v) is float for v in fields)
+
     def test_gaussian_errors_shrink(self):
         sym = RadialSymbol.gaussian()
         errs = [discretize(sym, m)[1] for m in (8, 16, 32)]
