@@ -229,7 +229,6 @@ class TestSharpness:
             reports[2].metadata["top_eigenvalue"], reports[1].rhs, rel_tol=1e-9
         )
 
-
     def test_assembles_once(self, monkeypatch):
         calls = []
 
