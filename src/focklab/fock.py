@@ -43,15 +43,18 @@ def _as_complex_array(z):
 def basis_eval(n: int, z):
     """e_n(z) = sqrt(pi^n / n!) z^n.
 
-    The prefactor is built in the log domain (pi^n / n! overflows well before
-    n = 256 otherwise); the monomial itself is left alone, so the value
-    overflows only where the function genuinely does.
+    The modulus is formed in the log domain, n ln|z| together with the
+    prefactor, as weighted_basis_matrix does: pi^n / n! underflows and z^n
+    overflows at large n where their product is finite. So the value
+    overflows or underflows only where the function genuinely does.
     """
     if n < 0:
         raise ValueError(f"basis index must be >= 0, got {n}")
     zz = _as_complex_array(z)
-    pref = math.exp(0.5 * (n * LN_PI - float(log_factorial(n))))
-    out = pref * zz**n
+    az = np.abs(zz)
+    zero = az == 0.0
+    log_mod = 0.5 * (n * LN_PI - float(log_factorial(n))) + n * np.log(np.where(zero, 1.0, az))
+    out = np.where(zero, float(n == 0), np.exp(log_mod + 1j * n * np.angle(zz)))
     if np.ndim(z) == 0:
         return complex(out)
     return out

@@ -53,7 +53,7 @@ def _scaled_laguerre(t: np.ndarray, count: int) -> np.ndarray:
     e^{-t/2} damping keeps every value in [-1, 1]-ish range for any t, so the
     recurrence neither overflows nor underflows prematurely.
     """
-    q = np.zeros((count, t.size))
+    q = np.zeros((count, t.size), dtype=t.dtype)
     q[0] = np.exp(-0.5 * t)
     if count > 1:
         q[1] = (1.0 - t) * q[0]
@@ -87,16 +87,25 @@ class RadialRule:
         off = np.arange(1.0, count)
         nodes, _ = eigh_tridiagonal(diag, off)
 
+        # The K-term recurrences below lose about K ulps in float64 (3e-14 of
+        # the weights at K = 252), so they run in np.longdouble, which has a
+        # 64-bit mantissa on x86-64 (and is plain float64 where the platform
+        # has nothing wider).
         # One Newton polish through the scaled recurrence. t L_K' = K (L_K - L_{K-1})
         # gives the step t q_K / (K (q_K - q_{K-1})) in overflow-free form; the
         # denominator cannot vanish at a simple root of L_K.
-        q = _scaled_laguerre(nodes, count + 1)
+        t = nodes.astype(np.longdouble)
+        q = _scaled_laguerre(t, count + 1)
         denom = count * (q[count] - q[count - 1])
         safe = np.where(denom == 0.0, 1.0, denom)
-        nodes = np.sort(nodes - np.where(denom == 0.0, 0.0, nodes * q[count] / safe))
+        t = np.sort(t - np.where(denom == 0.0, 0.0, t * q[count] / safe))
 
-        q = _scaled_laguerre(nodes, count)
-        scaled = 1.0 / np.sum(q * q, axis=0)
+        q = _scaled_laguerre(t, count)
+        nodes = t.astype(np.float64)
+        scaled = (1.0 / np.sum(q * q, axis=0)).astype(np.float64)
+        # The weights integrate 1 exactly: dividing by their sum removes what
+        # rounding error they still share.
+        scaled /= np.sum(scaled * np.exp(-nodes))
         weights = scaled * np.exp(-nodes)
         if np.any(np.diff(nodes) <= 0.0) or nodes[0] <= 0.0:
             raise RuntimeError("Laguerre nodes failed to come out positive and increasing")

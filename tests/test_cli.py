@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from focklab import HermitianMatrix, SimpleSymbol, Disc, assemble
+from focklab import HermitianMatrix, SimpleSymbol, Disc, assemble, operator_norm
 
 ONE_MINUS_EXP_NEG_ONE = 0.6321205588285577
 ONE_MINUS_EXP_NEG_PI = 0.9567860817362276
@@ -93,6 +93,25 @@ class TestNormAndBound:
         payload = json.loads((out / "norm.json").read_text())
         assert math.isclose(payload["norm"], PI_OVER_PI_PLUS_ONE, rel_tol=1e-10)
         assert payload["truncation"] == 40
+
+    def test_norm_jacobi_half_discs(self, tmp_path):
+        # +1 on the upper half of the unit disc, -1 on the lower half: the
+        # spectrum is symmetric, with norm 0.683246591459. --method auto is
+        # operator_norm(assemble(...)), run here in-process.
+        data = {"pieces": [
+            {"sector": {"r": [0.0, 1.0], "theta": [0.0, math.pi]}, "coeff": 1.0},
+            {"sector": {"r": [0.0, 1.0], "theta": [math.pi, 2.0 * math.pi]}, "coeff": -1.0},
+        ]}
+        path = tmp_path / "halves.json"
+        path.write_text(json.dumps(data))
+        res = run_cli("norm", "--symbol", str(path), "--truncation", "60",
+                      "--method", "jacobi", "--output", "norm", "--output-dir", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        printed = float(res.stdout.split("norm=")[1].split()[0])
+        assert abs(printed - 0.683246591459) < 1e-11
+        jacobi = json.loads((tmp_path / "norm.json").read_text())["norm"]
+        auto = operator_norm(assemble(SimpleSymbol.from_json_dict(data), 60))
+        assert abs(jacobi - auto) < 1e-12
 
     def test_bound_gaussian(self, tmp_path, gaussian_symbol):
         res = run_cli("bound", "--symbol", str(gaussian_symbol),

@@ -32,6 +32,15 @@ class TestBasis:
         got = abs(weighted_basis_eval(n, math.sqrt(n / math.pi)))
         assert math.isclose(got, peak, rel_tol=1e-9)
 
+    def test_high_order_modulus_in_log_domain(self):
+        # pi^n / n! underflows and z^n overflows here; the value is e^{-1.98}
+        n = 5000
+        expect = math.exp(0.5 * (n * math.log(math.pi) - math.lgamma(n + 1))
+                          + n * math.log(24.2))
+        assert math.isclose(abs(basis_eval(n, 24.2)), expect, rel_tol=1e-9)
+        # a value below the smallest double underflows to 0, not nan
+        assert basis_eval(1000, 5.0) == 0.0
+
     def test_low_order_values(self):
         assert basis_eval(0, 0.7 + 0.2j) == 1.0 + 0.0j
         # e_1(z) = sqrt(pi) z

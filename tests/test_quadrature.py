@@ -37,6 +37,11 @@ class TestRadialRule:
             got = float(np.dot(rule.weights, rule.nodes**k))
             assert math.isclose(got, math.factorial(k), rel_tol=5e-13)
 
+    @pytest.mark.parametrize("count", [80, 240, 252, 256])
+    def test_weights_sum_to_one(self, count):
+        # int e^{-t} dt = 1; at K = 252 float64 Christoffel sums come out 3.1e-14 short
+        assert abs(float(np.sum(RadialRule.gauss_laguerre(count).weights)) - 1.0) <= 1e-15
+
     def test_scaled_weights_consistent(self):
         # scaled weights are w_j e^{t_j}, computed without overflow
         rule = RadialRule.gauss_laguerre(20)

@@ -24,6 +24,7 @@ from focklab import (
     operator_norm,
     radial_assemble,
     random_region,
+    random_symbol,
     random_unit,
     rayleigh,
     region_compression,
@@ -199,6 +200,13 @@ class TestRadialAssemble:
         n = np.arange(41)
         oracle = (math.pi / (math.pi + 1.0)) ** (n + 1.0)
         assert np.max(np.abs(np.diag(mat).real - oracle)) < 1e-12
+
+    def test_gaussian_on_laguerre_order_252(self):
+        # N = 236 integrates on K = N + 16 = 252 nodes, where a float64 polish
+        # leaves entry 0 off by 2.95e-14
+        mat = radial_assemble(RadialSymbol.gaussian(), 236).data
+        oracle = (math.pi / (math.pi + 1.0)) ** (np.arange(236) + 1.0)
+        assert np.max(np.abs(np.diag(mat).real - oracle)) < 1e-14
 
     def test_annulus_is_disc_increment(self):
         ann = radial_assemble(RadialSymbol.annulus(0.4, 1.1), 30).data
@@ -455,12 +463,31 @@ class TestSpectra:
 
     def test_jacobi_against_lapack(self):
         rng = np.random.default_rng(23)
-        for n in (2, 5, 17, 40):
+        for n in (1, 2, 3, 5, 17, 40, 61):
             a = _random_hermitian(rng, n)
             got = jacobi_eigenvalues(a)
             expect = np.linalg.eigvalsh(a)
             scale = max(1.0, float(np.max(np.abs(expect))))
             assert np.max(np.abs(got - expect)) < 1e-11 * scale
+
+    def test_jacobi_every_eigenvalue(self):
+        # acceptance criterion 7's first 12 sections, the same nudged by one
+        # ulp, and pivots of 1e-290 across a gap of 1e10 (tau = 5e299), alone
+        # and inside a matrix that needs sweeps
+        rng = np.random.default_rng(2027)
+        cases = [assemble(random_symbol(rng), 60).data for _ in range(12)]
+        cases += [np.nextafter(a.real, np.inf) + 1j * a.imag for a in cases]
+        cases.append(np.array([[0.0, 1e-290], [1e-290, 1e10]]))
+        cases.append(np.array([[0.0, 1e-290, 1.0], [1e-290, 1e10, 0.0], [1.0, 0.0, 1.0]]))
+        for a in cases:
+            expect = np.linalg.eigvalsh(a)
+            scale = max(1.0, float(np.max(np.abs(expect))))
+            assert np.max(np.abs(jacobi_eigenvalues(a) - expect)) <= 1e-12 * scale
+
+    def test_jacobi_sweep_limit(self):
+        # nan never meets the stop test, so the sweeps run out
+        with pytest.raises(RuntimeError, match="60-sweep limit"):
+            jacobi_eigenvalues(np.full((2, 2), np.nan))
 
     def test_top_eigenpair_residual(self):
         rng = np.random.default_rng(7)
