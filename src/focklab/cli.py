@@ -10,9 +10,13 @@ Subcommands:
     approximate  discretization refinement with composite bounds
     norm-table   compression norms across a list of truncations
 
-Every flag can also be supplied through --config (a JSON object keyed by flag
-name with dashes replaced by underscores); explicit flags win. Outputs land
-in --output-dir, else $FOCKLAB_OUTPUT_DIR, else the working directory.
+Each option comes from its flag, else from --config (a JSON object keyed by
+flag name with dashes replaced by underscores, each value read as the text of
+its flag, so it passes the same checks), else from its default in `_COMMANDS`;
+--output-dir then falls back to $FOCKLAB_OUTPUT_DIR and the working directory.
+A config key that is no flag, a negative --cases, an empty integer list and a
+symbol file without exactly one of 'pieces', 'radial' and 'sampled' are
+configuration errors.
 
 Exit codes: 0 all checks hold, 1 at least one violation (reports are still
 written), 2 configuration errors.
@@ -59,59 +63,58 @@ def load_symbol(path) -> object:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read symbol file {path}: {exc}") from exc
+    kinds = [key for key in ("pieces", "radial", "sampled")
+             if isinstance(data, dict) and key in data]
+    if len(kinds) != 1:
+        raise ConfigError(
+            f"symbol file {path} must contain exactly one of 'pieces', 'radial' "
+            f"or 'sampled', found {kinds or 'none'}"
+        )
     try:
-        if "pieces" in data:
+        if kinds == ["pieces"]:
             return SimpleSymbol.from_json_dict(data)
-        if "radial" in data:
+        if kinds == ["radial"]:
             return RadialSymbol.from_json_dict(data)
-        if "sampled" in data:
-            spec = data["sampled"]
-            rule = ProductRule(
-                RadialRule.gauss_laguerre(int(spec["radial_count"])),
-                AngularRule.uniform(int(spec["angular_count"])),
-            )
-            return SampledSymbol(rule, np.array(spec["values"], dtype=float),
-                                 float(spec["linf"]))
+        spec = data["sampled"]
+        rule = ProductRule(
+            RadialRule.gauss_laguerre(int(spec["radial_count"])),
+            AngularRule.uniform(int(spec["angular_count"])),
+        )
+        return SampledSymbol(rule, np.array(spec["values"], dtype=float),
+                             float(spec["linf"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad symbol description in {path}: {exc}") from exc
-    raise ConfigError(
-        f"symbol file {path} must contain 'pieces', 'radial' or 'sampled'"
-    )
-
-
-def _resolve(args: argparse.Namespace, key: str, default=None, required: bool = False):
-    """Explicit flag > config file entry > default."""
-    val = getattr(args, key, None)
-    if val is None and args.config_data:
-        val = args.config_data.get(key)
-    if val is None:
-        val = default
-    if required and val is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-    return val
 
 
 def _out_dir(args) -> Path:
-    raw = _resolve(args, "output_dir", os.environ.get("FOCKLAB_OUTPUT_DIR", "."))
-    path = Path(raw)
+    path = Path(args.output_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _stem(raw, ext: str) -> str:
+def _stem(raw: str, ext: str) -> str:
     """--output takes a stem or a filename; drop a trailing extension that
     matches what the command is about to append."""
-    raw = str(raw)
     return raw[: -len(ext)] if raw.endswith(ext) else raw
 
 
-def _parse_int_list(raw, flag: str) -> list:
-    if isinstance(raw, (list, tuple)):
-        return [int(v) for v in raw]
+def _parse_int_list(raw: str, flag: str) -> list:
     try:
-        return [int(part) for part in str(raw).split(",") if part != ""]
+        values = [int(part) for part in raw.split(",") if part != ""]
     except ValueError as exc:
         raise ConfigError(f"--{flag} expects comma-separated integers, got {raw!r}") from exc
+    if not values:
+        raise ConfigError(f"--{flag} expects at least one integer, got {raw!r}")
+    return values
+
+
+def _write_json(args, payload: dict) -> None:
+    """Write payload to <--output>.json; without --output write nothing."""
+    if args.output is None:
+        return
+    path = _out_dir(args) / f"{_stem(args.output, '.json')}.json"
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path.name}")
 
 
 def _emit(reports, args, stem: str) -> int:
@@ -130,15 +133,10 @@ def _emit(reports, args, stem: str) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    symbol = load_symbol(_resolve(args, "symbol", required=True))
-    truncation = int(_resolve(args, "truncation", required=True))
-    fmt = _resolve(args, "format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"--format must be json or csv, got {fmt!r}")
-    matrix = assemble(symbol, truncation)
+    matrix = assemble(load_symbol(args.symbol), args.truncation)
     out = _out_dir(args)
-    stem = _stem(_resolve(args, "output", "matrix"), f".{fmt}")
-    if fmt == "json":
+    stem = _stem(args.output, f".{args.format}")
+    if args.format == "json":
         path = out / f"{stem}.json"
         path.write_text(matrix.to_json() + "\n", encoding="utf-8")
         print(f"wrote {path.name} (dimension {matrix.dimension})")
@@ -151,36 +149,20 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    symbol = load_symbol(_resolve(args, "symbol", required=True))
-    truncation = int(_resolve(args, "truncation", required=True))
-    method = _resolve(args, "method", "auto")
-    matrix = assemble(symbol, truncation)
-    try:
-        norm = operator_norm(matrix, method=method)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    print(f"norm={norm:.12g} truncation={truncation}")
-    stem = _resolve(args, "output")
-    if stem is not None:
-        path = _out_dir(args) / f"{_stem(stem, '.json')}.json"
-        payload = {"norm": norm, "truncation": truncation, "method": method}
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {path.name}")
+    matrix = assemble(load_symbol(args.symbol), args.truncation)
+    norm = operator_norm(matrix, method=args.method)
+    print(f"norm={norm:.12g} truncation={args.truncation}")
+    _write_json(args, {"norm": norm, "truncation": args.truncation, "method": args.method})
     return 0
 
 
 def _cmd_bound(args) -> int:
-    symbol = load_symbol(_resolve(args, "symbol", required=True))
+    symbol = load_symbol(args.symbol)
     l1 = symbol.l1_norm()
     linf = symbol.linf_norm()
     bound = symbol_norm_bound(l1, linf)
     print(f"l1={l1:.12g} linf={linf:.12g} bound={bound:.12g}")
-    stem = _resolve(args, "output")
-    if stem is not None:
-        path = _out_dir(args) / f"{_stem(stem, '.json')}.json"
-        payload = {"l1": l1, "linf": linf, "bound": bound}
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {path.name}")
+    _write_json(args, {"l1": l1, "linf": linf, "bound": bound})
     return 0
 
 
@@ -188,11 +170,25 @@ def _with_meta(report, **extra):
     return dataclasses.replace(report, metadata={**report.metadata, **extra})
 
 
+def _suite_rng(args) -> np.random.Generator:
+    """The seeded generator of a verify suite; --cases must be non-negative."""
+    if args.cases < 0:
+        raise ConfigError(f"--cases must be non-negative, got {args.cases}")
+    return np.random.default_rng(args.seed)
+
+
+def _random_cases(args, rng, reports: list, draw, verify, stem: str) -> int:
+    """Append --cases reports of verify(f, draw(rng)), each on a random unit
+    f, to a suite's fixed cases, then emit them all."""
+    for _ in range(args.cases):
+        degree = int(rng.integers(5, 26))
+        f = random_unit(rng, degree=degree, truncation=args.truncation)
+        reports.append(verify(f, draw(rng)))
+    return _emit(reports, args, stem)
+
+
 def _cmd_verify_nt(args) -> int:
-    seed = int(_resolve(args, "seed", 0))
-    cases = int(_resolve(args, "cases", 25))
-    truncation = int(_resolve(args, "truncation", 48))
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(args)
     reports = []
 
     # Equality cases: the state concentrated at a disc center saturates the
@@ -202,24 +198,15 @@ def _cmd_verify_nt(args) -> int:
         (0.7 + 0.3j, 0.6),
         (-0.4 + 1.1j, (2.0 / np.pi) ** 0.5),
     ):
-        f = coherent(center, truncation)
+        f = coherent(center, args.truncation)
         report = verify_concentration(f, Disc(center, radius))
         reports.append(_with_meta(report, equality=True, case="coherent-center"))
 
-    for _ in range(cases):
-        degree = int(rng.integers(5, 26))
-        f = random_unit(rng, degree=degree, truncation=truncation)
-        region = random_region(rng)
-        reports.append(verify_concentration(f, region))
-
-    return _emit(reports, args, "verify_nt")
+    return _random_cases(args, rng, reports, random_region, verify_concentration, "verify_nt")
 
 
 def _cmd_verify_lemma(args) -> int:
-    seed = int(_resolve(args, "seed", 0))
-    cases = int(_resolve(args, "cases", 25))
-    truncation = int(_resolve(args, "truncation", 48))
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(args)
     reports = []
 
     # Weight-one cases: with every weight 1 the lemma is plain concentration
@@ -230,44 +217,35 @@ def _cmd_verify_lemma(args) -> int:
             (AnnularSector(radii[0], radii[1], float(a), float(b)), 1.0)
             for a, b in zip(edges[:-1], edges[1:])
         )
-        f = random_unit(rng, degree=12, truncation=truncation)
+        f = random_unit(rng, degree=12, truncation=args.truncation)
         report = verify_weighted_partition(f, WeightedPartition(pieces))
         reports.append(_with_meta(report, epsilon_one=True))
 
-    for _ in range(cases):
-        degree = int(rng.integers(5, 26))
-        f = random_unit(rng, degree=degree, truncation=truncation)
-        partition = random_partition(rng)
-        reports.append(verify_weighted_partition(f, partition))
-
-    return _emit(reports, args, "verify_lemma")
+    return _random_cases(args, rng, reports, random_partition, verify_weighted_partition,
+                         "verify_lemma")
 
 
 def _cmd_sharpness(args) -> int:
-    raw_center = _resolve(args, "center", "0")
     try:
-        center = complex(str(raw_center).replace(" ", ""))
+        center = complex(args.center.replace(" ", ""))
     except ValueError as exc:
-        raise ConfigError(f"--center must parse as a complex number, got {raw_center!r}") from exc
-    radius = float(_resolve(args, "radius", required=True))
-    truncation = int(_resolve(args, "truncation", 40))
-    reports = sharpness_experiment(center, radius, truncation)
+        raise ConfigError(f"--center must parse as a complex number, got {args.center!r}") from exc
+    reports = sharpness_experiment(center, args.radius, args.truncation)
     return _emit(reports, args, "sharpness")
 
 
 def _cmd_approximate(args) -> int:
-    symbol = load_symbol(_resolve(args, "symbol", required=True))
-    grids = _parse_int_list(_resolve(args, "grids", "8,16,32,64"), "grids")
-    truncation = int(_resolve(args, "truncation", 40))
+    symbol = load_symbol(args.symbol)
+    grids = _parse_int_list(args.grids, "grids")
     if isinstance(symbol, SimpleSymbol):
         raise ConfigError("approximate expects a radial or sampled symbol")
-    reports = approximation_experiment(symbol, grids, truncation)
+    reports = approximation_experiment(symbol, grids, args.truncation)
     return _emit(reports, args, "approx")
 
 
 def _cmd_norm_table(args) -> int:
-    symbol = load_symbol(_resolve(args, "symbol", required=True))
-    truncations = _parse_int_list(_resolve(args, "truncations", "20,40,60"), "truncations")
+    symbol = load_symbol(args.symbol)
+    truncations = _parse_int_list(args.truncations, "truncations")
     if any(t < 1 for t in truncations):
         raise ConfigError("truncations must be positive")
     l1 = symbol.l1_norm()
@@ -277,7 +255,7 @@ def _cmd_norm_table(args) -> int:
     for n in truncations:
         rows.append((n, operator_norm(assemble(symbol, n))))
     out = _out_dir(args)
-    stem = _stem(_resolve(args, "output", "norm_table"), ".csv")
+    stem = _stem(args.output, ".csv")
     path = out / f"{stem}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("truncation,norm,bound\n")
@@ -290,103 +268,123 @@ def _cmd_norm_table(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the table and the parser built from it
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with default option values")
-    sub.add_argument("--output-dir", dest="output_dir",
-                     help="directory for output files (default: $FOCKLAB_OUTPUT_DIR or .)")
+_REQUIRED = object()  # the default of an option that has none
+
+_SUITE = {"seed": 0, "cases": 25, "truncation": 48}  # both verify suites
+
+# Each subcommand: its --help line, its body, and {flag: default} for its own
+# flags in --help order. Every subcommand also takes the _COMMON flags.
+_COMMANDS = {
+    "assemble": ("compress a symbol to a matrix file", _cmd_assemble, {
+        "symbol": _REQUIRED, "truncation": _REQUIRED, "format": "json", "output": "matrix"}),
+    "norm": ("operator norm of a symbol's compression", _cmd_norm, {
+        "symbol": _REQUIRED, "truncation": _REQUIRED, "method": "auto", "output": None}),
+    "bound": ("closed-form norm bound from L1/sup norms", _cmd_bound, {
+        "symbol": _REQUIRED, "output": None}),
+    "verify-nt": ("concentration inequality suite", _cmd_verify_nt, _SUITE),
+    "verify-lemma": ("weighted-partition inequality suite", _cmd_verify_lemma, _SUITE),
+    "sharpness": ("disc sharpness chain", _cmd_sharpness, {
+        "center": "0", "radius": _REQUIRED, "truncation": 40}),
+    "approximate": ("discretization refinement experiment", _cmd_approximate, {
+        "symbol": _REQUIRED, "grids": "8,16,32,64", "truncation": 40}),
+    "norm-table": ("norms across truncations", _cmd_norm_table, {
+        "symbol": _REQUIRED, "truncations": "20,40,60", "output": "norm_table"}),
+}
+_COMMON = ("config", "output_dir")
+
+# argparse options of every flag; a flag without a type is a string
+_FLAGS = {
+    "symbol": {},
+    "truncation": {"type": int},
+    "format": {"choices": ("json", "csv")},
+    "method": {"choices": ("auto", "jacobi")},
+    "output": {"help": "output file name or stem"},
+    "seed": {"type": int},
+    "cases": {"type": int},
+    "center": {},
+    "radius": {"type": float},
+    "grids": {},
+    "truncations": {},
+    "config": {"help": "JSON file with default option values"},
+    "output_dir": {"help": "directory for output files (default: $FOCKLAB_OUTPUT_DIR or .)"},
+}
+
+
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand in _COMMANDS. Flags have no argparse
+    default, so an unset flag reads None until _parse fills it."""
     parser = argparse.ArgumentParser(
         prog="focklab",
         description="Concentration and Toeplitz-norm experiments on the Bargmann-Fock space",
     )
     parser.add_argument("--version", action="version", version=f"focklab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("assemble", help="compress a symbol to a matrix file")
-    p.add_argument("--symbol")
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--format", choices=("json", "csv"))
-    p.add_argument("--output", help="output file name or stem")
-    _add_common(p)
-    p.set_defaults(func=_cmd_assemble)
-
-    p = subs.add_parser("norm", help="operator norm of a symbol's compression")
-    p.add_argument("--symbol")
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--method", choices=("auto", "jacobi"))
-    p.add_argument("--output", help="output file name or stem")
-    _add_common(p)
-    p.set_defaults(func=_cmd_norm)
-
-    p = subs.add_parser("bound", help="closed-form norm bound from L1/sup norms")
-    p.add_argument("--symbol")
-    p.add_argument("--output", help="output file name or stem")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bound)
-
-    p = subs.add_parser("verify-nt", help="concentration inequality suite")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--truncation", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify_nt)
-
-    p = subs.add_parser("verify-lemma", help="weighted-partition inequality suite")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--truncation", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify_lemma)
-
-    p = subs.add_parser("sharpness", help="disc sharpness chain")
-    p.add_argument("--center")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--truncation", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sharpness)
-
-    p = subs.add_parser("approximate", help="discretization refinement experiment")
-    p.add_argument("--symbol")
-    p.add_argument("--grids")
-    p.add_argument("--truncation", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_approximate)
-
-    p = subs.add_parser("norm-table", help="norms across truncations")
-    p.add_argument("--symbol")
-    p.add_argument("--truncations")
-    p.add_argument("--output", help="output file name or stem")
-    _add_common(p)
-    p.set_defaults(func=_cmd_norm_table)
-
+    for name, (summary, _, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        for flag in (*defaults, *_COMMON):
+            sub.add_argument(_option(flag), **_FLAGS[flag])
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.config_data = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                args.config_data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(args.config_data, dict):
-            print(f"error: config {args.config} must be a JSON object", file=sys.stderr)
-            return 2
+_PARSER = build_parser()
+
+
+def _read_config(path) -> dict:
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    # keys of other subcommands stay allowed, so that one file serves several
+    unknown = sorted(set(config) - set(_FLAGS))
+    if unknown:
+        raise ConfigError(f"config {path} has keys that are no flag: {', '.join(unknown)}")
+    return config
+
+
+def _config_text(value) -> str:
+    """The command-line text of a --config value."""
+    if isinstance(value, list):
+        return ",".join(json.dumps(item) for item in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Flags, then --config entries, then the defaults of _COMMANDS.
+
+    The config entries of the subcommand's unset flags (those that read None;
+    other subcommands' flags are absent) are appended to argv as --flag=text
+    and parsed again, so they pass the same checks as flags."""
+    args = _PARSER.parse_args(argv)
+    if args.config is not None:
+        given = [f"{_option(key)}={_config_text(value)}"
+                 for key, value in _read_config(args.config).items()
+                 if value is not None and getattr(args, key, 0) is None]
+        args = _PARSER.parse_args([*argv, *given])
+    for flag, default in _COMMANDS[args.command][2].items():
+        if getattr(args, flag) is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required option {_option(flag)}")
+            setattr(args, flag, default)
+    if args.output_dir is None:
+        args.output_dir = os.environ.get("FOCKLAB_OUTPUT_DIR", ".")
+    return args
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return _COMMANDS[args.command][1](args)
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

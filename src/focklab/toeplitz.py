@@ -344,6 +344,9 @@ def _as_hermitian_array(matrix) -> np.ndarray:
     a = matrix.data if isinstance(matrix, HermitianMatrix) else np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    # a NaN defect would pass the Hermitian test below
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if defect > 1e-10:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")

@@ -1,4 +1,5 @@
-"""End-to-end command-line runs through subprocess."""
+"""End-to-end command-line runs: in process through focklab.cli.main, and
+through `python -m focklab` where the run needs its own process."""
 import json
 import math
 import os
@@ -8,22 +9,44 @@ import sys
 import numpy as np
 import pytest
 
-from focklab import HermitianMatrix, SimpleSymbol, Disc, assemble, operator_norm
+from focklab import HermitianMatrix, SimpleSymbol, Disc, assemble, cli, operator_norm
 
 ONE_MINUS_EXP_NEG_ONE = 0.6321205588285577
 ONE_MINUS_EXP_NEG_PI = 0.9567860817362276
 PI_OVER_PI_PLUS_ONE = math.pi / (math.pi + 1.0)
 
 
-def run_cli(*argv, env_extra=None, cwd=None):
+def run_process(*argv, env_extra=None):
+    """`python -m focklab` in a fresh interpreter: its exit status and the
+    environment it starts with."""
     env = os.environ.copy()
     env.pop("FOCKLAB_OUTPUT_DIR", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "focklab", *argv],
-        capture_output=True, text=True, env=env, cwd=cwd,
+        capture_output=True, text=True, env=env,
     )
+
+
+@pytest.fixture()
+def run_cli(monkeypatch, capsys, tmp_path):
+    """cli.main in process, with $FOCKLAB_OUTPUT_DIR unset and tmp_path as
+    the working directory; returns what run_process would."""
+    monkeypatch.delenv("FOCKLAB_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv, env_extra=None):
+        for key, value in (env_extra or {}).items():
+            monkeypatch.setenv(key, value)
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(argv, code, out, err)
+
+    return run
 
 
 @pytest.fixture()
@@ -43,7 +66,7 @@ def gaussian_symbol(tmp_path):
 
 
 class TestAssemble:
-    def test_json_output(self, tmp_path, disc_symbol):
+    def test_json_output(self, run_cli, tmp_path, disc_symbol):
         out = tmp_path / "out"
         res = run_cli("assemble", "--symbol", str(disc_symbol), "--truncation", "8",
                       "--output", "mat", "--output-dir", str(out))
@@ -52,7 +75,7 @@ class TestAssemble:
         lib = assemble(SimpleSymbol(((Disc(0.0, 1.0), 1.0),)), 8)
         assert np.array_equal(mat.data, lib.data)
 
-    def test_csv_output(self, tmp_path, disc_symbol):
+    def test_csv_output(self, run_cli, tmp_path, disc_symbol):
         out = tmp_path / "out"
         res = run_cli("assemble", "--symbol", str(disc_symbol), "--truncation", "6",
                       "--format", "csv", "--output", "mat", "--output-dir", str(out))
@@ -62,7 +85,7 @@ class TestAssemble:
         lib = assemble(SimpleSymbol(((Disc(0.0, 1.0), 1.0),)), 6)
         assert np.array_equal(re + 1j * im, lib.data)
 
-    def test_output_accepts_filename_with_extension(self, tmp_path, disc_symbol):
+    def test_output_accepts_filename_with_extension(self, run_cli, tmp_path, disc_symbol):
         out = tmp_path / "out"
         res = run_cli("assemble", "--symbol", str(disc_symbol), "--truncation", "4",
                       "--output", "mat.json", "--output-dir", str(out))
@@ -83,7 +106,7 @@ class TestAssemble:
 
 
 class TestNormAndBound:
-    def test_norm_gaussian(self, tmp_path, gaussian_symbol):
+    def test_norm_gaussian(self, run_cli, tmp_path, gaussian_symbol):
         out = tmp_path / "out"
         res = run_cli("norm", "--symbol", str(gaussian_symbol), "--truncation", "40",
                       "--output", "norm", "--output-dir", str(out))
@@ -94,7 +117,7 @@ class TestNormAndBound:
         assert math.isclose(payload["norm"], PI_OVER_PI_PLUS_ONE, rel_tol=1e-10)
         assert payload["truncation"] == 40
 
-    def test_norm_jacobi_half_discs(self, tmp_path):
+    def test_norm_jacobi_half_discs(self, run_cli, tmp_path):
         # +1 on the upper half of the unit disc, -1 on the lower half: the
         # spectrum is symmetric, with norm 0.683246591459. --method auto is
         # operator_norm(assemble(...)), run here in-process.
@@ -113,14 +136,14 @@ class TestNormAndBound:
         auto = operator_norm(assemble(SimpleSymbol.from_json_dict(data), 60))
         assert abs(jacobi - auto) < 1e-12
 
-    def test_bound_gaussian(self, tmp_path, gaussian_symbol):
+    def test_bound_gaussian(self, run_cli, tmp_path, gaussian_symbol):
         res = run_cli("bound", "--symbol", str(gaussian_symbol),
                       "--output-dir", str(tmp_path))
         assert res.returncode == 0, res.stderr
         printed = float(res.stdout.split("bound=")[1].split()[0])
         assert math.isclose(printed, ONE_MINUS_EXP_NEG_PI, rel_tol=1e-9)
 
-    def test_bound_sampled(self, tmp_path):
+    def test_bound_sampled(self, run_cli, tmp_path):
         # e^{-t} samples: l1 is exactly the Laguerre weight sum = 1
         from focklab import RadialRule
 
@@ -137,7 +160,7 @@ class TestNormAndBound:
 
 
 class TestVerifySuites:
-    def test_verify_nt(self, tmp_path):
+    def test_verify_nt(self, run_cli, tmp_path):
         out = tmp_path / "out"
         res = run_cli("verify-nt", "--seed", "1", "--cases", "5",
                       "--truncation", "40", "--output-dir", str(out))
@@ -152,7 +175,7 @@ class TestVerifySuites:
         assert csv_lines[0] == "experiment,lhs,rhs,margin,slack,holds"
         assert len(csv_lines) == 9
 
-    def test_verify_nt_deterministic(self, tmp_path):
+    def test_verify_nt_deterministic(self, run_cli, tmp_path):
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
@@ -163,7 +186,7 @@ class TestVerifySuites:
         for fname in ("verify_nt_reports.jsonl", "verify_nt_summary.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
-    def test_verify_lemma(self, tmp_path):
+    def test_verify_lemma(self, run_cli, tmp_path):
         out = tmp_path / "out"
         res = run_cli("verify-lemma", "--seed", "2", "--cases", "4",
                       "--truncation", "32", "--output-dir", str(out))
@@ -174,7 +197,7 @@ class TestVerifySuites:
         eps_one = [r for r in reports if r["metadata"].get("epsilon_one")]
         assert len(eps_one) == 2
 
-    def test_sharpness(self, tmp_path):
+    def test_sharpness(self, run_cli, tmp_path):
         out = tmp_path / "out"
         res = run_cli("sharpness", "--center", "0.7+0.3j", "--radius", "0.6",
                       "--truncation", "40", "--output-dir", str(out))
@@ -184,9 +207,9 @@ class TestVerifySuites:
 
     def test_approximate_coarse_grids_fail_honestly(self, tmp_path, gaussian_symbol):
         out = tmp_path / "out"
-        res = run_cli("approximate", "--symbol", str(gaussian_symbol),
-                      "--grids", "4,8", "--truncation", "25",
-                      "--output-dir", str(out))
+        res = run_process("approximate", "--symbol", str(gaussian_symbol),
+                          "--grids", "4,8", "--truncation", "25",
+                          "--output-dir", str(out))
         assert res.returncode == 1
         assert "FAIL approx-convergence" in res.stdout
         reports = [json.loads(line) for line in
@@ -196,7 +219,7 @@ class TestVerifySuites:
 
 
 class TestNormTable:
-    def test_off_center_disc(self, tmp_path):
+    def test_off_center_disc(self, run_cli, tmp_path):
         path = tmp_path / "offdisc.json"
         radius = math.sqrt(1.0 / math.pi)
         path.write_text(json.dumps(
@@ -220,7 +243,7 @@ class TestNormTable:
 
 
 class TestConfigAndEnvironment:
-    def test_config_supplies_defaults(self, tmp_path, gaussian_symbol):
+    def test_config_supplies_defaults(self, run_cli, tmp_path, gaussian_symbol):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "symbol": str(gaussian_symbol),
@@ -231,7 +254,7 @@ class TestConfigAndEnvironment:
         assert res.returncode == 0, res.stderr
         assert "truncation=6" in res.stdout
 
-    def test_flag_overrides_config(self, tmp_path, gaussian_symbol):
+    def test_flag_overrides_config(self, run_cli, tmp_path, gaussian_symbol):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"symbol": str(gaussian_symbol), "truncation": 6}))
         res = run_cli("norm", "--config", str(cfg), "--truncation", "4",
@@ -241,13 +264,13 @@ class TestConfigAndEnvironment:
 
     def test_output_dir_env(self, tmp_path, gaussian_symbol):
         target = tmp_path / "env_out"
-        res = run_cli("bound", "--symbol", str(gaussian_symbol),
-                      "--output", "bound_out",
-                      env_extra={"FOCKLAB_OUTPUT_DIR": str(target)})
+        res = run_process("bound", "--symbol", str(gaussian_symbol),
+                          "--output", "bound_out",
+                          env_extra={"FOCKLAB_OUTPUT_DIR": str(target)})
         assert res.returncode == 0, res.stderr
         assert (target / "bound_out.json").is_file()
 
-    def test_no_absolute_paths_in_outputs(self, tmp_path):
+    def test_no_absolute_paths_in_outputs(self, run_cli, tmp_path):
         out = tmp_path / "out"
         res = run_cli("verify-nt", "--seed", "4", "--cases", "2",
                       "--truncation", "40", "--output-dir", str(out))
@@ -257,18 +280,18 @@ class TestConfigAndEnvironment:
 
 
 class TestErrorPaths:
-    def test_missing_symbol_flag(self):
+    def test_missing_symbol_flag(self, run_cli):
         res = run_cli("norm", "--truncation", "4")
         assert res.returncode == 2
         assert "--symbol" in res.stderr
 
-    def test_bad_config_json(self, tmp_path):
+    def test_bad_config_json(self, run_cli, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         res = run_cli("norm", "--config", str(cfg))
         assert res.returncode == 2
 
-    def test_bad_symbol_file(self, tmp_path):
+    def test_bad_symbol_file(self, run_cli, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"something": 1}))
         res = run_cli("bound", "--symbol", str(path))
@@ -276,5 +299,110 @@ class TestErrorPaths:
         assert "pieces" in res.stderr
 
     def test_unknown_subcommand(self):
-        res = run_cli("frobnicate")
+        res = run_process("frobnicate")
         assert res.returncode == 2
+
+
+# A value for every flag of every subcommand, none of them its default;
+# "disc" and "gauss" name the symbol fixtures. The verify suites need N = 32:
+# their coherent states and degree-25 random functions do not fit in N = 12.
+EVERY_FLAG = {
+    "assemble": {"symbol": "disc", "truncation": 6, "format": "csv", "output": "mat"},
+    "norm": {"symbol": "disc", "truncation": 8, "method": "jacobi", "output": "n"},
+    "bound": {"symbol": "gauss", "output": "b"},
+    "verify-nt": {"seed": 3, "cases": 2, "truncation": 32},
+    "verify-lemma": {"seed": 3, "cases": 2, "truncation": 32},
+    "sharpness": {"center": "0.4+0.2j", "radius": 0.6, "truncation": 20},
+    "approximate": {"symbol": "gauss", "grids": "2,4", "truncation": 12},
+    "norm-table": {"symbol": "disc", "truncations": "4,8", "output": "t"},
+}
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", sorted(EVERY_FLAG))
+    def test_flags_and_config_agree(self, run_cli, tmp_path, command,
+                                    disc_symbol, gaussian_symbol):
+        defaults = cli._COMMANDS[command][2]
+        assert set(EVERY_FLAG[command]) == set(defaults)
+        assert all(value != defaults[flag] for flag, value in EVERY_FLAG[command].items())
+        symbols = {"disc": str(disc_symbol), "gauss": str(gaussian_symbol)}
+        values = {flag: symbols.get(value, value) if flag == "symbol" else value
+                  for flag, value in EVERY_FLAG[command].items()}
+        argv = [command, "--output-dir", str(tmp_path / "flags")]
+        for flag, value in values.items():
+            argv += [f"--{flag}", str(value)]
+        by_flags = run_cli(*argv)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**values, "output_dir": str(tmp_path / "config")}))
+        by_config = run_cli(command, "--config", str(cfg))
+        assert by_flags.returncode in (0, 1), by_flags.stderr
+        assert by_config.returncode == by_flags.returncode, by_config.stderr
+        assert by_config.stdout == by_flags.stdout
+        names = sorted(p.name for p in (tmp_path / "flags").iterdir())
+        assert names and names == sorted(p.name for p in (tmp_path / "config").iterdir())
+        for name in names:
+            assert (tmp_path / "flags" / name).read_bytes() == \
+                (tmp_path / "config" / name).read_bytes()
+
+    def test_config_list_is_a_comma_list(self, run_cli, tmp_path, disc_symbol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"symbol": str(disc_symbol), "truncations": [4, 8]}))
+        by_config = run_cli("norm-table", "--config", str(cfg))
+        by_flags = run_cli("norm-table", "--symbol", str(disc_symbol), "--truncations", "4,8")
+        assert by_config.returncode == 0, by_config.stderr
+        assert by_config.stdout == by_flags.stdout
+
+    def test_other_subcommands_keys_allowed(self, run_cli, tmp_path, gaussian_symbol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"symbol": str(gaussian_symbol), "truncation": 6,
+                                   "grids": "2,4", "seed": 5, "radius": 0.5}))
+        res = run_cli("norm", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert "truncation=6" in res.stdout
+
+
+class TestRejections:
+    @pytest.mark.parametrize("entry, flag", [
+        ({"truncation": 6.7}, "--truncation"),
+        ({"truncation": True}, "--truncation"),
+        ({"method": "lanczos"}, "--method"),
+    ])
+    def test_config_value_checked_like_flag(self, run_cli, tmp_path, gaussian_symbol,
+                                            entry, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"symbol": str(gaussian_symbol), "truncation": 6, **entry}))
+        res = run_cli("norm", "--config", str(cfg))
+        assert res.returncode == 2
+        assert flag in res.stderr
+        assert "norm=" not in res.stdout
+
+    def test_unknown_config_key(self, run_cli, tmp_path, gaussian_symbol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"symbol": str(gaussian_symbol), "truncation": 6,
+                                   "truncaton": 8}))
+        res = run_cli("norm", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "truncaton" in res.stderr
+
+    @pytest.mark.parametrize("command", ["verify-nt", "verify-lemma"])
+    def test_negative_cases(self, run_cli, tmp_path, command):
+        res = run_cli(command, "--cases", "-3", "--truncation", "8",
+                      "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "--cases" in res.stderr
+        assert "checks hold" not in res.stdout
+
+    def test_empty_truncations(self, run_cli, tmp_path, disc_symbol):
+        res = run_cli("norm-table", "--symbol", str(disc_symbol), "--truncations", "",
+                      "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "--truncations" in res.stderr
+        assert not (tmp_path / "out" / "norm_table.csv").exists()
+
+    def test_ambiguous_symbol_file(self, run_cli, tmp_path):
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({"radial": {"profile": "gaussian"}, "pieces": []}))
+        res = run_cli("bound", "--symbol", str(path))
+        assert res.returncode == 2
+        assert "pieces" in res.stderr and "radial" in res.stderr
+        assert "bound=" not in res.stdout

@@ -31,6 +31,7 @@ from focklab import (
     top_eigenpair,
     verify_norm_bound,
 )
+from focklab import toeplitz
 from focklab.fock import weighted_basis_matrix
 from focklab.quadrature import gauss_legendre
 from focklab.symbols import discretize
@@ -457,6 +458,17 @@ class TestSpectra:
         with pytest.raises(ValueError, match="Hermitian"):
             operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    def test_non_finite_rejected(self):
+        # a NaN Hermitian defect once passed the check: the norm read nan,
+        # top_eigenpair gave (nan, [nan, nan]) and Jacobi hit its sweep limit
+        nan_matrix = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        inf_matrix = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        for solve in (operator_norm, top_eigenpair, jacobi_eigenvalues,
+                      lambda a: operator_norm(a, method="jacobi")):
+            for a in (nan_matrix, inf_matrix):
+                with pytest.raises(ValueError, match="finite"):
+                    solve(a)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             operator_norm(np.eye(2, dtype=complex), method="lanczos")
@@ -484,10 +496,15 @@ class TestSpectra:
             scale = max(1.0, float(np.max(np.abs(expect))))
             assert np.max(np.abs(jacobi_eigenvalues(a) - expect)) <= 1e-12 * scale
 
-    def test_jacobi_sweep_limit(self):
-        # nan never meets the stop test, so the sweeps run out
+    def test_jacobi_sweep_limit(self, monkeypatch):
+        # rotations that never reduce the off-diagonal part: the sweeps run
+        # out (a nan matrix, which once did this, is now rejected up front)
+        def identity_rotations(a, negligible):
+            return np.broadcast_to(np.eye(2), (a.shape[0] // 2, 2, 2))
+
+        monkeypatch.setattr(toeplitz, "_pair_rotations", identity_rotations)
         with pytest.raises(RuntimeError, match="60-sweep limit"):
-            jacobi_eigenvalues(np.full((2, 2), np.nan))
+            jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_top_eigenpair_residual(self):
         rng = np.random.default_rng(7)
