@@ -170,10 +170,19 @@ def _with_meta(report, **extra):
     return dataclasses.replace(report, metadata={**report.metadata, **extra})
 
 
-def _suite_rng(args) -> np.random.Generator:
-    """The seeded generator of a verify suite; --cases must be non-negative."""
+_MAX_DEGREE = 25  # the largest degree of a suite's random functions
+
+
+def _suite_rng(args, fixed_truncation: int) -> np.random.Generator:
+    """The seeded generator of a verify suite. --cases must be non-negative,
+    and --truncation must hold the suite's fixed cases (fixed_truncation
+    basis elements) and, if there are random cases, degree _MAX_DEGREE."""
     if args.cases < 0:
         raise ConfigError(f"--cases must be non-negative, got {args.cases}")
+    least = max(fixed_truncation, _MAX_DEGREE + 1) if args.cases else fixed_truncation
+    if args.truncation < least:
+        raise ConfigError(f"--truncation must be at least {least} for {args.command} "
+                          f"with --cases {args.cases}, got {args.truncation}")
     return np.random.default_rng(args.seed)
 
 
@@ -181,14 +190,15 @@ def _random_cases(args, rng, reports: list, draw, verify, stem: str) -> int:
     """Append --cases reports of verify(f, draw(rng)), each on a random unit
     f, to a suite's fixed cases, then emit them all."""
     for _ in range(args.cases):
-        degree = int(rng.integers(5, 26))
+        degree = int(rng.integers(5, _MAX_DEGREE + 1))
         f = random_unit(rng, degree=degree, truncation=args.truncation)
         reports.append(verify(f, draw(rng)))
     return _emit(reports, args, stem)
 
 
 def _cmd_verify_nt(args) -> int:
-    rng = _suite_rng(args)
+    # the coherent states below are unit to 1e-12 from 26 basis elements on
+    rng = _suite_rng(args, 26)
     reports = []
 
     # Equality cases: the state concentrated at a disc center saturates the
@@ -206,7 +216,8 @@ def _cmd_verify_nt(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
-    rng = _suite_rng(args)
+    # the functions of degree 12 below need 13 basis elements
+    rng = _suite_rng(args, 13)
     reports = []
 
     # Weight-one cases: with every weight 1 the lemma is plain concentration

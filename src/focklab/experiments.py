@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import FockFunction, coherent
-from .regions import TWO_PI, AnnularSector, Disc, Region, area, disjoint, region_to_json
+from .regions import TWO_PI, AnnularSector, Disc, Region, area, region_to_json
 from .symbols import RadialSymbol, SimpleSymbol, discretize
 from .toeplitz import _quadratic_form, assemble, operator_norm, region_compression, top_eigenpair
 
@@ -49,15 +49,8 @@ class VerificationReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "holds": self.holds,
-            "slack": self.slack,
-            "metadata": self.metadata,
-        }
+        """The fields by name, in order; metadata is shared, not copied."""
+        return dict(vars(self))
 
 
 def make_report(experiment: str, lhs: float, rhs: float, slack: float,
@@ -86,25 +79,17 @@ def _region_mass(f: FockFunction, region: Region) -> float:
     return _quadratic_form(region_compression(region, f.truncation), f.coeffs)
 
 
-@dataclass(frozen=True)
-class WeightedPartition:
-    """Disjoint regions with weights in [0, 1]."""
-
-    pieces: tuple
+@dataclass(frozen=True, eq=False)
+class WeightedPartition(SimpleSymbol):
+    """A simple symbol sum_k eps_k 1_{Omega_k} with weights eps_k in [0, 1]:
+    its l1_norm is the weighted area, and <T_phi f, f> is the left-hand side
+    of the weighted-partition inequality."""
 
     def __post_init__(self):
-        norm_pieces = []
-        for region, eps in self.pieces:
-            eps = float(eps)
-            if not (0.0 <= eps <= 1.0):
-                raise ValueError(f"weights must lie in [0, 1], got {eps}")
-            norm_pieces.append((region, eps))
-        if not disjoint(r for r, _ in norm_pieces):
-            raise ValueError("partition regions must be pairwise disjoint")
-        object.__setattr__(self, "pieces", tuple(norm_pieces))
-
-    def weighted_area(self) -> float:
-        return float(sum(eps * area(r) for r, eps in self.pieces))
+        super().__post_init__()
+        bad = [eps for _, eps in self.pieces if not 0.0 <= eps <= 1.0]
+        if bad:
+            raise ValueError(f"weights must lie in [0, 1], got {bad[0]}")
 
 
 def symbol_norm_bound(l1: float, linf: float) -> float:
@@ -141,13 +126,14 @@ def verify_weighted_partition(f: FockFunction, partition: WeightedPartition) -> 
     n = f.truncation
     integrals = [_region_mass(f, region) for region, _ in partition.pieces]
     lhs = sum(eps * val for (_, eps), val in zip(partition.pieces, integrals))
-    rhs = -math.expm1(-partition.weighted_area())
+    weighted_area = partition.l1_norm()
+    rhs = -math.expm1(-weighted_area)
     meta = {
         "pieces": [
             {**region_to_json(region), "weight": eps, "integral": val}
             for (region, eps), val in zip(partition.pieces, integrals)
         ],
-        "weighted_area": partition.weighted_area(),
+        "weighted_area": weighted_area,
         "truncation": n,
     }
     return make_report("weighted-partition", float(lhs), rhs, DEFAULT_SLACK, metadata=meta)
@@ -305,9 +291,11 @@ def random_region(rng: np.random.Generator) -> Region:
     return AnnularSector(r_inner, r_outer, start, start + span)
 
 
-def _random_lattice_cells(rng: np.random.Generator) -> list:
-    """Disjoint-by-construction sector cells from a random polar lattice
-    (3 radial bands x 4 angular arcs)."""
+def _random_lattice_pieces(rng: np.random.Generator, min_pieces: int, max_pieces: int,
+                           low: float) -> tuple:
+    """Between min_pieces and max_pieces cells of a random polar lattice (3
+    radial bands x 4 angular arcs, so disjoint by construction), each with a
+    coefficient uniform in [low, 1]."""
     r_edges = np.cumsum(rng.uniform(0.2, 0.8, size=4))
     theta0 = rng.uniform(0.0, TWO_PI)
     theta_edges = theta0 + np.concatenate(
@@ -322,23 +310,17 @@ def _random_lattice_cells(rng: np.random.Generator) -> list:
                 AnnularSector(float(r_edges[i]), float(r_edges[i + 1]),
                               float(theta_edges[j]), float(theta_edges[j + 1]))
             )
-    return cells
+    count = min(int(rng.integers(min_pieces, max_pieces + 1)), len(cells))
+    chosen = rng.choice(len(cells), size=count, replace=False)
+    return tuple((cells[int(i)], float(rng.uniform(low, 1.0))) for i in sorted(chosen))
 
 
 def random_partition(rng: np.random.Generator, max_pieces: int = 5) -> WeightedPartition:
     """Random weighted pieces on a polar lattice, weights uniform in [0, 1]."""
-    cells = _random_lattice_cells(rng)
-    count = min(int(rng.integers(1, max_pieces + 1)), len(cells))
-    chosen = rng.choice(len(cells), size=count, replace=False)
-    pieces = tuple((cells[int(i)], float(rng.uniform(0.0, 1.0))) for i in sorted(chosen))
-    return WeightedPartition(pieces)
+    return WeightedPartition(_random_lattice_pieces(rng, 1, max_pieces, 0.0))
 
 
 def random_symbol(rng: np.random.Generator, max_pieces: int = 5) -> SimpleSymbol:
     """Random mixed-sign simple symbol on a polar lattice, coefficients
     uniform in [-1, 1]."""
-    cells = _random_lattice_cells(rng)
-    count = min(int(rng.integers(2, max_pieces + 1)), len(cells))
-    chosen = rng.choice(len(cells), size=count, replace=False)
-    pieces = tuple((cells[int(i)], float(rng.uniform(-1.0, 1.0))) for i in sorted(chosen))
-    return SimpleSymbol(pieces)
+    return SimpleSymbol(_random_lattice_pieces(rng, 2, max_pieces, -1.0))

@@ -69,7 +69,8 @@ class RadialRule:
     scaled_weights holds w_j e^{t_j} (computed overflow-free through the
     Christoffel identity w_j e^{t_j} = 1 / sum_k q_k(t_j)^2), which turns the
     same nodes into a rule for plain Lebesgue dt integrals of decaying
-    integrands.
+    integrands. gauss_laguerre builds each rule once per node count; its
+    arrays are read-only, since the cache hands the same rule to every caller.
     """
 
     count: int
@@ -78,6 +79,7 @@ class RadialRule:
     scaled_weights: np.ndarray
 
     @classmethod
+    @functools.cache
     def gauss_laguerre(cls, count: int) -> "RadialRule":
         if not (1 <= count <= MAX_RADIAL_ORDER):
             raise ValueError(
@@ -109,6 +111,8 @@ class RadialRule:
         weights = scaled * np.exp(-nodes)
         if np.any(np.diff(nodes) <= 0.0) or nodes[0] <= 0.0:
             raise RuntimeError("Laguerre nodes failed to come out positive and increasing")
+        for array in (nodes, weights, scaled):
+            array.setflags(write=False)
         return cls(count=count, nodes=nodes, weights=weights, scaled_weights=scaled)
 
     @property

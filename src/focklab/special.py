@@ -27,8 +27,10 @@ def gammainc_lower_int_prefix(a_max: int, x) -> np.ndarray:
     an array of x; the result has shape x.shape + (a_max,).
 
     Uses the finite Poisson sum P(a, x) = 1 - sum_{j<a} e^{-x} x^j / j!,
-    accumulating the pmf terms exp(j ln x - x - ln j!) by cumsum; for a_max
-    in the hundreds the cumsum rounding stays far below 1e-13.
+    accumulating the pmf terms exp(j ln x - x - ln j!) by cumsum. The cumsum
+    rounding grows with x: at a_max = 256 the largest error against
+    scipy.special.gammainc is 6e-15 at x = 40, 3e-14 at x = 80 and 1.1e-13
+    at x = 200.
     """
     if a_max < 1:
         raise ValueError("a_max must be >= 1")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,22 +163,13 @@ class RadialSymbol:
 
     @classmethod
     def disc(cls, radius: float, height: float = 1.0) -> "RadialSymbol":
+        """annulus(0, radius, height) under kind "disc" and its own params."""
         radius = float(radius)
         height = float(height)
         if radius <= 0:
             raise ValueError("disc radius must be positive")
-
-        def prof(r):
-            return np.where(r <= radius, height, 0.0)
-
-        return cls(
-            kind="disc",
-            linf=abs(height),
-            support_radius=radius,
-            breakpoints=(),
-            params={"radius": radius, "height": height},
-            profile_fn=prof,
-        )
+        return replace(cls.annulus(0.0, radius, height), kind="disc",
+                       params={"radius": radius, "height": height})
 
     @classmethod
     def annulus(cls, r_inner: float, r_outer: float, height: float = 1.0) -> "RadialSymbol":

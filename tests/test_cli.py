@@ -384,6 +384,27 @@ class TestRejections:
         assert res.returncode == 2
         assert "truncaton" in res.stderr
 
+    @pytest.mark.parametrize("truncation", ["12", "25"])
+    @pytest.mark.parametrize("command", ["verify-nt", "verify-lemma"])
+    def test_truncation_below_suite_minimum(self, run_cli, tmp_path, command, truncation):
+        # random degrees reach 25, and verify-nt's coherent states need 26
+        # basis elements; these runs once failed on a unit-norm check or on
+        # "cannot hold degree", without naming the flag
+        res = run_cli(command, "--seed", "1", "--cases", "3", "--truncation", truncation,
+                      "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "--truncation" in res.stderr and "26" in res.stderr
+        assert "checks hold" not in res.stdout
+
+    def test_lemma_fixed_cases_need_13(self, run_cli, tmp_path):
+        out = str(tmp_path / "out")
+        res = run_cli("verify-lemma", "--cases", "0", "--truncation", "13", "--output-dir", out)
+        assert res.returncode == 0, res.stderr
+        assert "2/2 checks hold" in res.stdout
+        res = run_cli("verify-lemma", "--cases", "0", "--truncation", "12", "--output-dir", out)
+        assert res.returncode == 2
+        assert "--truncation" in res.stderr and "13" in res.stderr
+
     @pytest.mark.parametrize("command", ["verify-nt", "verify-lemma"])
     def test_negative_cases(self, run_cli, tmp_path, command):
         res = run_cli(command, "--cases", "-3", "--truncation", "8",

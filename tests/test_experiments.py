@@ -19,6 +19,7 @@ from focklab import (
     SimpleSymbol,
     WeightedPartition,
     approximation_experiment,
+    area,
     assemble,
     coherent,
     integrate_region,
@@ -175,6 +176,25 @@ class TestVerifyWeightedPartition:
             WeightedPartition(
                 ((Disc(0.0, 1.0), 0.5), (Disc(0.1, 1.0), 0.5))
             )
+
+    def test_is_simple_symbol(self):
+        pieces = ((Disc(0.3 + 0.2j, 0.4), 0.7),
+                  (AnnularSector(0.9, 1.6, 0.5, 2.5), 0.3),
+                  (AnnularSector(1.7, 2.0, 0.0, 2.0 * math.pi), 1.0))
+        part = WeightedPartition(pieces)
+        assert isinstance(part, SimpleSymbol)
+        assert part.l1_norm() == float(sum(eps * area(r) for r, eps in pieces))
+        with pytest.raises(TypeError):
+            WeightedPartition((("not a region", 0.5),))
+
+    def test_lhs_is_toeplitz_quadratic_form(self):
+        # the lemma's left-hand side is <T_phi f, f> for phi = sum eps_k 1_{Omega_k}
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            f = random_unit(rng, int(rng.integers(2, 20)), truncation=24)
+            part = random_partition(rng)
+            lhs = verify_weighted_partition(f, part).lhs
+            assert abs(lhs - rayleigh(part, f)) <= 1e-12
 
     def test_random_cases_hold(self):
         rng = np.random.default_rng(9)

@@ -58,6 +58,13 @@ class TestRadialRule:
         rule = RadialRule.gauss_laguerre(5)
         assert np.allclose(rule.radii, np.sqrt(rule.nodes / math.pi), atol=0.0)
 
+    def test_built_once_per_count(self):
+        rule = RadialRule.gauss_laguerre(80)
+        assert RadialRule.gauss_laguerre(80) is rule
+        assert RadialRule.gauss_laguerre(81) is not rule
+        for array in (rule.nodes, rule.weights, rule.scaled_weights):
+            assert not array.flags.writeable
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             RadialRule.gauss_laguerre(0)

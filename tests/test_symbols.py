@@ -15,6 +15,7 @@ from focklab import (
     SampledSymbol,
     SimpleSymbol,
     discretize,
+    radial_assemble,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -84,6 +85,19 @@ class TestRadialSymbol:
         vals = sym.profile(np.array([0.0, 1.49, 1.51]))
         assert vals[0] == -2.0 and vals[1] == -2.0 and vals[2] == 0.0
         assert sym.tail_l1_beyond(1.5) == 0.0
+
+    def test_disc_is_centred_annulus(self):
+        for radius, height in ((1.5, -2.0), (0.8, 1.0), (math.sqrt(1.0 / math.pi), 0.25)):
+            disc = RadialSymbol.disc(radius, height)
+            ring = RadialSymbol.annulus(0.0, radius, height)
+            r = np.linspace(0.0, 2.0 * radius, 101)
+            assert np.array_equal(disc.profile(r), ring.profile(r))
+            assert np.array_equal(radial_assemble(disc, 30).data,
+                                  radial_assemble(ring, 30).data)
+            assert disc.to_json_dict() == {
+                "radial": {"profile": "disc", "radius": radius, "height": height}}
+        with pytest.raises(ValueError, match="disc radius must be positive"):
+            RadialSymbol.disc(0.0)
 
     def test_annulus_profile(self):
         sym = RadialSymbol.annulus(0.5, 1.25, height=3.0)

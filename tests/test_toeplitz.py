@@ -133,7 +133,7 @@ class TestAssembleSimple:
             )
         )
         mat = assemble(sym, 12)
-        assert mat.hermiticity_defect() == 0.0
+        assert np.array_equal(mat.data, mat.data.conj().T)
         assert mat.dimension == 12
 
     def test_validation(self):
@@ -496,6 +496,20 @@ class TestSpectra:
             scale = max(1.0, float(np.max(np.abs(expect))))
             assert np.max(np.abs(jacobi_eigenvalues(a) - expect)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("a", [
+        [[0.0, 1e200], [1e200, 0.0]],     # ||A||_F overflows
+        [[0.0, 1e-200], [1e-200, 0.0]],   # ||A||_F underflows
+        [[0.0, 1e160], [1e160, 1.0]],     # overflows, with an O(1) diagonal
+    ])
+    def test_jacobi_extreme_scales(self, a):
+        # these once gave [0, 0], [0, 0] and [0, 1]
+        a = np.array(a)
+        expect = np.linalg.eigvalsh(a)
+        got = jacobi_eigenvalues(a)
+        assert np.all(np.abs(got - expect) <= 1e-14 * np.abs(expect))
+        assert math.isclose(operator_norm(a, method="jacobi"), operator_norm(a),
+                            rel_tol=1e-14)
+
     def test_jacobi_sweep_limit(self, monkeypatch):
         # rotations that never reduce the off-diagonal part: the sweeps run
         # out (a nan matrix, which once did this, is now rejected up front)
@@ -664,3 +678,19 @@ class TestHermitianMatrix:
             HermitianMatrix(np.array([[math.inf]], dtype=complex))
         with pytest.raises(ValueError):
             HermitianMatrix.from_json_dict({"dimension": 2, "entries": [[1.0, 0.0]]})
+
+    def test_hermitian_by_construction(self):
+        # a defect up to 1e-10 is accepted and stored as (A + A^H) / 2,
+        # which is exactly Hermitian; a larger one is rejected
+        a = np.array([[1.0, 0.5 + 1e-11j], [0.5, 2.0 + 1e-11j]])
+        mat = HermitianMatrix(a)
+        assert np.array_equal(mat.data, mat.data.conj().T)
+        assert np.array_equal(mat.data, 0.5 * (a + a.conj().T))
+        assert not mat.data.flags.writeable
+        with pytest.raises(ValueError, match="Hermitian"):
+            HermitianMatrix(np.array([[1.0, 0.5 + 2e-10j], [0.5, 2.0]]))
+
+    def test_from_json_dict_rejects_non_hermitian(self):
+        entries = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="Hermitian"):
+            HermitianMatrix.from_json_dict({"dimension": 2, "entries": entries})
