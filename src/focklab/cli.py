@@ -19,7 +19,8 @@ symbol file without exactly one of 'pieces', 'radial' and 'sampled' are
 configuration errors.
 
 Exit codes: 0 all checks hold, 1 at least one violation (reports are still
-written), 2 configuration errors.
+written), 2 configuration errors. Errors and warnings go to stderr as
+"error: <message>" and "warning: <message>", with no source location.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -392,12 +394,16 @@ def _parse(argv: list) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return _COMMANDS[args.command][1](args)
-    except (ConfigError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # catch_warnings restores the caller's filters and showwarning on return
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = _parse(sys.argv[1:] if argv is None else list(argv))
+            return _COMMANDS[args.command][1](args)
+        except (ConfigError, ValueError, TypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ into one moment table D[l = m+n, k = n-m], which one gather turns into M
 grid), and full annuli and centered discs sum into one diagonal. An
 off-center disc D(c, r) is the Weyl translate W_c T_{1_D(0, r)} W_c^* of the
 diagonal centered disc. region_compression() is the same pass for one
-region. radial_assemble() gives radial symbols' diagonal compressions; it
-and sampled symbols share one radial moment table (_radial_moments).
+region. radial_assemble() gives radial symbols' diagonal compressions, the
+gaussian's in closed form; its panels for compact profiles and sampled
+grids share one radial moment routine (_radial_moments).
 rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() takes the largest eigenvalue modulus from LAPACK
@@ -30,7 +31,6 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .fock import FockFunction
-from .quadrature import MAX_RADIAL_ORDER, RadialRule
 from .regions import TWO_PI, AnnularSector, Disc, Region
 from .special import gammainc_lower, gammainc_lower_int_prefix, log_factorial
 from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol
@@ -300,39 +300,30 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
     raise TypeError(f"cannot assemble {type(symbol).__name__}")
 
 
-# The gaussian profile integrates on a Gauss-Laguerre rule of max(80, N + 16)
-# nodes, which may not exceed MAX_RADIAL_ORDER.
-GAUSSIAN_MAX_TRUNCATION = MAX_RADIAL_ORDER - 16
-
-
 def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
     """Diagonal compression of a radial symbol.
 
-    gamma_n = (1/n!) int_0^inf phi(sqrt(t/pi)) t^n e^{-t} dt. Profiles with
-    unbounded support integrate on a Gauss-Laguerre rule; compactly supported
-    profiles use composite Gauss-Legendre in r split at the profile
-    breakpoints, so jumps never sit inside a panel and piecewise-polynomial
-    profiles are integrated at spectral accuracy.
+    gamma_n = (1/n!) int_0^inf phi(sqrt(t/pi)) t^n e^{-t} dt, which is
+    (pi/(pi+1))^{n+1} for the gaussian. Compactly supported profiles use
+    composite Gauss-Legendre in r split at the profile breakpoints, so jumps
+    never sit inside a panel and piecewise-polynomial profiles are integrated
+    at spectral accuracy; their panels of order N + 8 <= 1024 cap N at 1016.
     """
     if not isinstance(symbol, RadialSymbol):
         raise TypeError("radial_assemble requires a RadialSymbol")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    ls = 2 * np.arange(truncation)
 
     if symbol.kind == "gaussian":
-        if truncation > GAUSSIAN_MAX_TRUNCATION:
-            raise ValueError(
-                f"truncation {truncation} exceeds the largest supported truncation "
-                f"{GAUSSIAN_MAX_TRUNCATION} for the gaussian radial symbol"
-            )
-        rul = RadialRule.gauss_laguerre(max(80, truncation + 16))
-        moments = _radial_moments(rul.nodes, np.log(rul.scaled_weights), ls)
-        gamma = moments @ symbol.profile(rul.radii)
+        gamma = (math.pi / (math.pi + 1.0)) ** np.arange(1.0, truncation + 1.0)
+    elif truncation > 1016:
+        raise ValueError(f"truncation {truncation} exceeds 1016, the largest for a compact "
+                         "radial profile (panels of order N + 8 <= 1024)")
     else:
         # every breakpoint panel in one product
         r, w = map(np.concatenate, zip(*symbol.panels(max(64, truncation + 8))))
-        gamma = _radial_moments(math.pi * r * r, 0.0, ls) @ (w * TWO_PI * r * symbol.profile(r))
+        gamma = (_radial_moments(math.pi * r * r, 0.0, 2 * np.arange(truncation))
+                 @ (w * TWO_PI * r * symbol.profile(r)))
 
     return HermitianMatrix(np.diag(gamma.astype(np.complex128)))
 

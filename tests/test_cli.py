@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ class TestNormAndBound:
         assert math.isclose(payload["norm"], PI_OVER_PI_PLUS_ONE, rel_tol=1e-10)
         assert payload["truncation"] == 40
 
+    def test_norm_gaussian_past_laguerre_cap(self, run_cli, gaussian_symbol):
+        # the gaussian's closed-form diagonal has no cap on N
+        res = run_cli("norm", "--symbol", str(gaussian_symbol), "--truncation", "1000")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "norm=0.758546992995 truncation=1000\n"
+
     def test_norm_jacobi_half_discs(self, run_cli, tmp_path):
         # +1 on the upper half of the unit disc, -1 on the lower half: the
         # spectrum is symmetric, with norm 0.683246591459. --method auto is
@@ -174,6 +181,16 @@ class TestVerifySuites:
         csv_lines = (out / "verify_nt_summary.csv").read_text().splitlines()
         assert csv_lines[0] == "experiment,lhs,rhs,margin,slack,holds"
         assert len(csv_lines) == 9
+
+    def test_verify_nt_warning_has_no_path(self, run_cli, tmp_path):
+        # the coherent state at -0.4+1.1j loses tail mass 1.2e-12 at N = 26
+        filters = list(warnings.filters)
+        res = run_cli("verify-nt", "--cases", "0", "--truncation", "26",
+                      "--output-dir", str(tmp_path))
+        assert res.returncode == 0
+        assert res.stderr == ("warning: coherent state at |w0| = 1.17 loses tail mass "
+                              "1.204e-12 at truncation 26\n")
+        assert warnings.filters == filters
 
     def test_verify_nt_deterministic(self, run_cli, tmp_path):
         outs = []

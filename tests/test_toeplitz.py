@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
-from scipy.special import gammainc
+from scipy.integrate import dblquad, quad
+from scipy.special import gammainc, gammaln
 
 from focklab import (
     AngularRule,
@@ -28,9 +28,11 @@ from focklab import (
     random_unit,
     rayleigh,
     region_compression,
+    symbol_norm_bound,
     top_eigenpair,
     verify_norm_bound,
 )
+from focklab.experiments import NORM_SLACK
 from focklab import toeplitz
 from focklab.fock import weighted_basis_matrix
 from focklab.quadrature import gauss_legendre
@@ -188,6 +190,31 @@ class TestAssembleSampled:
         assemble(sym, 8)  # 2*8-1 = 15 <= 16 resolves
 
 
+def _laguerre_diagonal(symbol, truncation):
+    """gamma_n = (1/n!) int phi(sqrt(t/pi)) t^n e^{-t} dt on a Gauss-Laguerre
+    rule of max(80, N + 16) nodes: the quadrature that the gaussian's closed
+    form replaced, kept as its independent check."""
+    rul = RadialRule.gauss_laguerre(max(80, truncation + 16))
+    n = np.arange(truncation)[:, None]
+    t = rul.nodes[None, :]
+    moments = np.exp(n * np.log(t) - t - gammaln(n + 1.0) + np.log(rul.scaled_weights))
+    return moments @ symbol.profile(rul.radii)
+
+
+def _interval_quad_diagonal(radii, values, n):
+    """gamma_n of a table profile by scipy quad on each knot interval."""
+    def integrand(r, a, slope):
+        t = math.pi * r * r
+        return (a + slope * r) * TWO_PI * r * math.exp(n * math.log(t) - t - math.lgamma(n + 1))
+
+    total = 0.0
+    for r0, r1, v0, v1 in zip(radii[:-1], radii[1:], values[:-1], values[1:]):
+        slope = (v1 - v0) / (r1 - r0)
+        total += quad(integrand, r0, r1, args=(v0 - slope * r0, slope),
+                      epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+    return total
+
+
 class TestRadialAssemble:
     def test_disc_oracle(self):
         for x in (0.5, 1.0, 2.0):
@@ -203,11 +230,14 @@ class TestRadialAssemble:
         assert np.max(np.abs(np.diag(mat).real - oracle)) < 1e-12
 
     def test_gaussian_on_laguerre_order_252(self):
-        # N = 236 integrates on K = N + 16 = 252 nodes, where a float64 polish
-        # leaves entry 0 off by 2.95e-14
-        mat = radial_assemble(RadialSymbol.gaussian(), 236).data
-        oracle = (math.pi / (math.pi + 1.0)) ** (np.arange(236) + 1.0)
-        assert np.max(np.abs(np.diag(mat).real - oracle)) < 1e-14
+        # The closed form against Gauss-Laguerre quadrature; N = 236 puts the
+        # oracle on K = 252 nodes, where a float64 polish of the rule leaves
+        # entry 0 off by 2.95e-14.
+        sym = RadialSymbol.gaussian()
+        for truncation in (1, 40, 120, 236, 240):
+            mat = radial_assemble(sym, truncation).data
+            oracle = _laguerre_diagonal(sym, truncation)
+            assert np.max(np.abs(np.diag(mat).real - oracle)) < 1e-14
 
     def test_annulus_is_disc_increment(self):
         ann = radial_assemble(RadialSymbol.annulus(0.4, 1.1), 30).data
@@ -216,8 +246,6 @@ class TestRadialAssemble:
         assert np.max(np.abs(ann - (outer - inner))) < 1e-13
 
     def test_table_oracle(self):
-        from scipy.integrate import quad
-
         radii = [0.0, 0.5, 1.0, 1.5]
         values = [1.0, -0.3, 0.4, 0.0]
         sym = RadialSymbol.table(radii, values)
@@ -234,18 +262,39 @@ class TestRadialAssemble:
             )[0]
             assert abs(mat[n, n].real - ref) < 1e-12
 
+    @pytest.mark.parametrize("radii, values", [
+        ([0.0, 1.0, 1.0001, 2.0], [1.0, 1.0, -1.0, 0.0]),
+        ([0.0, 2.0, 2.000001, 2.5], [0.0, 1.0, -1.0, 0.0]),
+    ])
+    def test_steep_table_on_panels(self, radii, values):
+        # A closed form a P(n+1, .) + b Gamma(n+3/2)/Gamma(n+1) P(n+3/2, .) per
+        # knot interval cancels on these narrow intervals (errors 5.9e-12 and
+        # 6.7e-9 against 30-digit arithmetic); the panels stay near 1e-15.
+        mat = radial_assemble(RadialSymbol.table(radii, values), 41).data
+        for n in (0, 5, 12, 20, 40):
+            assert abs(mat[n, n].real - _interval_quad_diagonal(radii, values, n)) < 1e-14
+
     def test_matrix_is_diagonal(self):
         mat = radial_assemble(RadialSymbol.gaussian(), 10).data
         off = mat - np.diag(np.diag(mat))
         assert np.max(np.abs(off)) == 0.0
 
     def test_gaussian_truncation_limit(self):
-        mat = radial_assemble(RadialSymbol.gaussian(), 240).data
-        n = np.arange(240)
-        oracle = (math.pi / (math.pi + 1.0)) ** (n + 1.0)
-        assert np.max(np.abs(np.diag(mat).real - oracle)) < 1e-12
-        with pytest.raises(ValueError, match="largest supported truncation 240"):
-            radial_assemble(RadialSymbol.gaussian(), 241)
+        # no cap on N: the ratio of neighbours is pi/(pi+1) throughout, and
+        # the first 240 entries match the largest Laguerre oracle
+        oracle = _laguerre_diagonal(RadialSymbol.gaussian(), 240)
+        for truncation in (241, 1000):
+            gamma = np.diag(radial_assemble(RadialSymbol.gaussian(), truncation).data).real
+            assert np.all(np.abs(np.diff(np.log(gamma)) - math.log(math.pi / (math.pi + 1.0)))
+                          < 1e-12)
+            assert np.max(np.abs(gamma[:240] - oracle)) < 1e-14
+
+    def test_compact_truncation_limit(self):
+        # panels of order N + 8 <= 1024, gauss_legendre's cap
+        gamma = np.diag(radial_assemble(RadialSymbol.disc(0.8), 1016).data).real
+        assert np.max(np.abs(gamma - gammainc(np.arange(1016) + 1.0, math.pi * 0.64))) < 1e-14
+        with pytest.raises(ValueError, match="truncation 1017 exceeds 1016"):
+            radial_assemble(RadialSymbol.disc(0.8), 1017)
 
     def test_validation(self):
         with pytest.raises(TypeError):
@@ -630,12 +679,12 @@ class TestRayleigh:
         assert abs(rayleigh(RadialSymbol.disc(1.0), f) - expect) < 1e-12
 
     def test_gaussian_truncation_limit(self):
-        f = coherent(0.5, 240)
-        gamma = (math.pi / (math.pi + 1.0)) ** (np.arange(240) + 1.0)
-        expect = float(np.dot(gamma, np.abs(f.coeffs) ** 2))
-        assert abs(rayleigh(RadialSymbol.gaussian(), f) - expect) < 1e-12
-        with pytest.raises(ValueError, match="largest supported truncation 240"):
-            rayleigh(RadialSymbol.gaussian(), coherent(0.5, 241))
+        # no cap on N: the Berezin transform of e^{-|z|^2} at w is
+        # pi/(pi+1) e^{-pi|w|^2/(pi+1)}
+        w = 0.5
+        expect = math.pi / (math.pi + 1.0) * math.exp(-math.pi * w * w / (math.pi + 1.0))
+        for truncation in (241, 1000):
+            assert abs(rayleigh(RadialSymbol.gaussian(), coherent(w, truncation)) - expect) < 1e-14
 
     def test_simple_symbol_against_region_quadrature(self):
         rng = np.random.default_rng(31)
@@ -651,6 +700,57 @@ class TestRayleigh:
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             rayleigh("nope", FockFunction([1.0]))
+
+
+class TestTruncationSweep:
+    """Every symbol type through assemble and rayleigh at truncations on both
+    sides of the old limits (the gaussian's 240, the rules' powers of two):
+    each works, or the sampled grid names the node count it lacks."""
+
+    TRUNCATIONS = (1, 2, 64, 128, 129, 240, 241, 512)
+
+    @staticmethod
+    def _symbols():
+        grid = ProductRule(RadialRule.gauss_laguerre(256), AngularRule.uniform(512))
+        return {
+            "sectors": SimpleSymbol((
+                (AnnularSector(0.3, 1.0, 0.2, 2.1), 0.8),
+                (AnnularSector(1.0, 1.6, 2.5, 5.0), -0.5),
+                (AnnularSector(1.7, 2.0, 0.0, TWO_PI), 0.6),
+            )),
+            "off-centre disc": SimpleSymbol(((Disc(1.0 + 0.5j, 0.6), 1.0),)),
+            "gaussian": RadialSymbol.gaussian(),
+            "radial disc": RadialSymbol.disc(0.8, 0.75),
+            "radial annulus": RadialSymbol.annulus(0.4, 1.3, -0.5),
+            "radial table": RadialSymbol.table([0.0, 0.5, 0.9, 1.4, 2.0],
+                                               [0.7, -0.4, 0.9, -0.2, 0.0]),
+            "sampled": SampledSymbol(grid, np.ones((256, 512)), 1.0),
+        }
+
+    def test_sweep(self):
+        rng = np.random.default_rng(41)
+        for name, sym in self._symbols().items():
+            bound = symbol_norm_bound(sym.l1_norm(), sym.linf_norm())
+            for n in self.TRUNCATIONS:
+                if name == "sampled" and n > 256:
+                    with pytest.raises(ValueError,
+                                       match=f"truncation {n} exceeds the radial node count 256"):
+                        assemble(sym, n)
+                    continue
+                mat = assemble(sym, n).data
+                assert operator_norm(mat) <= bound + NORM_SLACK, (name, n)
+                f = random_unit(rng, degree=n - 1)
+                assert abs(rayleigh(sym, f) - float(np.real(np.vdot(f.coeffs, mat @ f.coeffs)))) \
+                    < 1e-12, (name, n)
+                diag = np.diag(mat).real
+                if name == "gaussian":
+                    closed = (math.pi / (math.pi + 1.0)) ** np.arange(1.0, n + 1.0)
+                    assert np.max(np.abs(diag - closed)) < 1e-15
+                elif name == "radial disc":
+                    # the panels of order N + 8 lose accuracy as N grows:
+                    # entry 0 is 6.3e-15 off at N = 240 and 1.5e-14 at 512
+                    closed = 0.75 * gammainc(np.arange(n) + 1.0, math.pi * 0.64)
+                    assert np.max(np.abs(diag - closed)) < 5e-14, n
 
 
 class TestHermitianMatrix:
