@@ -394,9 +394,8 @@ def _parse(argv: list) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    # catch_warnings restores the caller's filters and showwarning on return
+    # catch_warnings restores showwarning on return; the filters stay the caller's
     with warnings.catch_warnings():
-        warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             args = _parse(sys.argv[1:] if argv is None else list(argv))

@@ -34,6 +34,7 @@ from scipy.linalg import eigh_tridiagonal
 from .regions import TWO_PI, AnnularSector, Disc, Region
 
 MAX_RADIAL_ORDER = 256
+MAX_LEGENDRE_ORDER = 1024
 
 __all__ = [
     "RadialRule",
@@ -199,8 +200,8 @@ def _leggauss(order: int):
 
 def gauss_legendre(order: int, a: float, b: float):
     """Gauss-Legendre nodes and weights mapped onto [a, b]."""
-    if not (1 <= order <= 1024):
-        raise ValueError(f"Gauss-Legendre order must be in [1, 1024], got {order}")
+    if not (1 <= order <= MAX_LEGENDRE_ORDER):
+        raise ValueError(f"Gauss-Legendre order must be in [1, {MAX_LEGENDRE_ORDER}], got {order}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("interval endpoints must be finite")
     x, w = _leggauss(order)

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import ProductRule, gauss_legendre
+from .quadrature import MAX_LEGENDRE_ORDER, ProductRule, gauss_legendre
 from .regions import (
     TWO_PI,
     AnnularSector,

@@ -33,7 +33,7 @@ from scipy.special import gammaln
 from .fock import FockFunction
 from .regions import TWO_PI, AnnularSector, Disc, Region
 from .special import gammainc_lower, gammainc_lower_int_prefix, log_factorial
-from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol
+from .symbols import MAX_LEGENDRE_ORDER, RadialSymbol, SampledSymbol, SimpleSymbol
 
 __all__ = [
     "HermitianMatrix",
@@ -45,6 +45,8 @@ __all__ = [
     "jacobi_eigenvalues",
     "rayleigh",
 ]
+
+_PANEL_EXTRA = 8  # the panel order over N for compact radial profiles
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +76,8 @@ class HermitianMatrix:
         return self.data.shape[0]
 
     def to_json_dict(self) -> dict:
-        flat = self.data.reshape(-1)
-        return {
-            "dimension": self.dimension,
-            "entries": [[z.real, z.imag] for z in flat],
-        }
+        entries = [[z.real, z.imag] for z in self.data.reshape(-1)]
+        return {"dimension": self.dimension, "entries": entries}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -307,7 +306,8 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
     (pi/(pi+1))^{n+1} for the gaussian. Compactly supported profiles use
     composite Gauss-Legendre in r split at the profile breakpoints, so jumps
     never sit inside a panel and piecewise-polynomial profiles are integrated
-    at spectral accuracy; their panels of order N + 8 <= 1024 cap N at 1016.
+    at spectral accuracy; their panels of order N + _PANEL_EXTRA, at most
+    MAX_LEGENDRE_ORDER, cap N at the difference of the two.
     """
     if not isinstance(symbol, RadialSymbol):
         raise TypeError("radial_assemble requires a RadialSymbol")
@@ -316,12 +316,13 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
 
     if symbol.kind == "gaussian":
         gamma = (math.pi / (math.pi + 1.0)) ** np.arange(1.0, truncation + 1.0)
-    elif truncation > 1016:
-        raise ValueError(f"truncation {truncation} exceeds 1016, the largest for a compact "
-                         "radial profile (panels of order N + 8 <= 1024)")
+    elif truncation > MAX_LEGENDRE_ORDER - _PANEL_EXTRA:
+        raise ValueError(f"truncation {truncation} exceeds {MAX_LEGENDRE_ORDER - _PANEL_EXTRA}, "
+                         "the largest for a compact radial profile (panels of order "
+                         f"N + {_PANEL_EXTRA} <= {MAX_LEGENDRE_ORDER})")
     else:
         # every breakpoint panel in one product
-        r, w = map(np.concatenate, zip(*symbol.panels(max(64, truncation + 8))))
+        r, w = map(np.concatenate, zip(*symbol.panels(max(64, truncation + _PANEL_EXTRA))))
         gamma = (_radial_moments(math.pi * r * r, 0.0, 2 * np.arange(truncation))
                  @ (w * TWO_PI * r * symbol.profile(r)))
 

@@ -182,6 +182,7 @@ class TestVerifySuites:
         assert csv_lines[0] == "experiment,lhs,rhs,margin,slack,holds"
         assert len(csv_lines) == 9
 
+    @pytest.mark.filterwarnings("default::UserWarning")
     def test_verify_nt_warning_has_no_path(self, run_cli, tmp_path):
         # the coherent state at -0.4+1.1j loses tail mass 1.2e-12 at N = 26
         filters = list(warnings.filters)
@@ -191,6 +192,13 @@ class TestVerifySuites:
         assert res.stderr == ("warning: coherent state at |w0| = 1.17 loses tail mass "
                               "1.204e-12 at truncation 26\n")
         assert warnings.filters == filters
+
+    def test_runtime_warning_still_fails(self, run_cli, disc_symbol, monkeypatch):
+        # main prints warnings but keeps the caller's filters, so the suite's
+        # error::RuntimeWarning gate holds on every in-process CLI run
+        monkeypatch.setattr(cli, "operator_norm", lambda matrix, method: float(np.exp(1000.0)))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run_cli("norm", "--symbol", str(disc_symbol), "--truncation", "4")
 
     def test_verify_nt_deterministic(self, run_cli, tmp_path):
         outs = []
