@@ -80,7 +80,7 @@ def load_symbol(path) -> object:
         spec = data["sampled"]
         rule = ProductRule(
             RadialRule.gauss_laguerre(int(spec["radial_count"])),
-            AngularRule.uniform(int(spec["angular_count"])),
+            AngularRule(int(spec["angular_count"])),
         )
         return SampledSymbol(rule, np.array(spec["values"], dtype=float),
                              float(spec["linf"]))

@@ -135,17 +135,9 @@ class AngularRule:
         if self.count < 1:
             raise ValueError(f"angular node count must be >= 1, got {self.count}")
 
-    @classmethod
-    def uniform(cls, count: int) -> "AngularRule":
-        return cls(count=count)
-
     @property
     def nodes(self) -> np.ndarray:
         return TWO_PI * np.arange(self.count) / self.count
-
-    @property
-    def weight(self) -> float:
-        return TWO_PI / self.count
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +170,7 @@ class ProductRule:
 @functools.cache
 def default_plane_rule() -> ProductRule:
     """The shared K=80 x M=128 rule (built once)."""
-    return ProductRule(RadialRule.gauss_laguerre(80), AngularRule.uniform(128))
+    return ProductRule(RadialRule.gauss_laguerre(80), AngularRule(128))
 
 
 def integrate_plane(g: Callable, rule: ProductRule | None = None) -> float | complex:

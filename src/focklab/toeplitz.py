@@ -9,8 +9,9 @@ grid), and full annuli and centered discs sum into one diagonal. An
 off-center disc D(c, r) is the Weyl translate W_c T_{1_D(0, r)} W_c^* of the
 diagonal centered disc. region_compression() is the same pass for one
 region. radial_assemble() gives radial symbols' diagonal compressions, the
-gaussian's in closed form; its panels for compact profiles and sampled
-grids share one radial moment routine (_radial_moments).
+gaussian's in closed form and compact profiles' on RadialSymbol.panels(), a
+fixed rule for every N; those panels and sampled grids share one radial
+moment routine (_radial_moments).
 rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() takes the largest eigenvalue modulus from LAPACK
@@ -33,7 +34,7 @@ from scipy.special import gammaln
 from .fock import FockFunction
 from .regions import TWO_PI, AnnularSector, Disc, Region
 from .special import gammainc_lower, gammainc_lower_int_prefix, log_factorial
-from .symbols import MAX_LEGENDRE_ORDER, RadialSymbol, SampledSymbol, SimpleSymbol
+from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol
 
 __all__ = [
     "HermitianMatrix",
@@ -46,14 +47,13 @@ __all__ = [
     "rayleigh",
 ]
 
-_PANEL_EXTRA = 8  # the panel order over N for compact radial profiles
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """A square complex matrix with JSON/CSV serialization, Hermitian by
-    construction: finite entries with |A - A^H| <= 1e-10 entrywise are stored,
-    read-only, as (A + A^H) / 2; anything else raises ValueError."""
+    construction: finite entries with max |A - A^H| <= 1e-10 max |A_ij|, a
+    test relative to the largest entry so that it holds at every scale, are
+    stored, read-only, as (A + A^H) / 2; anything else raises ValueError."""
 
     data: np.ndarray
 
@@ -65,8 +65,10 @@ class HermitianMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         defect = float(np.max(np.abs(a - a.conj().T)))
-        if defect > 1e-10:
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+        largest = float(np.max(np.abs(a)))
+        if defect > 1e-10 * largest:
+            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} exceeds "
+                             f"1e-10 times the largest entry {largest:.3e})")
         h = 0.5 * (a + a.conj().T)
         h.setflags(write=False)
         object.__setattr__(self, "data", h)
@@ -303,11 +305,11 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
     """Diagonal compression of a radial symbol.
 
     gamma_n = (1/n!) int_0^inf phi(sqrt(t/pi)) t^n e^{-t} dt, which is
-    (pi/(pi+1))^{n+1} for the gaussian. Compactly supported profiles use
-    composite Gauss-Legendre in r split at the profile breakpoints, so jumps
-    never sit inside a panel and piecewise-polynomial profiles are integrated
-    at spectral accuracy; their panels of order N + _PANEL_EXTRA, at most
-    MAX_LEGENDRE_ORDER, cap N at the difference of the two.
+    (pi/(pi+1))^{n+1} for the gaussian. Compactly supported profiles use the
+    Gauss-Legendre panels in r of RadialSymbol.panels(), split at the profile
+    breakpoints, so jumps never sit inside a panel and piecewise-polynomial
+    profiles are integrated at spectral accuracy. The panels are the same for
+    every N, so no gamma_n depends on N and N has no cap.
     """
     if not isinstance(symbol, RadialSymbol):
         raise TypeError("radial_assemble requires a RadialSymbol")
@@ -316,13 +318,9 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
 
     if symbol.kind == "gaussian":
         gamma = (math.pi / (math.pi + 1.0)) ** np.arange(1.0, truncation + 1.0)
-    elif truncation > MAX_LEGENDRE_ORDER - _PANEL_EXTRA:
-        raise ValueError(f"truncation {truncation} exceeds {MAX_LEGENDRE_ORDER - _PANEL_EXTRA}, "
-                         "the largest for a compact radial profile (panels of order "
-                         f"N + {_PANEL_EXTRA} <= {MAX_LEGENDRE_ORDER})")
     else:
         # every breakpoint panel in one product
-        r, w = map(np.concatenate, zip(*symbol.panels(max(64, truncation + _PANEL_EXTRA))))
+        r, w = map(np.concatenate, zip(*symbol.panels()))
         gamma = (_radial_moments(math.pi * r * r, 0.0, 2 * np.arange(truncation))
                  @ (w * TWO_PI * r * symbol.profile(r)))
 

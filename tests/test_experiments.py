@@ -219,7 +219,7 @@ class TestVerifyNormBound:
         assert abs(rep.lhs - rep.rhs) < 1e-10
 
     def test_sampled_symbol(self):
-        rule = ProductRule(RadialRule.gauss_laguerre(50), AngularRule.uniform(80))
+        rule = ProductRule(RadialRule.gauss_laguerre(50), AngularRule(80))
         z = rule.grid()
         values = np.exp(-np.abs(z) ** 2) * (1.0 + 0.4 * np.cos(np.angle(z)))
         sym = SampledSymbol(rule, values, float(np.max(np.abs(values))))

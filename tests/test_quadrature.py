@@ -74,19 +74,19 @@ class TestRadialRule:
 
 class TestAngularRule:
     def test_uniform_nodes(self):
-        rule = AngularRule.uniform(8)
+        rule = AngularRule(8)
         assert np.allclose(rule.nodes, TWO_PI * np.arange(8) / 8.0, atol=0.0)
 
     def test_kills_low_harmonics(self):
         # sum_i e^{ik theta_i} = 0 for 0 < |k| < M
-        rule = AngularRule.uniform(16)
+        rule = AngularRule(16)
         for k in (1, 5, 15):
             total = np.sum(np.exp(1j * k * rule.nodes))
             assert abs(total) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AngularRule.uniform(0)
+            AngularRule(0)
 
 
 class TestPlaneIntegration:

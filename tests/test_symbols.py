@@ -1,4 +1,5 @@
 """Symbol containers and polar-grid discretization."""
+import dataclasses
 import math
 
 import numpy as np
@@ -187,7 +188,7 @@ class TestRadialSymbol:
 
 def _smooth_sampled(radial_count=40, angular_count=64):
     rule = ProductRule(
-        RadialRule.gauss_laguerre(radial_count), AngularRule.uniform(angular_count)
+        RadialRule.gauss_laguerre(radial_count), AngularRule(angular_count)
     )
     z = rule.grid()
     values = np.exp(-np.abs(z) ** 2) * (1.0 + 0.3 * np.cos(np.angle(z)))
@@ -196,12 +197,12 @@ def _smooth_sampled(radial_count=40, angular_count=64):
 
 class TestSampledSymbol:
     def test_shape_validation(self):
-        rule = ProductRule(RadialRule.gauss_laguerre(5), AngularRule.uniform(8))
+        rule = ProductRule(RadialRule.gauss_laguerre(5), AngularRule(8))
         with pytest.raises(ValueError, match="shape"):
             SampledSymbol(rule, np.zeros((5, 7)), 1.0)
 
     def test_bound_validation(self):
-        rule = ProductRule(RadialRule.gauss_laguerre(5), AngularRule.uniform(8))
+        rule = ProductRule(RadialRule.gauss_laguerre(5), AngularRule(8))
         with pytest.raises(ValueError, match="sup bound"):
             SampledSymbol(rule, np.full((5, 8), 2.0), 1.0)
         with pytest.raises(ValueError, match="finite"):
@@ -209,7 +210,7 @@ class TestSampledSymbol:
 
     def test_l1_oracle(self):
         # phi = e^{-t} on its own grid: l1 = sum of the bare Laguerre weights = 1
-        rule = ProductRule(RadialRule.gauss_laguerre(30), AngularRule.uniform(16))
+        rule = ProductRule(RadialRule.gauss_laguerre(30), AngularRule(16))
         values = np.tile(np.exp(-rule.radial.nodes)[:, None], (1, 16))
         sym = SampledSymbol(rule, values, 1.0)
         assert abs(sym.l1_norm() - 1.0) < 1e-13
@@ -346,8 +347,10 @@ class TestDiscretize:
         assert est <= 1.35 * ref + 1e-9
 
     def test_gaussian_tail_guard(self):
-        with pytest.raises(ValueError, match="tail"):
-            discretize(RadialSymbol.gaussian(), 8, tail_tol=1e-12)
+        # a support of 2 leaves the tail pi e^{-4} = 0.0575 beyond it
+        cut = dataclasses.replace(RadialSymbol.gaussian(), support_radius=2.0)
+        with pytest.raises(ValueError, match="tail mass 5.754e-02 .* exceeds the limit 1e-06"):
+            discretize(cut, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -150,7 +150,7 @@ class TestAssembleSimple:
 
 def _sampled(fn, radial_count=40, angular_count=64):
     rule = ProductRule(
-        RadialRule.gauss_laguerre(radial_count), AngularRule.uniform(angular_count)
+        RadialRule.gauss_laguerre(radial_count), AngularRule(angular_count)
     )
     values = fn(rule.grid())
     return SampledSymbol(rule, values, float(np.max(np.abs(values))))
@@ -290,11 +290,34 @@ class TestRadialAssemble:
             assert np.max(np.abs(gamma[:240] - oracle)) < 1e-14
 
     def test_compact_truncation_limit(self):
-        # panels of order N + 8 <= 1024, gauss_legendre's cap
-        gamma = np.diag(radial_assemble(RadialSymbol.disc(0.8), 1016).data).real
-        assert np.max(np.abs(gamma - gammainc(np.arange(1016) + 1.0, math.pi * 0.64))) < 1e-14
-        with pytest.raises(ValueError, match="truncation 1017 exceeds 1016"):
-            radial_assemble(RadialSymbol.disc(0.8), 1017)
+        # the panels do not depend on N, so N = 1017 (past the old cap of
+        # 1016) and 2000 work to the same accuracy as small N
+        for truncation in (1017, 2000):
+            gamma = np.diag(radial_assemble(RadialSymbol.disc(0.8), truncation).data).real
+            closed = gammainc(np.arange(truncation) + 1.0, math.pi * 0.64)
+            assert np.max(np.abs(gamma - closed)) < 1e-15, truncation
+
+    @pytest.mark.parametrize("symbol", [
+        RadialSymbol.disc(0.8, 0.75),
+        RadialSymbol.annulus(0.4, 1.3, -0.5),
+        RadialSymbol.table([0.0, 0.5, 0.9, 1.4, 2.0], [0.7, -0.4, 0.9, -0.2, 0.0]),
+    ], ids=["disc", "annulus", "table"])
+    def test_compact_diagonal_independent_of_truncation(self, symbol):
+        # the same panels at every N; the entries are not bit-equal across N
+        # only because the moment product is blocked differently
+        reference = np.diag(radial_assemble(symbol, 2000).data).real
+        for truncation in (1, 57, 240, 1017):
+            gamma = np.diag(radial_assemble(symbol, truncation).data).real
+            assert np.max(np.abs(gamma - reference[:truncation])) < 1e-15, truncation
+
+    def test_wide_disc(self):
+        # radius 16 > 5: four panels 4 wide, each resolving the bump
+        # r^{2n+1} e^{-pi r^2}; one order-64 panel over [0, 16] put the norm
+        # at 1.00000041, a false violation of the bound 1
+        disc = RadialSymbol.disc(16.0)
+        gamma = np.diag(radial_assemble(disc, 40).data).real
+        assert np.max(np.abs(gamma - gammainc(np.arange(40) + 1.0, 256.0 * math.pi))) < 1e-12
+        assert verify_norm_bound(disc, 40).holds
 
     def test_validation(self):
         with pytest.raises(TypeError):
@@ -711,7 +734,7 @@ class TestTruncationSweep:
 
     @staticmethod
     def _symbols():
-        grid = ProductRule(RadialRule.gauss_laguerre(256), AngularRule.uniform(512))
+        grid = ProductRule(RadialRule.gauss_laguerre(256), AngularRule(512))
         return {
             "sectors": SimpleSymbol((
                 (AnnularSector(0.3, 1.0, 0.2, 2.1), 0.8),
@@ -747,10 +770,8 @@ class TestTruncationSweep:
                     closed = (math.pi / (math.pi + 1.0)) ** np.arange(1.0, n + 1.0)
                     assert np.max(np.abs(diag - closed)) < 1e-15
                 elif name == "radial disc":
-                    # the panels of order N + 8 lose accuracy as N grows:
-                    # entry 0 is 6.3e-15 off at N = 240 and 1.5e-14 at 512
                     closed = 0.75 * gammainc(np.arange(n) + 1.0, math.pi * 0.64)
-                    assert np.max(np.abs(diag - closed)) < 5e-14, n
+                    assert np.max(np.abs(diag - closed)) < 1e-15, n
 
 
 class TestHermitianMatrix:
@@ -788,7 +809,24 @@ class TestHermitianMatrix:
         assert np.array_equal(mat.data, 0.5 * (a + a.conj().T))
         assert not mat.data.flags.writeable
         with pytest.raises(ValueError, match="Hermitian"):
-            HermitianMatrix(np.array([[1.0, 0.5 + 2e-10j], [0.5, 2.0]]))
+            HermitianMatrix(np.array([[1.0, 0.5 + 3e-10j], [0.5, 2.0]]))
+
+    def test_hermitian_test_is_relative(self):
+        # 1e-10 of the largest entry, so the test holds at every scale: a
+        # defect of 1e-200 is rejected on a matrix whose largest entry is
+        # 1e-200, and a 1e200 matrix Hermitian to rounding is accepted
+        with pytest.raises(ValueError, match="1e-10 times the largest entry 1.000e-200"):
+            HermitianMatrix(np.array([[0.0, 1e-200], [0.0, 0.0]]))
+        big = HermitianMatrix(np.array([[1e200, 1e200], [1e200 * (1.0 + 4e-16), 1e200]]))
+        assert np.array_equal(big.data, big.data.conj().T)
+
+    def test_scaled_symbol_assembles(self):
+        # an off-centre disc with coefficient 1e7 has a rounding defect of
+        # 5.6e-10, above 1e-10 but far below 1e-10 of its largest entry
+        disc = Disc(0.5 + 0.3j, 0.9)
+        scaled = operator_norm(assemble(SimpleSymbol(((disc, 1e7),)), 60))
+        unit = operator_norm(assemble(SimpleSymbol(((disc, 1.0),)), 60))
+        assert abs(scaled / 1e7 - unit) < 1e-12
 
     def test_from_json_dict_rejects_non_hermitian(self):
         entries = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
