@@ -117,9 +117,11 @@ def disjoint(regions) -> bool:
     so memory stays linear in the number of regions. Disc against sector is
     decided through the disc's polar bounding box, so the test is
     conservative: geometrically disjoint pairs may come back False, but True
-    is always safe.
+    is always safe. Fewer than two regions are disjoint without the sweep.
     """
     regions = list(regions)
+    if len(regions) < 2:
+        return True
     bands = np.array([_radial_band(r) for r in regions]).reshape(-1, 2)
     order = np.argsort(bands[:, 0], kind="stable")
     regions = [regions[k] for k in order]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from focklab import regions
 from focklab.regions import (
     TWO_PI,
     AnnularSector,
@@ -160,9 +161,15 @@ class TestDisjoint:
         sector = AnnularSector(0.2, 0.8, 1.0, 2.0)
         assert not disjoint([disc, sector])
 
-    def test_empty_and_single(self):
+    def test_empty_and_single(self, monkeypatch):
+        # decided before the sweep builds its arrays
+        def no_sweep(region):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(regions, "_radial_band", no_sweep)
         assert disjoint([])
         assert disjoint([Disc(0.0, 1.0)])
+        assert disjoint(iter([AnnularSector(1.0, 2.0, 0.0, 1.0)]))
 
 
 class TestVectorizedPath:

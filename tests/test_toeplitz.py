@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import dblquad, quad
 from scipy.special import gammainc, gammaln
 
@@ -492,6 +493,20 @@ def _random_hermitian(rng, n):
     return 0.5 * (g + g.conj().T)
 
 
+def _rotated_sizes(monkeypatch):
+    """The sizes of the (padded) lead blocks Jacobi rotates, one entry per
+    round, collected from toeplitz._pair_rotations."""
+    sizes = []
+    rotations = toeplitz._pair_rotations
+
+    def spy(a, negligible):
+        sizes.append(a.shape[0])
+        return rotations(a, negligible)
+
+    monkeypatch.setattr(toeplitz, "_pair_rotations", spy)
+    return sizes
+
+
 class TestSpectra:
     def test_operator_norm_diagonal(self):
         mat = HermitianMatrix(np.diag([1.0, -4.0, 2.5]).astype(complex))
@@ -555,18 +570,92 @@ class TestSpectra:
             assert np.max(np.abs(got - expect)) < 1e-11 * scale
 
     def test_jacobi_every_eigenvalue(self):
-        # acceptance criterion 7's first 12 sections, the same nudged by one
-        # ulp, and pivots of 1e-290 across a gap of 1e10 (tau = 5e299), alone
-        # and inside a matrix that needs sweeps
+        # all 50 sections of acceptance criterion 7 and the first 12 nudged
+        # by one ulp, entry for entry; then pivots of 1e-290 across a gap of
+        # 1e10 (tau = 5e299), alone and inside a matrix that needs sweeps
         rng = np.random.default_rng(2027)
-        cases = [assemble(random_symbol(rng), 60).data for _ in range(12)]
-        cases += [np.nextafter(a.real, np.inf) + 1j * a.imag for a in cases]
-        cases.append(np.array([[0.0, 1e-290], [1e-290, 1e10]]))
-        cases.append(np.array([[0.0, 1e-290, 1.0], [1e-290, 1e10, 0.0], [1.0, 0.0, 1.0]]))
-        for a in cases:
+        sections = [assemble(random_symbol(rng), 60).data for _ in range(50)]
+        sections += [np.nextafter(a.real, np.inf) + 1j * a.imag for a in sections[:12]]
+        for a in sections:
+            assert np.max(np.abs(jacobi_eigenvalues(a) - np.linalg.eigvalsh(a))) <= 1e-14
+        for a in (np.array([[0.0, 1e-290], [1e-290, 1e10]]),
+                  np.array([[0.0, 1e-290, 1.0], [1e-290, 1e10, 0.0], [1.0, 0.0, 1.0]])):
             expect = np.linalg.eigvalsh(a)
             scale = max(1.0, float(np.max(np.abs(expect))))
             assert np.max(np.abs(jacobi_eigenvalues(a) - expect)) <= 1e-12 * scale
+
+    def test_tridiagonal_form(self):
+        # the Householder stage: real couplings e >= 0, and the tridiagonal
+        # matrix they form has A's eigenvalues
+        for a in (assemble(random_symbol(np.random.default_rng(2027)), 60).data,
+                  _random_hermitian(np.random.default_rng(29), 61)):
+            d, e = toeplitz._tridiagonal(a)
+            assert d.dtype == e.dtype == np.float64 and np.all(e >= 0.0)
+            t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            gap = np.abs(np.linalg.eigvalsh(t) - np.linalg.eigvalsh(a))
+            assert np.max(gap) <= 1e-14 * np.linalg.norm(a)
+
+    def test_jacobi_deep_split(self, monkeypatch):
+        # V diag(lambda) V^H, lambda from 1 down to 1e-40: the tridiagonal
+        # couplings fall below the split budget early, Jacobi rotates a small
+        # lead block, and the tail's diagonal entries are its eigenvalues
+        rng = np.random.default_rng(5)
+        v, _ = np.linalg.qr(rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60)))
+        lam = np.logspace(0.0, -40.0, 60)
+        sizes = _rotated_sizes(monkeypatch)
+        got = jacobi_eigenvalues((v * lam) @ v.conj().T)
+        assert 0 < max(sizes) <= 30
+        assert np.max(np.abs(got - lam[::-1])) <= 1e-14
+
+    def test_jacobi_dense_no_split(self, monkeypatch):
+        # a random dense matrix at odd N = 61: no coupling is small, so the
+        # whole matrix is the lead block, padded to 62
+        a = _random_hermitian(np.random.default_rng(29), 61)
+        sizes = _rotated_sizes(monkeypatch)
+        got = jacobi_eigenvalues(a)
+        assert set(sizes) == {62}
+        assert np.max(np.abs(got - np.linalg.eigvalsh(a))) <= 1e-13 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("a, rotated", [
+        ([[2.5]], set()),                              # lead 1, padded to 2
+        ([[0.0, 1e-290], [1e-290, 1e10]], set()),      # coupling split off: lead 1
+        ([[1.0, 1j], [-1j, 3.0]], {2}),
+        ([[0.0, 0.0], [0.0, -2.0]], set()),          # zero coupling: lead 1
+        ([[1.0, 2.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.5, 0.0]], {4}),
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], {4}),  # eigenvalue 0 kept
+    ])
+    def test_jacobi_padding(self, monkeypatch, a, rotated):
+        # an odd lead block gets a zero row and column, whose eigenvalue 0 is
+        # dropped: N values come back, the matrix's own zeros included
+        a = np.array(a, dtype=complex)
+        sizes = _rotated_sizes(monkeypatch)
+        got = jacobi_eigenvalues(a)
+        assert set(sizes) == rotated
+        expect = np.linalg.eigvalsh(a)
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-14 * max(1.0, float(np.max(np.abs(expect))))
+
+    def test_jacobi_without_lapack(self, monkeypatch):
+        # every LAPACK eigensolver or factorization numpy and scipy offer for
+        # this, made to raise: the Jacobi path still solves a criterion-7
+        # section and a random matrix of odd size
+        section = assemble(random_symbol(np.random.default_rng(2027)), 60)
+        dense = _random_hermitian(np.random.default_rng(31), 61)
+        cases = [(section, np.linalg.eigvalsh(section.data), 1e-14),
+                 (dense, np.linalg.eigvalsh(dense), 1e-13 * np.linalg.norm(dense))]
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK was called")
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        for name in ("eigh", "eigh_tridiagonal", "eigvalsh_tridiagonal"):
+            monkeypatch.setattr(scipy.linalg, name, lapack)
+        monkeypatch.setattr(toeplitz, "eigh_tridiagonal", lapack)
+        for a, expect, tol in cases:
+            got = jacobi_eigenvalues(a)
+            assert np.max(np.abs(got - expect)) <= tol
+            assert operator_norm(a, method="jacobi") == float(np.max(np.abs(got)))
 
     @pytest.mark.parametrize("a", [
         [[0.0, 1e200], [1e200, 0.0]],     # ||A||_F overflows
