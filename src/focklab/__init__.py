@@ -30,7 +30,7 @@ from .fock import (
     weighted_basis_eval,
 )
 from .regions import AnnularSector, Disc, Region, area, disjoint
-from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol, discretize
+from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol, discretize
 from .quadrature import (
     AngularRule,
     ProductRule,
@@ -72,6 +72,7 @@ __all__ = [
     "Disc",
     "FockFunction",
     "HermitianMatrix",
+    "PolarGrid",
     "ProductRule",
     "RadialRule",
     "RadialSymbol",

@@ -235,7 +235,7 @@ def approximation_experiment(symbol, grids, truncation: int) -> list:
                 "approx-stage-bound", norm_m, stage_bound, NORM_SLACK,
                 metadata={
                     "grid": m,
-                    "cells": len(approx.pieces),
+                    "cells": approx.values.size,
                     "l1": l1_m,
                     "linf": linf_m,
                     "l1_error_estimate": err,

@@ -1,9 +1,11 @@
 """Bounded symbols described by structured data.
 
-Three classes cover the lab's needs:
+Four classes cover the lab's needs:
 
 - SimpleSymbol: a finite combination sum_k c_k 1_{Omega_k} with real
   coefficients and pairwise disjoint regions (checked at construction).
+- PolarGrid: a piecewise-constant symbol on the cells of a polar grid,
+  stored as its edge and value arrays; what discretize() returns.
 - RadialSymbol: phi(z) = profile(|z|) with a declared sup bound and an
   explicit integrability witness: compactly supported profiles carry their
   support radius, the gaussian carries an effective support plus an analytic
@@ -26,6 +28,7 @@ import numpy as np
 
 from .quadrature import ProductRule, gauss_legendre
 from .regions import (
+    _TOL,
     TWO_PI,
     AnnularSector,
     Disc,
@@ -49,6 +52,7 @@ _TAIL_TOL = 1e-6
 
 __all__ = [
     "SimpleSymbol",
+    "PolarGrid",
     "RadialSymbol",
     "SampledSymbol",
     "discretize",
@@ -102,6 +106,62 @@ class SimpleSymbol:
     @classmethod
     def from_json(cls, text: str) -> "SimpleSymbol":
         return cls.from_json_dict(json.loads(text))
+
+
+@dataclass(frozen=True, eq=False)
+class PolarGrid:
+    """values[j, i] on the cell radii[j] <= |z| <= radii[j+1], theta_edges[i]
+    <= arg z <= theta_edges[i+1], zero off the grid.
+
+    Strictly increasing edges over an angular span of at most 2pi make the
+    cells pairwise disjoint, so the checks are O(J + I) array tests and no
+    regions.disjoint call. The arrays are stored read-only as float64.
+    """
+
+    radii: np.ndarray
+    theta_edges: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        radii = np.array(self.radii, dtype=float)
+        theta = np.array(self.theta_edges, dtype=float)
+        values = np.array(self.values, dtype=float)
+        for name, edges in (("radii", radii), ("angles", theta)):
+            if edges.ndim != 1 or edges.size < 2:
+                raise ValueError(f"grid {name} must be a 1-d array of at least 2 edges")
+            if not np.all(np.isfinite(edges)):
+                raise ValueError(f"grid {name} must be finite")
+            if not np.all(np.diff(edges) > 0.0):
+                raise ValueError(f"grid {name} must be strictly increasing")
+        if radii[0] < 0.0:
+            raise ValueError(f"grid radii must be >= 0, got {radii[0]}")
+        span = theta[-1] - theta[0]
+        if span > TWO_PI + _TOL:
+            raise ValueError(f"grid angular span must be at most 2pi, got {span}")
+        shape = (radii.size - 1, theta.size - 1)
+        if values.shape != shape:
+            raise ValueError(f"grid values must have shape {shape} (radial x angular "
+                             f"cells), got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must be finite")
+        for name, arr in (("radii", radii), ("theta_edges", theta), ("values", values)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def full_span(self) -> bool:
+        """Whether the angular edges cover every angle, as for AnnularSector."""
+        return self.theta_edges[-1] - self.theta_edges[0] >= TWO_PI - _TOL
+
+    def l1_norm(self) -> float:
+        """sum |values[j, i]| times the cell's area, accumulated cell by cell
+        in row order, as SimpleSymbol.l1_norm sums the same cells as pieces."""
+        spans = np.minimum(np.diff(self.theta_edges), TWO_PI)
+        areas = 0.5 * np.outer(np.diff(self.radii**2), spans)
+        return float(np.cumsum(np.abs(self.values) * areas)[-1])
+
+    def linf_norm(self) -> float:
+        return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,25 +434,11 @@ def _segments_abs_integral(phi: Callable, c: np.ndarray, lo: np.ndarray, hi: np.
     return TWO_PI * total
 
 
-def _polar_cells(radii: np.ndarray, theta_edges: np.ndarray, values: np.ndarray) -> SimpleSymbol:
-    """One AnnularSector piece per cell (j, i) of the polar grid with these
-    radial and angular edges, radial index outer, with coefficient values[j, i].
-    Edges go in as Python floats: np.float64 fields slow every later use of
-    the cells (validation, l1_norm, assemble's per-piece bookkeeping)."""
-    radii, theta_edges = radii.tolist(), theta_edges.tolist()
-    return SimpleSymbol(tuple(
-        (AnnularSector(radii[j], radii[j + 1], theta_edges[i], theta_edges[i + 1]),
-         float(values[j, i]))
-        for j in range(len(radii) - 1) for i in range(len(theta_edges) - 1)
-    ))
-
-
 def discretize(symbol, radial_cells: int, angular_cells: int = 1):
-    """Approximate a radial or sampled symbol by a SimpleSymbol on a polar
-    grid (uniform in t = pi r^2 and theta), one piece per cell with the
-    cell-center value as coefficient.
+    """Approximate a radial or sampled symbol by a PolarGrid (uniform in
+    t = pi r^2 and theta) carrying the cell-center values.
 
-    Returns (simple_symbol, l1_error_estimate) where the estimate is the
+    Returns (grid, l1_error_estimate) where the estimate is the
     quadrature of |phi - phi_d| dA plus the tail mass beyond the grid. For
     radial symbols the estimate splits every cell at profile breakpoints and
     sign changes, so it is accurate to quadrature precision; for sampled
@@ -416,8 +462,8 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
 
         radii = np.sqrt(edges / math.pi)
         theta_edges = np.linspace(0.0, TWO_PI, angular_cells + 1)
-        approx = _polar_cells(radii, theta_edges,
-                              np.broadcast_to(cvals[:, None], (radial_cells, angular_cells)))
+        approx = PolarGrid(radii, theta_edges,
+                           np.broadcast_to(cvals[:, None], (radial_cells, angular_cells)))
 
         # Error estimate: split cells at breakpoints so each integration
         # segment sees a smooth monotone profile piece.
@@ -442,7 +488,7 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
         theta_centers = 0.5 * (theta_edges[:-1] + theta_edges[1:])
         cvals = symbol.value_at(t_centers[:, None], theta_centers[None, :])
 
-        approx = _polar_cells(np.sqrt(t_edges / math.pi), theta_edges, cvals)
+        approx = PolarGrid(np.sqrt(t_edges / math.pi), theta_edges, cvals)
 
         # Midpoint subsampling (16 x 8 per cell) of |phi - c|, inflated 10%
         # so the estimate stays above any finer reference measurement.

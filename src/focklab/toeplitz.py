@@ -1,13 +1,15 @@
 """Toeplitz-operator compressions and their spectra.
 
 assemble() produces the truncated matrix M[m, n] = int phi e_n conj(e_m) dlambda
-for the first N basis elements, for every symbol type. The origin-centered
-pieces of a symbol are compressed in one pass: partial annular sectors sum
-into one moment table D[l = m+n, k = n-m], which one gather turns into M
-(_gather_moments, shared with sampled symbols, which build D from their
-grid), and full annuli and centered discs sum into one diagonal. An
-off-center disc D(c, r) is the Weyl translate W_c T_{1_D(0, r)} W_c^* of the
-diagonal centered disc. region_compression() is the same pass for one
+for the first N basis elements, for every symbol type. Everything constant
+on origin-centered sectors goes through one pass, _polar_compression, fed
+per radius: partial annular sectors sum into one moment table
+D[l = m+n, k = n-m], which one gather turns into M (_gather_moments, shared
+with sampled symbols, which build D from their grid), and full annuli and
+centered discs sum into one diagonal. A SimpleSymbol's pieces are sorted
+into that per-radius form one by one; a PolarGrid is fed from its arrays.
+An off-center disc D(c, r) is the Weyl translate W_c T_{1_D(0, r)} W_c^* of
+the diagonal centered disc. region_compression() is the same pass for one
 region. radial_assemble() gives radial symbols' diagonal compressions, the
 gaussian's in closed form and compact profiles' on RadialSymbol.panels(), a
 fixed rule for every N; those panels and sampled grids share one radial
@@ -37,7 +39,7 @@ from scipy.special import gammaln
 from .fock import FockFunction
 from .regions import TWO_PI, AnnularSector, Disc, Region
 from .special import gammainc_lower, gammainc_lower_int_prefix, log_factorial
-from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol
+from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol
 
 __all__ = [
     "HermitianMatrix",
@@ -151,21 +153,46 @@ def _radius_index(edges):
     return list(index), at
 
 
-def _centred_compression(pieces, truncation: int) -> np.ndarray:
-    """sum_p c_p G_p over (region, c_p) pieces whose regions are annular
-    sectors or origin-centered discs, in one pass.
+def _arc_moments(t1, t2, truncation: int) -> np.ndarray:
+    """A(k) = int_t1^t2 e^{ik theta} dtheta for k = 0 .. truncation-1, one
+    row per arc (t1, t2 are column arrays)."""
+    ks = np.arange(truncation)
+    safe_k = np.where(ks == 0, 1, ks)
+    return np.where(ks == 0, t2 - t1,
+                    (np.exp(1j * ks * t2) - np.exp(1j * ks * t1)) / (1j * safe_k))
+
+
+def _polar_compression(truncation: int, sector_x, sector_rows, ring_x, ring_w) -> np.ndarray:
+    """The compression of a symbol that is constant on annular sectors
+    centered at the origin, given per radius x = pi r^2.
 
     With x = pi r^2, entry (m, n) of a sector's compression factors into the
     angular integral A(k) of e^{ik theta} over its arc, k = n - m, and the
     radial increment P(l/2 + 1, x_out) - P(l/2 + 1, x_in), l = m + n:
         G[m, n] = Gamma(l/2 + 1) / sqrt(m! n!) * A(k) / (2pi) * increment.
-    A full span kills every k != 0, so annuli and centered discs sum into one
-    diagonal of integer-shape increments. Partial sectors sum into one moment
-    table D[l, k] = sum_p c_p increment_p(l) A_p(k) / (2pi) for
-    _gather_moments. Both sums are taken per distinct radius, each piece
-    adding its weight at its outer radius and subtracting it at its inner
-    one, so each incomplete gamma is evaluated once per radius.
+    So every piece adds its c A(k) / (2pi) at its outer radius and subtracts
+    it at its inner one: sector_rows[j] is that sum at sector_x[j], the
+    moment table of _gather_moments once multiplied by P(l/2 + 1, x_j). A
+    full span kills every k != 0, so full rings only need their weights
+    ring_w[j] = sum of +-c at ring_x[j], which add ring_w @ P(n + 1, x) to
+    the diagonal. Each incomplete gamma is evaluated once per radius.
     """
+    n = truncation
+    if len(sector_x):
+        radial = gammainc_lower(np.arange(1.0, n + 0.5, 0.5)[:, None], sector_x)
+        total = _gather_moments(radial, sector_rows, n)
+    else:
+        total = np.zeros((n, n), dtype=np.complex128)
+    if len(ring_x):
+        total.reshape(-1)[::n + 1] += ring_w @ gammainc_lower_int_prefix(n, ring_x)
+    return total
+
+
+def _centred_compression(pieces, truncation: int) -> np.ndarray:
+    """sum_p c_p G_p over (region, c_p) pieces whose regions are annular
+    sectors or origin-centered discs, by _polar_compression: annuli and
+    centered discs are rings, the other sectors sum their arc moments per
+    distinct radius."""
     n = truncation
     rings, part = [], []
     for region, c in pieces:
@@ -176,27 +203,35 @@ def _centred_compression(pieces, truncation: int) -> np.ndarray:
         else:
             part.append((region, c))
 
+    sector_x, sector_rows = [], None
     if part:
         t1, t2, coeffs = np.array([(s.theta_start, s.theta_end, c) for s, c in part]).T[:, :, None]
-        ks = np.arange(n)
-        safe_k = np.where(ks == 0, 1, ks)
-        angular = np.where(ks == 0, t2 - t1,
-                           (np.exp(1j * ks * t2) - np.exp(1j * ks * t1)) / (1j * safe_k))
-        angular *= coeffs / TWO_PI
-        xs, at = _radius_index([(s.r_inner, s.r_outer) for s, _ in part])
-        by_radius = np.zeros((len(xs), n), dtype=np.complex128)
-        np.add.at(by_radius, at, np.concatenate([angular, -angular]))
-        radial = gammainc_lower(np.arange(1.0, n + 0.5, 0.5)[:, None], xs)
-        total = _gather_moments(radial, by_radius, n)
-    else:
-        total = np.zeros((n, n), dtype=np.complex128)
+        angular = _arc_moments(t1, t2, n) * (coeffs / TWO_PI)
+        sector_x, at = _radius_index([(s.r_inner, s.r_outer) for s, _ in part])
+        sector_rows = np.zeros((len(sector_x), n), dtype=np.complex128)
+        np.add.at(sector_rows, at, np.concatenate([angular, -angular]))
 
+    ring_x, ring_w = [], None
     if rings:
-        xs, at = _radius_index([ring[:2] for ring in rings])
+        ring_x, at = _radius_index([ring[:2] for ring in rings])
         coeffs = [ring[2] for ring in rings]
-        by_radius = np.bincount(at, coeffs + [-c for c in coeffs], len(xs))
-        total.reshape(-1)[::n + 1] += by_radius @ gammainc_lower_int_prefix(n, xs)
-    return total
+        ring_w = np.bincount(at, coeffs + [-c for c in coeffs], len(ring_x))
+    return _polar_compression(n, sector_x, sector_rows, ring_x, ring_w)
+
+
+def _grid_compression(grid: PolarGrid, truncation: int) -> np.ndarray:
+    """The compression of a PolarGrid by _polar_compression. Radius j is the
+    outer edge of cell j-1 and the inner edge of cell j, so its weights are
+    values[j-1] - values[j], with zero rows beyond both ends. A one-column
+    full-span grid is rings; any other grid is sectors, whose rows at radius
+    j are its weights times the angular cells' arc moments over 2pi."""
+    x = math.pi * grid.radii**2
+    w = -np.diff(np.pad(grid.values, ((1, 1), (0, 0))), axis=0)
+    if grid.full_span and w.shape[1] == 1:
+        return _polar_compression(truncation, (), None, x, w[:, 0])
+    theta = grid.theta_edges[:, None]
+    arcs = _arc_moments(theta[:-1], theta[1:], truncation)
+    return _polar_compression(truncation, x, w @ arcs / TWO_PI, (), None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -241,18 +276,25 @@ def _displaced_disc(region: Disc, truncation: int) -> np.ndarray:
 def region_compression(region: Region, truncation: int) -> np.ndarray:
     """G[m, n] = int_region e_n conj(e_m) dlambda for m, n < truncation.
 
-    Closed form for every region: sectors and origin-centered discs by the
-    sector formula of _centred_compression, off-center discs by Weyl
-    translation of the centered disc. int_region |f|^2 dlambda is the
-    quadratic form Re(f^H G f).
+    Closed form for every region: centered discs and annuli as one ring of
+    _polar_compression, partial sectors by its sector formula, off-center
+    discs by Weyl translation of the centered disc. int_region |f|^2 dlambda
+    is the quadratic form Re(f^H G f).
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    if not isinstance(region, (AnnularSector, Disc)):
+    if isinstance(region, Disc):
+        if region.center != 0:
+            return _displaced_disc(region, truncation)
+        edges = (0.0, region.radius)
+    elif isinstance(region, AnnularSector):
+        if not region.full_span:
+            return _centred_compression(((region, 1.0),), truncation)
+        edges = (region.r_inner, region.r_outer)
+    else:
         raise TypeError(f"unsupported region type: {type(region).__name__}")
-    if isinstance(region, Disc) and region.center != 0:
-        return _displaced_disc(region, truncation)
-    return _centred_compression(((region, 1.0),), truncation)
+    x = [math.pi * r**2 for r in edges]
+    return _polar_compression(truncation, (), None, x, np.array([-1.0, 1.0]))
 
 
 def assemble(symbol, truncation: int) -> HermitianMatrix:
@@ -260,6 +302,7 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
 
     SimpleSymbol pieces are compressed in closed form: the origin-centered
     ones in one batched pass, each off-center disc by Weyl translation.
+    A PolarGrid goes through the same batched pass, fed from its arrays.
     SampledSymbol uses its own grid; the grid must resolve the
     requested truncation (radial count >= truncation, angular count >=
     2*truncation - 1). RadialSymbol compressions are the diagonal ones of
@@ -281,6 +324,9 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
                 centred.append((region, coeff))
         total += _centred_compression(centred, truncation)
         return HermitianMatrix(total)
+
+    if isinstance(symbol, PolarGrid):
+        return HermitianMatrix(_grid_compression(symbol, truncation))
 
     if isinstance(symbol, SampledSymbol):
         k_rad = symbol.rule.radial.count

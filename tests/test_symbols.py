@@ -10,6 +10,7 @@ from focklab import (
     AngularRule,
     AnnularSector,
     Disc,
+    PolarGrid,
     ProductRule,
     RadialRule,
     RadialSymbol,
@@ -268,32 +269,34 @@ class TestDiscretize:
         sym = RadialSymbol.disc(1.2, height=0.75)
         approx, err = discretize(sym, 6)
         assert err <= 1e-14
-        assert all(c == 0.75 for _, c in approx.pieces)
+        assert np.all(approx.values == 0.75)
         assert math.isclose(approx.l1_norm(), sym.l1_norm(), rel_tol=1e-13)
 
     def test_piece_layout(self):
         sym = RadialSymbol.disc(1.0)
         approx, _ = discretize(sym, 4, 3)
-        assert len(approx.pieces) == 12
+        assert approx.values.shape == (4, 3)
+        assert approx.values.size == 12
         # radial coefficient repeats across the angular index
-        coeffs = [c for _, c in approx.pieces]
-        for j in range(4):
-            assert len(set(coeffs[3 * j: 3 * j + 3])) == 1
+        for row in approx.values:
+            assert len(set(row.tolist())) == 1
         # cells cover the support disc: areas add up
-        total_area = sum(
-            (math.pi / 2.0) * (s.r_outer**2 - s.r_inner**2) * 0.0
-            + 0.5 * (s.theta_end - s.theta_start) * (s.r_outer**2 - s.r_inner**2)
-            for s, _ in approx.pieces
-        )
+        r2, theta = approx.radii**2, approx.theta_edges
+        total_area = float(np.sum(0.5 * np.outer(np.diff(r2), np.diff(theta))))
         assert math.isclose(total_area, math.pi, rel_tol=1e-12)
 
-    def test_cells_hold_python_floats(self):
+    def test_grid_arrays_read_only_float64(self):
         radial, _ = discretize(RadialSymbol.gaussian(), 16, 3)
         sampled, _ = discretize(_smooth_sampled(), 4, 5)
-        for approx in (radial, sampled):
-            for cell, coeff in approx.pieces:
-                fields = (cell.r_inner, cell.r_outer, cell.theta_start, cell.theta_end, coeff)
-                assert all(type(v) is float for v in fields)
+        for approx, shape in ((radial, (16, 3)), (sampled, (4, 5))):
+            assert approx.values.shape == shape
+            assert approx.radii.shape == (shape[0] + 1,)
+            assert approx.theta_edges.shape == (shape[1] + 1,)
+            for arr in (approx.radii, approx.theta_edges, approx.values):
+                assert arr.dtype == np.float64
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
 
     def test_gaussian_errors_shrink(self):
         sym = RadialSymbol.gaussian()
@@ -325,7 +328,7 @@ class TestDiscretize:
     def test_sampled_estimate_conservative(self):
         sym = _smooth_sampled()
         approx, est = discretize(sym, 6, 4)
-        assert len(approx.pieces) == 24
+        assert approx.values.shape == (6, 4)
         # dense midpoint reference on the same cells
         t_max = float(sym.rule.radial.nodes[-1])
         t_edges = np.linspace(0.0, t_max, 7)
@@ -357,3 +360,50 @@ class TestDiscretize:
             discretize(RadialSymbol.disc(1.0), 0)
         with pytest.raises(TypeError):
             discretize(SimpleSymbol(((Disc(0.0, 1.0), 1.0),)), 4)
+
+
+class TestPolarGrid:
+    def test_norms(self):
+        grid = PolarGrid([0.0, 1.0, 2.0], [0.0, math.pi, TWO_PI], [[1.0, -2.0], [0.5, 0.0]])
+        expect = 0.5 * math.pi * (1.0 * 1.0 + 2.0 * 1.0 + 0.5 * 3.0)
+        assert math.isclose(grid.l1_norm(), expect, rel_tol=1e-15)
+        assert grid.linf_norm() == 2.0
+        assert grid.full_span
+
+    def test_partial_span_off_origin(self):
+        grid = PolarGrid([0.5, 1.5], [1.0, 2.0], [[-3.0]])
+        assert not grid.full_span
+        assert math.isclose(grid.l1_norm(), 3.0 * 0.5 * (1.5**2 - 0.5**2), rel_tol=1e-15)
+
+    def test_copies_its_inputs(self):
+        radii = np.array([0.0, 1.0])
+        values = np.array([[2.0]])
+        grid = PolarGrid(radii, [0.0, TWO_PI], values)
+        radii[1] = 5.0
+        values[0, 0] = 7.0
+        assert grid.radii[1] == 1.0 and grid.values[0, 0] == 2.0
+        assert radii.flags.writeable
+
+    @pytest.mark.parametrize("radii, theta, values, message", [
+        ([0.0, 1.0, 1.0], [0.0, TWO_PI], [[1.0], [1.0]], "radii must be strictly increasing"),
+        ([0.0, 2.0, 1.0], [0.0, TWO_PI], [[1.0], [1.0]], "radii must be strictly increasing"),
+        ([0.0, 1.0], [0.0, 2.0, 2.0], [[1.0, 1.0]], "angles must be strictly increasing"),
+        ([0.0, 1.0], [3.0, 1.0], [[1.0]], "angles must be strictly increasing"),
+        ([-0.5, 1.0], [0.0, TWO_PI], [[1.0]], "radii must be >= 0"),
+        ([0.0, 1.0], [0.0, TWO_PI + 1e-9], [[1.0]], "angular span must be at most 2pi"),
+        ([0.0, 1.0], [-1.0, 3.0, TWO_PI], [[1.0, 1.0]], "angular span must be at most 2pi"),
+        ([0.0, 1.0], [0.0, TWO_PI], [[math.nan]], "values must be finite"),
+        ([0.0, 1.0], [0.0, TWO_PI], [[math.inf]], "values must be finite"),
+        ([0.0, 1.0, 2.0], [0.0, TWO_PI], [[1.0, 1.0]], r"shape \(2, 1\)"),
+        ([0.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0], r"shape \(1, 2\)"),
+        ([0.0, math.inf], [0.0, TWO_PI], [[1.0]], "radii must be finite"),
+        ([1.0], [0.0, TWO_PI], np.zeros((0, 1)), "at least 2 edges"),
+    ])
+    def test_validation_names_the_limit(self, radii, theta, values, message):
+        with pytest.raises(ValueError, match=message):
+            PolarGrid(radii, theta, values)
+
+    def test_span_within_tolerance(self):
+        grid = PolarGrid([0.0, 1.0], [0.0, TWO_PI + 5e-13], [[1.0]])
+        assert grid.full_span
+        assert math.isclose(grid.l1_norm(), math.pi, rel_tol=1e-15)

@@ -13,6 +13,7 @@ from focklab import (
     Disc,
     FockFunction,
     HermitianMatrix,
+    PolarGrid,
     ProductRule,
     RadialRule,
     RadialSymbol,
@@ -399,11 +400,33 @@ class TestRegionCompression:
             mass = float(np.real(np.vdot(f.coeffs, g @ f.coeffs)))
             assert abs(mass + math.expm1(-math.pi * radius**2)) < 1e-12
 
+    @pytest.mark.parametrize("region", [
+        Disc(0.0, 0.8),
+        AnnularSector(0.0, 0.8, 0.0, TWO_PI),
+        AnnularSector(0.4, 1.3, -1.0, TWO_PI - 1.0),
+        AnnularSector(1.1, 1.5, 0.3, 0.3 + TWO_PI),
+    ])
+    def test_centred_ring_closed_form(self, region, monkeypatch):
+        # diag(P(n+1, pi r_out^2) - P(n+1, pi r_in^2)), straight from the
+        # ring core: no piece sort and no radius index
+        monkeypatch.setattr(toeplitz, "_radius_index", _must_not_run)
+        r_in, r_out = (0.0, region.radius) if isinstance(region, Disc) else \
+            (region.r_inner, region.r_outer)
+        for n in (1, 17, 32, 48):
+            k = np.arange(1.0, n + 1.0)
+            expect = gammainc(k, math.pi * r_out**2) - gammainc(k, math.pi * r_in**2)
+            got = region_compression(region, n)
+            assert np.max(np.abs(got - np.diag(expect))) < 1e-15
+
     def test_validation(self):
         with pytest.raises(ValueError):
             region_compression(Disc(1.0, 1.0), 0)
         with pytest.raises(TypeError):
             region_compression("nope", 4)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called on a path that should not need it")
 
 
 def _random_mixed_symbol(rng):
@@ -474,8 +497,7 @@ class TestCentredCompression:
         approx, _ = discretize(table, 4096, 1)
         mat = assemble(approx, 48).data
         assert np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
-        radii = np.array([s.r_inner for s, _ in approx.pieces] + [approx.pieces[-1][0].r_outer])
-        cvals = np.array([c for _, c in approx.pieces])
+        radii, cvals = approx.radii, approx.values[:, 0]
 
         def step(r):
             cell = np.clip(np.searchsorted(radii, r, side="right") - 1, 0, cvals.size - 1)
@@ -486,6 +508,67 @@ class TestCentredCompression:
                                breakpoints=tuple(radii[1:-1]), params={}, profile_fn=step)
         ref = radial_assemble(profile, 48).data
         assert np.max(np.abs(mat - ref)) < 1e-13
+
+
+def _polar_cells(grid):
+    """Oracle for a PolarGrid: the SimpleSymbol with one AnnularSector piece
+    per cell (j, i), radial index outer, with coefficient values[j, i]."""
+    r, t = grid.radii.tolist(), grid.theta_edges.tolist()
+    return SimpleSymbol(tuple(
+        (AnnularSector(r[j], r[j + 1], t[i], t[i + 1]), float(grid.values[j, i]))
+        for j in range(len(r) - 1) for i in range(len(t) - 1)
+    ))
+
+
+_RADIAL_PROFILES = {
+    "gaussian": RadialSymbol.gaussian(),
+    "table": RadialSymbol.table([0.0, 0.6, 1.2, 1.9], [0.9, -0.5, 0.3, 0.0]),
+    "annulus": RadialSymbol.annulus(0.35, 1.3, -0.7),
+}
+
+
+class TestPolarGridCompression:
+    def _check_against_cells(self, grid):
+        oracle = _polar_cells(grid)
+        for n in (1, 17, 48):
+            got = assemble(grid, n).data
+            assert np.max(np.abs(got - assemble(oracle, n).data)) < 1e-14
+        assert math.isclose(grid.l1_norm(), oracle.l1_norm(), rel_tol=1e-15)
+        assert math.isclose(grid.linf_norm(), oracle.linf_norm(), rel_tol=1e-15)
+
+    @pytest.mark.parametrize("angular", [1, 3])
+    @pytest.mark.parametrize("radial", [1, 2, 7, 64, 4096])
+    @pytest.mark.parametrize("kind", sorted(_RADIAL_PROFILES))
+    def test_radial_grid_matches_cells(self, kind, radial, angular):
+        grid, _ = discretize(_RADIAL_PROFILES[kind], radial, angular)
+        self._check_against_cells(grid)
+
+    @pytest.mark.parametrize("cells", [2, 3, 8, 16])
+    def test_sampled_grid_matches_cells(self, cells):
+        sym = _sampled(lambda z: np.exp(-np.abs(z) ** 2) * np.cos(np.angle(z) + 0.4)
+                       + 0.2 * np.sin(2.0 * np.angle(z)))
+        grid, _ = discretize(sym, cells, cells)
+        self._check_against_cells(grid)
+
+    def test_partial_grid_off_origin_matches_cells(self):
+        rng = np.random.default_rng(11)
+        grid = PolarGrid([0.3, 0.7, 0.8, 1.6], [2.0, 3.1, 4.5, 2.0 + TWO_PI],
+                         rng.uniform(-1.0, 1.0, size=(3, 3)))
+        self._check_against_cells(grid)
+        ring = PolarGrid([0.3, 0.7, 1.6], [0.5, 0.5 + TWO_PI], [[0.4], [-1.2]])
+        self._check_against_cells(ring)
+        arc = PolarGrid([0.3, 0.7, 1.6], [0.5, 2.0], [[0.4], [-1.2]])
+        self._check_against_cells(arc)
+
+    def test_no_per_cell_work(self, monkeypatch):
+        # Edges checked by the grid itself: no disjointness sweep, and the
+        # compression is fed from the arrays, not sorted piece by piece.
+        from focklab import symbols
+        monkeypatch.setattr(symbols, "disjoint", _must_not_run)
+        monkeypatch.setattr(toeplitz, "_radius_index", _must_not_run)
+        for angular in (1, 3):
+            grid, _ = discretize(_RADIAL_PROFILES["table"], 256, angular)
+            assert assemble(grid, 20).dimension == 20
 
 
 def _random_hermitian(rng, n):
