@@ -3,10 +3,11 @@ Bargmann-Fock space.
 
 The package computes truncated Toeplitz matrices for indicator-type,
 radial and sampled symbols and their operator norms (LAPACK eigenvalues,
-with a vectorised round-robin Jacobi solver as an independent check; the
-norms carry no residual certificate), and checks the exponential saturation
-bound ||T_phi|| <= ||phi||_inf (1 - e^{-||phi||_1 / ||phi||_inf}) together
-with the Gaussian concentration inequality it rests on.
+with Sturm-count bisection of the tridiagonal form as a LAPACK-free solver
+to check them; the norms carry no residual certificate), and checks the
+exponential saturation bound
+||T_phi|| <= ||phi||_inf (1 - e^{-||phi||_1 / ||phi||_inf}) together with
+the Gaussian concentration inequality it rests on.
 """
 
 import os as _os

@@ -576,17 +576,17 @@ def _random_hermitian(rng, n):
     return 0.5 * (g + g.conj().T)
 
 
-def _rotated_sizes(monkeypatch):
-    """The sizes of the (padded) lead blocks Jacobi rotates, one entry per
-    round, collected from toeplitz._pair_rotations."""
+def _bisected_sizes(monkeypatch):
+    """The sizes of the lead blocks Jacobi bisects, one entry per round,
+    collected from toeplitz._sturm_counts."""
     sizes = []
-    rotations = toeplitz._pair_rotations
+    counts = toeplitz._sturm_counts
 
-    def spy(a, negligible):
-        sizes.append(a.shape[0])
-        return rotations(a, negligible)
+    def spy(d, e2, x):
+        sizes.append(len(d))
+        return counts(d, e2, x)
 
-    monkeypatch.setattr(toeplitz, "_pair_rotations", spy)
+    monkeypatch.setattr(toeplitz, "_sturm_counts", spy)
     return sizes
 
 
@@ -680,43 +680,89 @@ class TestSpectra:
 
     def test_jacobi_deep_split(self, monkeypatch):
         # V diag(lambda) V^H, lambda from 1 down to 1e-40: the tridiagonal
-        # couplings fall below the split budget early, Jacobi rotates a small
+        # couplings fall below the split budget early, Jacobi bisects a small
         # lead block, and the tail's diagonal entries are its eigenvalues
         rng = np.random.default_rng(5)
         v, _ = np.linalg.qr(rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60)))
         lam = np.logspace(0.0, -40.0, 60)
-        sizes = _rotated_sizes(monkeypatch)
+        sizes = _bisected_sizes(monkeypatch)
         got = jacobi_eigenvalues((v * lam) @ v.conj().T)
         assert 0 < max(sizes) <= 30
         assert np.max(np.abs(got - lam[::-1])) <= 1e-14
 
     def test_jacobi_dense_no_split(self, monkeypatch):
-        # a random dense matrix at odd N = 61: no coupling is small, so the
-        # whole matrix is the lead block, padded to 62
+        # a random dense matrix at odd N = 61: no coupling is small, so all
+        # 61 rows are the lead block, bisected without padding
         a = _random_hermitian(np.random.default_rng(29), 61)
-        sizes = _rotated_sizes(monkeypatch)
+        sizes = _bisected_sizes(monkeypatch)
         got = jacobi_eigenvalues(a)
-        assert set(sizes) == {62}
+        assert set(sizes) == {61}
         assert np.max(np.abs(got - np.linalg.eigvalsh(a))) <= 1e-13 * np.linalg.norm(a)
 
     @pytest.mark.parametrize("a, rotated", [
-        ([[2.5]], set()),                              # lead 1, padded to 2
+        ([[2.5]], set()),                              # lead 1: no round
         ([[0.0, 1e-290], [1e-290, 1e10]], set()),      # coupling split off: lead 1
         ([[1.0, 1j], [-1j, 3.0]], {2}),
         ([[0.0, 0.0], [0.0, -2.0]], set()),          # zero coupling: lead 1
-        ([[1.0, 2.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.5, 0.0]], {4}),
-        ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], {4}),  # eigenvalue 0 kept
+        ([[1.0, 2.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.5, 0.0]], {3}),
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], {3}),  # eigenvalue 0 kept
     ])
     def test_jacobi_padding(self, monkeypatch, a, rotated):
-        # an odd lead block gets a zero row and column, whose eigenvalue 0 is
-        # dropped: N values come back, the matrix's own zeros included
+        # N = 1, 2 and 3: odd lead blocks are bisected as they are, with no
+        # padding row (`rotated` is the set of lead sizes bisected), and N
+        # values come back, the matrix's own zeros included
         a = np.array(a, dtype=complex)
-        sizes = _rotated_sizes(monkeypatch)
+        sizes = _bisected_sizes(monkeypatch)
         got = jacobi_eigenvalues(a)
         assert set(sizes) == rotated
         expect = np.linalg.eigvalsh(a)
         assert got.shape == expect.shape
         assert np.max(np.abs(got - expect)) <= 1e-14 * max(1.0, float(np.max(np.abs(expect))))
+
+    def test_jacobi_repeated_eigenvalues(self):
+        # V diag(2, 2, 2, -1, -1, 0.5) V^H: each eigenvalue comes back as
+        # often as it occurs
+        rng = np.random.default_rng(37)
+        v, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        lam = np.array([2.0, 2.0, 2.0, -1.0, -1.0, 0.5])
+        got = jacobi_eigenvalues((v * lam) @ v.conj().T)
+        assert np.max(np.abs(got - np.sort(lam))) <= 1e-14
+
+    def test_jacobi_point_on_eigenvalue(self, monkeypatch):
+        # Scaled by 1/16, this tridiagonal matrix has the Gershgorin bracket
+        # [-1/2, 9/16], so the first round's points are -1/2 + p/16 and p = 8
+        # lands on its eigenvalue 0, where the first pivot is d_0 - 0 = 0:
+        # the zero-pivot guard runs, and nothing divides by zero
+        a = np.array([[0.0, 8.0, 0.0], [8.0, 0.5, 0.5], [0.0, 0.5, 0.0]])
+        points = []
+        counts = toeplitz._sturm_counts
+
+        def spy(d, e2, x):
+            points.append(x)
+            return counts(d, e2, x)
+
+        monkeypatch.setattr(toeplitz, "_sturm_counts", spy)
+        with np.errstate(divide="raise", invalid="raise"):
+            got = jacobi_eigenvalues(a)
+        assert 0.0 in points[0]
+        expect = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(got - expect)) <= 1e-14 * float(np.max(np.abs(expect)))
+
+    def test_jacobi_round_count(self, monkeypatch):
+        # Its largest entry in [1/2, 1), this real tridiagonal matrix is
+        # bisected as it is: the Gershgorin bracket is [-1, 1], and the
+        # rounds are the fewest that take its width 2 below 4 eps. A zero
+        # matrix has a bracket of width 0: zeros after no round.
+        a = np.diag([0.5, -0.25, 0.75]) + np.diag([0.5, 0.25], 1) + np.diag([0.5, 0.25], -1)
+        width, target = 2.0, 4.0 * np.finfo(float).eps
+        rounds = next(r for r in range(64) if width / 17.0**r <= target)
+        sizes = _bisected_sizes(monkeypatch)
+        got = jacobi_eigenvalues(a)
+        assert len(sizes) == rounds
+        assert np.max(np.abs(got - np.linalg.eigvalsh(a))) <= 1e-14
+        sizes.clear()
+        assert np.array_equal(jacobi_eigenvalues(np.zeros((4, 4))), np.zeros(4))
+        assert sizes == []
 
     def test_jacobi_without_lapack(self, monkeypatch):
         # every LAPACK eigensolver or factorization numpy and scipy offer for
@@ -755,14 +801,16 @@ class TestSpectra:
                             rel_tol=1e-14)
 
     def test_jacobi_sweep_limit(self, monkeypatch):
-        # rotations that never reduce the off-diagonal part: the sweeps run
-        # out (a nan matrix, which once did this, is now rejected up front)
-        def identity_rotations(a, negligible):
-            return np.broadcast_to(np.eye(2), (a.shape[0] // 2, 2, 2))
-
-        monkeypatch.setattr(toeplitz, "_pair_rotations", identity_rotations)
-        with pytest.raises(RuntimeError, match="60-sweep limit"):
-            jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        # the number of rounds is fixed before the first one, so counts that
+        # carry no information end after as many rounds as true ones do
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sizes = _bisected_sizes(monkeypatch)
+        jacobi_eigenvalues(a)
+        rounds = len(sizes)
+        monkeypatch.setattr(toeplitz, "_sturm_counts", lambda d, e2, x: np.zeros(x.shape, int))
+        sizes = _bisected_sizes(monkeypatch)
+        assert jacobi_eigenvalues(a).shape == (2,)
+        assert 0 < len(sizes) == rounds
 
     def test_top_eigenpair_residual(self):
         rng = np.random.default_rng(7)
