@@ -80,7 +80,9 @@ class SimpleSymbol:
         object.__setattr__(self, "pieces", tuple(norm_pieces))
 
     def l1_norm(self) -> float:
-        return float(sum(abs(c) * area(r) for r, c in self.pieces))
+        """sum |coeff| area, summed exactly (math.fsum), so it does not drift
+        with the number of pieces and equals PolarGrid.l1_norm on its cells."""
+        return math.fsum(abs(c) * area(r) for r, c in self.pieces)
 
     def linf_norm(self) -> float:
         return float(max((abs(c) for _, c in self.pieces), default=0.0))
@@ -154,11 +156,11 @@ class PolarGrid:
         return self.theta_edges[-1] - self.theta_edges[0] >= TWO_PI - _TOL
 
     def l1_norm(self) -> float:
-        """sum |values[j, i]| times the cell's area, accumulated cell by cell
-        in row order, as SimpleSymbol.l1_norm sums the same cells as pieces."""
+        """sum |values[j, i]| times the cell's area, summed exactly
+        (math.fsum) as SimpleSymbol.l1_norm sums the same cells as pieces."""
         spans = np.minimum(np.diff(self.theta_edges), TWO_PI)
         areas = 0.5 * np.outer(np.diff(self.radii**2), spans)
-        return float(np.cumsum(np.abs(self.values) * areas)[-1])
+        return math.fsum((np.abs(self.values) * areas).ravel().tolist())
 
     def linf_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -396,42 +398,66 @@ class SampledSymbol:
 # discretization
 
 
-def _bisect_crossing(phi: Callable, c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Crossing radii of phi(r) = c on segments where the signs differ at the
-    endpoints (phi monotone per segment). Vectorized bisection."""
-    g_lo = phi(lo) - c
-    a = lo.copy()
-    b = hi.copy()
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        g_mid = phi(mid) - c
-        left = (g_lo * g_mid) > 0.0
-        a = np.where(left, mid, a)
-        g_lo = np.where(left, g_mid, g_lo)
-        b = np.where(left, b, mid)
+def _false_position(phi: Callable, c: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """Root of phi(r) = c in each bracket [a, b] whose ends ga = phi(a) - c
+    and gb = phi(b) - c have opposite signs, phi monotone on it.
+
+    Vectorized Illinois false position (Dowell & Jarratt, BIT 11, 1971): b
+    is the latest iterate, and when a new one lands on b's side, a is kept
+    and its g halved. A bracket is done once it is at most 4 eps b wide (b as
+    given) or phi(x) == c; the loop stops after 100 rounds. An iterate that
+    rounds onto an end is moved one ulp inside, so every round shrinks the
+    bracket. On a linear piece the first iterate is the root.
+    """
+    a, b, ga, gb = (np.array(v, dtype=float) for v in (a, b, ga, gb))
+    tol = 4.0 * np.finfo(float).eps * b
+    live = np.arange(a.size)
+    for _ in range(100):
+        live = live[np.abs(b[live] - a[live]) > tol[live]]
+        if live.size == 0:
+            break
+        al, bl, gal, gbl = a[live], b[live], ga[live], gb[live]
+        x = bl - gbl * (bl - al) / (gbl - gal)
+        left, right = np.minimum(al, bl), np.maximum(al, bl)
+        x = np.minimum(np.maximum(x, np.nextafter(left, right)), np.nextafter(right, left))
+        gx = phi(x) - c[live]
+        # A sign change between x and b makes b the kept end; otherwise a
+        # is kept and its g halved. An exact hit collapses the bracket on x.
+        swap = np.sign(gx) * np.sign(gbl) < 0.0
+        a[live] = np.where(swap, bl, np.where(gx == 0.0, x, al))
+        ga[live] = np.where(swap, gbl, 0.5 * gal)
+        b[live] = x
+        gb[live] = gx
     return 0.5 * (a + b)
 
 
-def _segments_abs_integral(phi: Callable, c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """sum over radial segments of 2pi int_lo^hi |phi(r) - c| r dr, splitting
-    each segment at the (single, by monotonicity) sign change when there is
-    one. Polynomial profile pieces are integrated exactly."""
-    x, w = gauss_legendre(16, -1.0, 1.0)
-    g_lo = phi(lo) - c
-    g_hi = phi(hi) - c
-    crossing = (g_lo * g_hi) < 0.0
-    split = hi.astype(float).copy()
-    if np.any(crossing):
-        split[crossing] = _bisect_crossing(phi, c[crossing], lo[crossing], hi[crossing])
+def _segments_abs_integral(phi: Callable, c: np.ndarray, edges: np.ndarray) -> float:
+    """sum_k 2pi int_{edges[k]}^{edges[k+1]} |phi(r) - c[k]| r dr, phi smooth
+    and monotone on each segment.
 
-    total = 0.0
-    for a, b in ((lo, split), (split, hi)):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        vals = np.abs(phi(nodes) - c[:, None]) * nodes
-        total += float(np.dot(half, vals @ w))
-    return TWO_PI * total
+    A segment whose ends give phi - c opposite signs is cut at its crossing
+    (_false_position); the callers' segments end at their cell's centre
+    radius, where phi - c is exactly 0, so only segments through a knot
+    where the profile turns need one. Every segment is then integrated once
+    by 16-node Gauss-Legendre, exact on polynomial profile pieces.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    g = phi(edges)
+    g_lo, g_hi = g[:-1] - c, g[1:] - c
+    cross = np.flatnonzero(np.sign(g_lo) * np.sign(g_hi) < 0.0)
+    if cross.size:
+        root = _false_position(phi, c[cross], lo[cross], hi[cross], g_lo[cross], g_hi[cross])
+        lo = np.concatenate([lo, root])
+        hi = np.concatenate([hi, hi[cross]])
+        hi[cross] = root
+        c = np.concatenate([c, c[cross]])
+
+    x, w = gauss_legendre(16, -1.0, 1.0)
+    half = 0.5 * (hi - lo)
+    nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * x[None, :]
+    vals = np.abs(phi(nodes) - c[:, None]) * nodes
+    return TWO_PI * float(np.dot(half, vals @ w))
 
 
 def discretize(symbol, radial_cells: int, angular_cells: int = 1):
@@ -440,11 +466,13 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
 
     Returns (grid, l1_error_estimate) where the estimate is the
     quadrature of |phi - phi_d| dA plus the tail mass beyond the grid. For
-    radial symbols the estimate splits every cell at profile breakpoints and
-    sign changes, so it is accurate to quadrature precision; for sampled
-    symbols it is a midpoint estimate inflated by 10 percent to stay on the
-    conservative side. A radial symbol whose L1 mass beyond its support
-    exceeds 1e-6 raises ValueError.
+    radial symbols the estimate cuts every cell at the profile breakpoints,
+    at its centre radius (where phi equals the cell value) and at any
+    crossing left beside a breakpoint where the profile turns, so every
+    segment is smooth and of one sign and the estimate is accurate to
+    quadrature precision. For sampled symbols it is a midpoint estimate
+    inflated by 10 percent to stay on the conservative side. A radial symbol
+    whose L1 mass beyond its support exceeds 1e-6 raises ValueError.
     """
     if radial_cells < 1 or angular_cells < 1:
         raise ValueError("cell counts must be >= 1")
@@ -457,27 +485,29 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
                 f"the limit {_TAIL_TOL:.0e}"
             )
         edges = np.linspace(0.0, math.pi * symbol.support_radius**2, radial_cells + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        cvals = np.asarray(symbol.profile_t(centers), dtype=float)
+        r_mid = np.sqrt(0.5 * (edges[:-1] + edges[1:]) / math.pi)
+        cvals = np.asarray(symbol.profile(r_mid), dtype=float)
 
+        # The last edge is the support radius itself: sqrt(t / pi) can land
+        # an ulp beyond it, where the profile already reads 0.
         radii = np.sqrt(edges / math.pi)
+        radii[-1] = symbol.support_radius
         theta_edges = np.linspace(0.0, TWO_PI, angular_cells + 1)
         approx = PolarGrid(radii, theta_edges,
                            np.broadcast_to(cvals[:, None], (radial_cells, angular_cells)))
 
-        # Error estimate: split cells at breakpoints so each integration
-        # segment sees a smooth monotone profile piece.
+        # Error estimate: cut the cells at the breakpoints, so every segment
+        # sees a smooth profile piece, and at their centre radii, where
+        # phi - c is exactly 0, so a monotone piece changes sign only there.
         r_breaks = np.asarray([float(b) for b in symbol.breakpoints], dtype=float)
-        seg_edges = np.unique(np.concatenate([radii, r_breaks]))
+        seg_edges = np.unique(np.concatenate([radii, r_breaks, r_mid]))
         seg_edges = seg_edges[(seg_edges >= 0.0) & (seg_edges <= radii[-1])]
-        lo = seg_edges[:-1]
-        hi = seg_edges[1:]
         cell_idx = np.clip(
-            np.searchsorted(radii, 0.5 * (lo + hi), side="right") - 1,
+            np.searchsorted(radii, 0.5 * (seg_edges[:-1] + seg_edges[1:]), side="right") - 1,
             0,
             radial_cells - 1,
         )
-        err = _segments_abs_integral(symbol.profile, cvals[cell_idx], lo, hi)
+        err = _segments_abs_integral(symbol.profile, cvals[cell_idx], seg_edges)
         return approx, err + tail
 
     if isinstance(symbol, SampledSymbol):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from focklab import symbols
 from focklab import (
     AngularRule,
     AnnularSector,
@@ -247,21 +248,57 @@ class TestSampledSymbol:
 
 
 def _radial_estimate_reference(sym, radial_cells):
-    """Per-cell scipy.integrate reference for int |phi - phi_d| dA."""
+    """Per-cell scipy.integrate reference for int |phi - phi_d| dA, each cell
+    split at its breakpoints and at its centre radius, where phi = phi_d."""
     edges_t = np.linspace(0.0, math.pi * sym.support_radius**2, radial_cells + 1)
     radii = np.sqrt(edges_t / math.pi)
-    cvals = sym.profile_t(0.5 * (edges_t[:-1] + edges_t[1:]))
+    radii[-1] = sym.support_radius
+    r_mid = np.sqrt(0.5 * (edges_t[:-1] + edges_t[1:]) / math.pi)
+    cvals = sym.profile(r_mid)
     total = 0.0
     for j in range(radial_cells):
         pts = sorted(
             set(float(b) for b in sym.breakpoints if radii[j] < b < radii[j + 1])
+            | {float(r_mid[j])}
         )
         total += quad(
             lambda r: abs(float(sym.profile(np.array([r]))[0]) - cvals[j]) * TWO_PI * r,
             radii[j], radii[j + 1],
-            points=pts or None, limit=300, epsabs=1e-13, epsrel=1e-13,
+            points=pts, limit=300, epsabs=1e-17, epsrel=1e-13,
         )[0]
     return total + sym.tail_l1_beyond(sym.support_radius)
+
+
+# A table from the approximation benchmark (seed 1) whose last edge
+# sqrt(t / pi) lands an ulp beyond its support; its profile turns at the
+# knots 0.451 and 0.924.
+_EDGE_TABLE = RadialSymbol.table(
+    [0.0, 0.4509803531452335, 0.9243293048079853, 1.2091957781879055, 1.6473244771888087],
+    [0.08821288581299291, 0.3171597256152179, -0.770006049933502, -0.747410968126246,
+     0.9510549808319149],
+)
+
+
+def _bump():
+    """exp(-(r - 0.7)^2) on r <= 2: smooth on either side of its peak, which
+    is declared as a breakpoint."""
+    return RadialSymbol(
+        kind="bump", linf=1.0, support_radius=2.0, breakpoints=(0.7,), params={},
+        profile_fn=lambda r: np.where(r <= 2.0, np.exp(-((r - 0.7) ** 2)), 0.0),
+    )
+
+
+def _spy_crossings(monkeypatch):
+    """Record the brackets (lo, hi) handed to the crossing solver."""
+    brackets = []
+    solve = symbols._false_position
+
+    def spy(phi, c, a, b, ga, gb):
+        brackets.extend(zip(a.tolist(), b.tolist()))
+        return solve(phi, c, a, b, ga, gb)
+
+    monkeypatch.setattr(symbols, "_false_position", spy)
+    return brackets
 
 
 class TestDiscretize:
@@ -307,15 +344,14 @@ class TestDiscretize:
         sym = RadialSymbol.gaussian()
         _, est = discretize(sym, 12)
         ref = _radial_estimate_reference(sym, 12)
-        assert est >= ref - 1e-10
-        assert abs(est - ref) < 1e-9
+        assert math.isclose(est, ref, rel_tol=1e-12)
 
     def test_table_estimate_matches_reference(self):
         sym = RadialSymbol.table([0.0, 0.5, 1.0, 1.5], [1.0, -0.3, 0.4, 0.0])
-        _, est = discretize(sym, 7)
-        ref = _radial_estimate_reference(sym, 7)
-        assert est >= ref - 1e-10
-        assert abs(est - ref) < 1e-9
+        for cells in (7, 256):
+            _, est = discretize(sym, cells)
+            ref = _radial_estimate_reference(sym, cells)
+            assert math.isclose(est, ref, rel_tol=1e-12)
 
     def test_unaligned_annulus_jump(self):
         # the inner edge lands strictly inside the first cell
@@ -323,7 +359,41 @@ class TestDiscretize:
         _, est = discretize(sym, 4)
         ref = _radial_estimate_reference(sym, 4)
         assert est > 0.0
-        assert abs(est - ref) < 1e-10
+        assert math.isclose(est, ref, rel_tol=1e-12)
+
+    def test_last_edge_is_the_support(self):
+        # sqrt(t / pi) puts this table's last edge an ulp beyond the
+        # support, where the profile reads 0 and hides the last cell's sign
+        # change from the estimate.
+        grid, est = discretize(_EDGE_TABLE, 16)
+        assert grid.radii[-1] == _EDGE_TABLE.support_radius
+        assert math.isclose(est, _radial_estimate_reference(_EDGE_TABLE, 16), rel_tol=1e-13)
+
+    @pytest.mark.parametrize("cells", [16, 64, 256, 1024, 4096])
+    def test_gaussian_needs_no_crossing_solver(self, monkeypatch, cells):
+        # every cell is cut at its centre radius, the gaussian's only
+        # crossing of its cell value
+        brackets = _spy_crossings(monkeypatch)
+        discretize(RadialSymbol.gaussian(), cells)
+        assert brackets == []
+
+    def test_table_crossings_only_at_knots(self, monkeypatch):
+        brackets = _spy_crossings(monkeypatch)
+        knots = set(_EDGE_TABLE.params["radii"])
+        for cells in (16, 64, 256, 1024, 4096):
+            discretize(_EDGE_TABLE, cells)
+        assert brackets
+        assert all(lo in knots or hi in knots for lo, hi in brackets)
+
+    @pytest.mark.parametrize("cells", [12, 45, 256])
+    def test_nonlinear_turn_inside_cell(self, monkeypatch, cells):
+        # at these counts a cell holds the peak 0.7 with its centre on one
+        # side and a crossing of its value on the other
+        brackets = _spy_crossings(monkeypatch)
+        sym = _bump()
+        _, est = discretize(sym, cells)
+        assert brackets and all(0.7 in pair for pair in brackets)
+        assert math.isclose(est, _radial_estimate_reference(sym, cells), rel_tol=1e-12)
 
     def test_sampled_estimate_conservative(self):
         sym = _smooth_sampled()
@@ -402,6 +472,16 @@ class TestPolarGrid:
     def test_validation_names_the_limit(self, radii, theta, values, message):
         with pytest.raises(ValueError, match=message):
             PolarGrid(radii, theta, values)
+
+    def test_l1_equals_simple_symbol_of_its_cells(self):
+        # both sum exactly, so the grid and its 12,288 cells as pieces agree
+        grid, _ = discretize(RadialSymbol.annulus(0.3, 1.1, -0.7), 4096, 3)
+        r, t = grid.radii.tolist(), grid.theta_edges.tolist()
+        cells = SimpleSymbol(tuple(
+            (AnnularSector(r[j], r[j + 1], t[i], t[i + 1]), float(grid.values[j, i]))
+            for j in range(len(r) - 1) for i in range(len(t) - 1)
+        ))
+        assert grid.l1_norm() == cells.l1_norm()
 
     def test_span_within_tolerance(self):
         grid = PolarGrid([0.0, 1.0], [0.0, TWO_PI + 5e-13], [[1.0]])
