@@ -8,7 +8,7 @@ metadata["equality"] = True, so a single report row type covers both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -223,21 +223,18 @@ def approximation_experiment(symbol, grids, truncation: int) -> list:
             approx, err = discretize(symbol, m * m, 1)
         else:
             approx, err = discretize(symbol, m, m)
-        l1_m = approx.l1_norm()
-        linf_m = approx.linf_norm()
-        stage_bound = symbol_norm_bound(l1_m, linf_m)
-        norm_m = operator_norm(assemble(approx, truncation))
-        composite = stage_bound + err
+        stage = verify_norm_bound(approx, truncation)
+        composite = stage.rhs + err
         errors.append(err)
         composites.append(composite)
         reports.append(
-            make_report(
-                "approx-stage-bound", norm_m, stage_bound, NORM_SLACK,
+            replace(
+                stage, experiment="approx-stage-bound",
                 metadata={
                     "grid": m,
                     "cells": approx.values.size,
-                    "l1": l1_m,
-                    "linf": linf_m,
+                    "l1": stage.metadata["l1"],
+                    "linf": stage.metadata["linf"],
                     "l1_error_estimate": err,
                     "composite_bound": composite,
                 },

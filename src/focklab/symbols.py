@@ -171,8 +171,10 @@ class RadialSymbol:
     """phi(z) = profile(|z|) with declared sup bound and support data.
 
     breakpoints lists the radii (interior to the support) where the profile
-    is not smooth; quadrature and discretization split there so no rule ever
-    straddles a jump or kink.
+    is not smooth or turns (changes between increasing and decreasing);
+    quadrature and discretization split there so no rule ever straddles a
+    jump or kink, and discretize's error estimate sees every profile piece
+    as smooth and monotone. A turn that is not declared is not found.
     """
 
     kind: str
@@ -196,10 +198,6 @@ class RadialSymbol:
     def profile(self, r):
         """Profile values at radii r (vectorized)."""
         return self.profile_fn(np.asarray(r, dtype=float))
-
-    def profile_t(self, t):
-        """Profile in the t = pi r^2 coordinate."""
-        return self.profile(np.sqrt(np.asarray(t, dtype=float) / math.pi))
 
     def tail_l1_beyond(self, r: float) -> float:
         """Closed-form int_{|z| > r} |phi| dA (zero for compact profiles)."""
@@ -469,10 +467,13 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
     radial symbols the estimate cuts every cell at the profile breakpoints,
     at its centre radius (where phi equals the cell value) and at any
     crossing left beside a breakpoint where the profile turns, so every
-    segment is smooth and of one sign and the estimate is accurate to
-    quadrature precision. For sampled symbols it is a midpoint estimate
-    inflated by 10 percent to stay on the conservative side. A radial symbol
-    whose L1 mass beyond its support exceeds 1e-6 raises ValueError.
+    segment is smooth and of one sign. The estimate is accurate to
+    quadrature precision only if every turn of the profile is a declared
+    breakpoint: a piece that turns inside a cell can cross the cell value
+    twice in one segment, unseen. For sampled symbols it is a midpoint
+    estimate inflated by 10 percent to stay on the conservative side. A
+    radial symbol whose L1 mass beyond its support exceeds 1e-6 raises
+    ValueError.
     """
     if radial_cells < 1 or angular_cells < 1:
         raise ValueError("cell counts must be >= 1")

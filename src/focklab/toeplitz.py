@@ -6,11 +6,13 @@ on origin-centered sectors goes through one pass, _polar_compression, fed
 per radius: partial annular sectors sum into one moment table
 D[l = m+n, k = n-m], which one gather turns into M (_gather_moments, shared
 with sampled symbols, which build D from their grid), and full annuli and
-centered discs sum into one diagonal. A SimpleSymbol's pieces are sorted
-into that per-radius form one by one; a PolarGrid is fed from its arrays.
-An off-center disc D(c, r) is the Weyl translate W_c T_{1_D(0, r)} W_c^* of
-the diagonal centered disc. region_compression() is the same pass for one
-region. radial_assemble() gives radial symbols' diagonal compressions, the
+centered discs sum into one diagonal; a PolarGrid is fed from its arrays.
+One dispatcher, _piece_compression, maps (region, coefficient) pieces to
+their compression: an off-center disc D(c, r) is the Weyl translate
+W_c T_{1_D(0, r)} W_c^* of the diagonal centered disc, and the other pieces
+are sorted into the per-radius form. A SimpleSymbol is its pieces, and
+region_compression() is the one-piece symbol ((region, 1),).
+radial_assemble() gives radial symbols' diagonal compressions, the
 gaussian's in closed form and compact profiles' on RadialSymbol.panels(), a
 fixed rule for every N; those panels and sampled grids share one radial
 moment routine (_radial_moments).
@@ -187,37 +189,6 @@ def _polar_compression(truncation: int, sector_x, sector_rows, ring_x, ring_w) -
     return total
 
 
-def _centred_compression(pieces, truncation: int) -> np.ndarray:
-    """sum_p c_p G_p over (region, c_p) pieces whose regions are annular
-    sectors or origin-centered discs, by _polar_compression: annuli and
-    centered discs are rings, the other sectors sum their arc moments per
-    distinct radius."""
-    n = truncation
-    rings, part = [], []
-    for region, c in pieces:
-        if isinstance(region, Disc):
-            rings.append((0.0, region.radius, c))
-        elif region.full_span:
-            rings.append((region.r_inner, region.r_outer, c))
-        else:
-            part.append((region, c))
-
-    sector_x, sector_rows = [], None
-    if part:
-        t1, t2, coeffs = np.array([(s.theta_start, s.theta_end, c) for s, c in part]).T[:, :, None]
-        angular = _arc_moments(t1, t2, n) * (coeffs / TWO_PI)
-        sector_x, at = _radius_index([(s.r_inner, s.r_outer) for s, _ in part])
-        sector_rows = np.zeros((len(sector_x), n), dtype=np.complex128)
-        np.add.at(sector_rows, at, np.concatenate([angular, -angular]))
-
-    ring_x, ring_w = [], None
-    if rings:
-        ring_x, at = _radius_index([ring[:2] for ring in rings])
-        coeffs = [ring[2] for ring in rings]
-        ring_w = np.bincount(at, coeffs + [-c for c in coeffs], len(ring_x))
-    return _polar_compression(n, sector_x, sector_rows, ring_x, ring_w)
-
-
 def _grid_compression(grid: PolarGrid, truncation: int) -> np.ndarray:
     """The compression of a PolarGrid by _polar_compression. Radius j is the
     outer edge of cell j-1 and the inner edge of cell j, so its weights are
@@ -272,36 +243,64 @@ def _displaced_disc(region: Disc, truncation: int) -> np.ndarray:
     return (w * diag) @ w.conj().T
 
 
+def _piece_compression(pieces, truncation: int) -> np.ndarray:
+    """sum_p c_p G_p over (region, c_p) pieces. Each off-center disc is
+    added by Weyl translation (_displaced_disc), in piece order; then every
+    origin-centered piece goes through one _polar_compression pass: centered
+    discs and full annuli are rings, the other sectors sum their arc moments
+    per distinct radius."""
+    n = truncation
+    total = np.zeros((n, n), dtype=np.complex128)
+    rings, part = [], []
+    for region, c in pieces:
+        if isinstance(region, Disc):
+            if region.center != 0:
+                total += c * _displaced_disc(region, n)
+            else:
+                rings.append((0.0, region.radius, c))
+        elif region.full_span:
+            rings.append((region.r_inner, region.r_outer, c))
+        else:
+            part.append((region, c))
+
+    sector_x, sector_rows = [], None
+    if part:
+        t1, t2, coeffs = np.array([(s.theta_start, s.theta_end, c) for s, c in part]).T[:, :, None]
+        angular = _arc_moments(t1, t2, n) * (coeffs / TWO_PI)
+        sector_x, at = _radius_index([(s.r_inner, s.r_outer) for s, _ in part])
+        sector_rows = np.zeros((len(sector_x), n), dtype=np.complex128)
+        np.add.at(sector_rows, at, np.concatenate([angular, -angular]))
+
+    ring_x, ring_w = [], None
+    if rings:
+        ring_x, at = _radius_index([ring[:2] for ring in rings])
+        coeffs = [ring[2] for ring in rings]
+        ring_w = np.bincount(at, coeffs + [-c for c in coeffs], len(ring_x))
+    total += _polar_compression(n, sector_x, sector_rows, ring_x, ring_w)
+    return total
+
+
 def region_compression(region: Region, truncation: int) -> np.ndarray:
     """G[m, n] = int_region e_n conj(e_m) dlambda for m, n < truncation.
 
-    Closed form for every region: centered discs and annuli as one ring of
-    _polar_compression, partial sectors by its sector formula, off-center
-    discs by Weyl translation of the centered disc. int_region |f|^2 dlambda
-    is the quadratic form Re(f^H G f).
+    The compression of the one-piece SimpleSymbol ((region, 1),), by the
+    same closed forms as assemble: _piece_compression. int_region |f|^2
+    dlambda is the quadratic form Re(f^H G f).
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    if isinstance(region, Disc):
-        if region.center != 0:
-            return _displaced_disc(region, truncation)
-        edges = (0.0, region.radius)
-    elif isinstance(region, AnnularSector):
-        if not region.full_span:
-            return _centred_compression(((region, 1.0),), truncation)
-        edges = (region.r_inner, region.r_outer)
-    else:
+    if not isinstance(region, (Disc, AnnularSector)):
         raise TypeError(f"unsupported region type: {type(region).__name__}")
-    x = [math.pi * r**2 for r in edges]
-    return _polar_compression(truncation, (), None, x, np.array([-1.0, 1.0]))
+    return _piece_compression(((region, 1.0),), truncation)
 
 
 def assemble(symbol, truncation: int) -> HermitianMatrix:
     """Compress a symbol to the first `truncation` basis elements.
 
-    SimpleSymbol pieces are compressed in closed form: the origin-centered
-    ones in one batched pass, each off-center disc by Weyl translation.
-    A PolarGrid goes through the same batched pass, fed from its arrays.
+    SimpleSymbol pieces are compressed in closed form by _piece_compression,
+    the path region_compression takes: each off-center disc by Weyl
+    translation, the origin-centered ones in one batched pass. A PolarGrid
+    goes through the same batched pass, fed from its arrays.
     SampledSymbol uses its own grid; the grid must resolve the
     requested truncation (radial count >= truncation, angular count >=
     2*truncation - 1). RadialSymbol compressions are the diagonal ones of
@@ -314,15 +313,7 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
         return radial_assemble(symbol, truncation)
 
     if isinstance(symbol, SimpleSymbol):
-        centred = []
-        total = np.zeros((truncation, truncation), dtype=np.complex128)
-        for region, coeff in symbol.pieces:
-            if isinstance(region, Disc) and region.center != 0:
-                total += coeff * _displaced_disc(region, truncation)
-            else:
-                centred.append((region, coeff))
-        total += _centred_compression(centred, truncation)
-        return HermitianMatrix(total)
+        return HermitianMatrix(_piece_compression(symbol.pieces, truncation))
 
     if isinstance(symbol, PolarGrid):
         return HermitianMatrix(_grid_compression(symbol, truncation))

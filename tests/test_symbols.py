@@ -162,13 +162,6 @@ class TestRadialSymbol:
                 profile_fn=lambda r: np.ones_like(r),
             )
 
-    def test_profile_t_matches_profile(self):
-        sym = RadialSymbol.gaussian()
-        r = np.array([0.2, 1.0, 2.5])
-        np.testing.assert_allclose(
-            sym.profile_t(math.pi * r**2), sym.profile(r), rtol=1e-14
-        )
-
     def test_json_round_trip(self):
         for sym in (
             RadialSymbol.disc(0.8, height=2.0),

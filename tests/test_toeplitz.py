@@ -406,10 +406,8 @@ class TestRegionCompression:
         AnnularSector(0.4, 1.3, -1.0, TWO_PI - 1.0),
         AnnularSector(1.1, 1.5, 0.3, 0.3 + TWO_PI),
     ])
-    def test_centred_ring_closed_form(self, region, monkeypatch):
-        # diag(P(n+1, pi r_out^2) - P(n+1, pi r_in^2)), straight from the
-        # ring core: no piece sort and no radius index
-        monkeypatch.setattr(toeplitz, "_radius_index", _must_not_run)
+    def test_centred_ring_closed_form(self, region):
+        # diag(P(n+1, pi r_out^2) - P(n+1, pi r_in^2)) from the ring core
         r_in, r_out = (0.0, region.radius) if isinstance(region, Disc) else \
             (region.r_inner, region.r_outer)
         for n in (1, 17, 32, 48):
@@ -417,6 +415,21 @@ class TestRegionCompression:
             expect = gammainc(k, math.pi * r_out**2) - gammainc(k, math.pi * r_in**2)
             got = region_compression(region, n)
             assert np.max(np.abs(got - np.diag(expect))) < 1e-15
+
+    @pytest.mark.parametrize("n", [1, 17, 48])
+    @pytest.mark.parametrize("region", [
+        Disc(0.0, 0.8),
+        AnnularSector(0.4, 1.3, 0.0, TWO_PI),
+        AnnularSector(0.2, 1.1, 0.5, 2.9),
+        AnnularSector(0.6, 1.4, 5.0, 5.0 + 2.5),
+        Disc(1.1 - 0.7j, 0.9),
+    ], ids=["centred-disc", "annulus", "sector", "wrapping-sector", "off-centre-disc"])
+    def test_is_the_one_piece_symbol(self, region, n):
+        # one dispatcher: a region compresses exactly as the symbol 1_region,
+        # before assemble's Hermitian averaging (A + A^H) / 2, which moves an
+        # off-centre disc's entries by an ulp
+        got = HermitianMatrix(region_compression(region, n)).data
+        assert np.array_equal(got, assemble(SimpleSymbol(((region, 1.0),)), n).data)
 
     def test_validation(self):
         with pytest.raises(ValueError):
