@@ -2,9 +2,11 @@
 
 Two shapes cover every experiment: discs (anywhere in the plane) and annular
 sectors centered at the origin. disjoint() decides a whole family in one
-sorted sweep over radial bands; between a disc and a sector it decides
-conservatively through the disc's polar bounding box, so a True answer is
-trustworthy while a False may only mean "could not certify".
+plain sorted sweep over radial bands, pair by pair in Python (callers pass a
+handful of regions; polar grids check their own edges and never call it);
+between a disc and a sector it decides conservatively through the disc's
+polar bounding box, so a True answer is trustworthy while a False may only
+mean "could not certify".
 region_to_json() and region_from_json() are the one JSON form of a region.
 """
 from __future__ import annotations
@@ -13,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 _TOL = 1e-12
@@ -111,44 +111,38 @@ def disjoint(regions) -> bool:
     """True iff all pairwise intersections have measure zero (certified).
 
     One sorted sweep: regions are ordered by the lower edge of their radial
-    band, and np.searchsorted keeps only the pairs whose bands overlap by
-    more than _TOL. Those are tested by center distance for two discs and by
-    arc overlap otherwise, one offset k at a time (region i against i + k),
-    so memory stays linear in the number of regions. Disc against sector is
-    decided through the disc's polar bounding box, so the test is
-    conservative: geometrically disjoint pairs may come back False, but True
-    is always safe. Fewer than two regions are disjoint without the sweep.
+    band, and each region is tested against the later ones until a band
+    starts at or above its upper edge minus _TOL. A pair whose bands overlap
+    by more than _TOL is tested by center distance for two discs and by arc
+    overlap otherwise. Disc against sector is decided through the disc's
+    polar bounding box, so the test is conservative: geometrically disjoint
+    pairs may come back False, but True is always safe. Fewer than two
+    regions are disjoint without the sweep.
     """
     regions = list(regions)
     if len(regions) < 2:
         return True
-    bands = np.array([_radial_band(r) for r in regions]).reshape(-1, 2)
-    order = np.argsort(bands[:, 0], kind="stable")
-    regions = [regions[k] for k in order]
-    lo, hi = bands[order, 0], bands[order, 1]
-    arcs = [_angular_arc(r) for r in regions]
-    full = np.array([a is None for a in arcs], dtype=bool)
-    start, span = np.array([a or (0.0, TWO_PI) for a in arcs]).reshape(-1, 2).T
-    disc = np.array([isinstance(r, Disc) for r in regions], dtype=bool)
-    center = np.array([r.center if isinstance(r, Disc) else 0j for r in regions], dtype=complex)
-    radius = np.array([r.radius if isinstance(r, Disc) else 0.0 for r in regions])
-
-    # Region i meets candidates i + 1 .. i + reach[i] - 1, the later regions
-    # whose bands start below hi[i] - _TOL.
-    reach = np.searchsorted(lo, hi - _TOL) - np.arange(lo.size)
-    for k in range(1, int(reach.max(initial=0))):
-        i = np.flatnonzero(reach > k)
-        j = i + k
-        bands_meet = np.minimum(hi[i], hi[j]) - lo[j] > _TOL
-        discs_apart = np.abs(center[i] - center[j]) >= radius[i] + radius[j] - _TOL
-        s = (start[j] - start[i]) % TWO_PI
-        arc_overlap = sum(
-            np.maximum(0.0, np.minimum(span[i], shift + span[j]) - np.maximum(0.0, shift))
-            for shift in (s, s - TWO_PI)
-        )
-        arcs_apart = ~full[i] & ~full[j] & (arc_overlap <= _TOL)
-        if np.any(bands_meet & ~np.where(disc[i] & disc[j], discs_apart, arcs_apart)):
-            return False
+    swept = sorted(((_radial_band(r), _angular_arc(r), r) for r in regions),
+                   key=lambda item: item[0][0])
+    for i, ((_, hi), arc, region) in enumerate(swept):
+        for j in range(i + 1, len(swept)):
+            (lo_j, hi_j), arc_j, other = swept[j]
+            if lo_j >= hi - _TOL:
+                break
+            if min(hi, hi_j) - lo_j <= _TOL:
+                continue
+            if isinstance(region, Disc) and isinstance(other, Disc):
+                if abs(region.center - other.center) < region.radius + other.radius - _TOL:
+                    return False
+                continue
+            if arc is None or arc_j is None:
+                return False
+            # With arc at [0, span], the other arc starts at s in [0, 2pi] and
+            # its part past 2pi wraps round to start at s - 2pi <= 0.
+            s = (arc_j[0] - arc[0]) % TWO_PI
+            if (max(0.0, min(arc[1], s + arc_j[1]) - s)
+                    + max(0.0, min(arc[1], s - TWO_PI + arc_j[1])) > _TOL):
+                return False
     return True
 
 

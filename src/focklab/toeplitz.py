@@ -14,8 +14,8 @@ are sorted into the per-radius form. A SimpleSymbol is its pieces, and
 region_compression() is the one-piece symbol ((region, 1),).
 radial_assemble() gives radial symbols' diagonal compressions, the
 gaussian's in closed form and compact profiles' on RadialSymbol.panels(), a
-fixed rule for every N; those panels and sampled grids share one radial
-moment routine (_radial_moments).
+fixed rule for every N; those panels and sampled grids take their radial
+moments from one log-domain routine (special.poisson_weight).
 rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() takes the largest eigenvalue modulus from LAPACK
@@ -39,7 +39,7 @@ from scipy.special import gammaln
 
 from .fock import FockFunction
 from .regions import TWO_PI, AnnularSector, Disc, Region
-from .special import gammainc_lower, gammainc_lower_int_prefix, log_factorial
+from .special import gammainc_lower, gammainc_lower_int_prefix, log_factorial, poisson_weight
 from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol
 
 __all__ = [
@@ -135,14 +135,6 @@ def _gather_moments(radial: np.ndarray, angular: np.ndarray, truncation: int) ->
     lf = log_factorial(idx)
     out *= np.exp(hankel - 0.5 * np.add.outer(lf, lf))
     return out
-
-
-def _radial_moments(t: np.ndarray, log_w, ls: np.ndarray) -> np.ndarray:
-    """table[l, j] = w_j t_j^{l/2} e^{-t_j} / Gamma(l/2 + 1) for the orders
-    l in ls at nodes t_j > 0, formed in the log domain so that neither the
-    powers nor the gamma function overflow."""
-    return np.exp(0.5 * np.outer(ls, np.log(t)) - t[None, :] + log_w
-                  - gammaln(ls / 2.0 + 1.0)[:, None])
 
 
 def _radius_index(edges):
@@ -330,8 +322,10 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
                 f"angular count {m_ang} cannot resolve truncation {truncation} "
                 f"(need >= {2 * truncation - 1})"
             )
-        ls, rul = np.arange(2 * truncation - 1), symbol.rule.radial
-        radial = _radial_moments(rul.nodes, np.log(rul.scaled_weights), ls)
+        # radial[l, j] = w_j t_j^{l/2} e^{-t_j} / Gamma(l/2 + 1)
+        rul = symbol.rule.radial
+        radial = poisson_weight(np.arange(2 * truncation - 1)[:, None] / 2.0, rul.nodes,
+                                np.log(rul.scaled_weights))
         # angular[j, k] = (1/M) sum_i v[j, i] e^{i k theta_i}
         theta = symbol.rule.angular.nodes
         angular = symbol.values @ np.exp(1j * np.outer(theta, np.arange(truncation))) / m_ang
@@ -360,7 +354,7 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
     else:
         # every breakpoint panel in one product
         r, w = map(np.concatenate, zip(*symbol.panels()))
-        gamma = (_radial_moments(math.pi * r * r, 0.0, 2 * np.arange(truncation))
+        gamma = (poisson_weight(np.arange(truncation)[:, None], math.pi * r * r)
                  @ (w * TWO_PI * r * symbol.profile(r)))
 
     return HermitianMatrix(np.diag(gamma.astype(np.complex128)))

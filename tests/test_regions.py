@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestDisjoint:
         assert not disjoint([disc, sector])
 
     def test_empty_and_single(self, monkeypatch):
-        # decided before the sweep builds its arrays
+        # decided before the sweep computes a single band
         def no_sweep(region):
             raise AssertionError("the sweep ran")
 
@@ -227,6 +228,25 @@ class TestVectorizedPath:
             verdicts.append(expect)
         # Both answers occur often enough to exercise both.
         assert 500 < sum(verdicts) < 2000
+
+    def test_every_ordering_of_small_families(self):
+        # Library callers pass a handful of regions; the sweep's sort and
+        # early break must not depend on the order they come in.
+        rng = np.random.default_rng(300)
+        families = 0
+        while families < 300:
+            family = self._random_family(rng)
+            if not 2 <= len(family) <= 5:
+                continue
+            families += 1
+            for ordering in itertools.permutations(family):
+                assert disjoint(ordering) == _brute_force_disjoint(ordering), ordering
+
+    def test_generator_input(self):
+        cells = [AnnularSector(0.0, 1.0, 0.0, 1.0), AnnularSector(0.0, 1.0, 1.0, 2.0),
+                 Disc(3.0, 0.5)]
+        assert disjoint(r for r in cells)
+        assert not disjoint(r for r in cells[1:] + [Disc(3.5, 0.5)])
 
     def test_large_lattices(self):
         annuli = _polar_lattice(4096, 1, r_max=4.8)
