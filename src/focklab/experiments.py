@@ -202,7 +202,8 @@ def approximation_experiment(symbol, grids, truncation: int) -> list:
     approximant phi_m (m^2 radial cells for radial symbols, m x m polar cells
     for sampled ones) with an L1 error estimate err_m. Stage reports check
     the compression norm of phi_m against its own closed-form bound; the
-    composite value bound(phi_m) + err_m dominates the true symbol's norm.
+    composite bound(l1(phi_m), linf(phi)) + err_m, nondecreasing in linf
+    with linf(phi) >= linf(phi_m), dominates the true symbol's norm.
     The final composite must land within 5e-3 of the exact closed-form bound.
     """
     grids = [int(m) for m in grids]
@@ -224,7 +225,7 @@ def approximation_experiment(symbol, grids, truncation: int) -> list:
         else:
             approx, err = discretize(symbol, m, m)
         stage = verify_norm_bound(approx, truncation)
-        composite = stage.rhs + err
+        composite = symbol_norm_bound(stage.metadata["l1"], symbol.linf_norm()) + err
         errors.append(err)
         composites.append(composite)
         reports.append(

@@ -1,16 +1,15 @@
 """Toeplitz-operator compressions and their spectra.
 
 assemble() produces the truncated matrix M[m, n] = int phi e_n conj(e_m) dlambda
-for the first N basis elements, for every symbol type. Everything constant
-on origin-centered sectors goes through one pass, _polar_compression, fed
-per radius: partial annular sectors sum into one moment table
-D[l = m+n, k = n-m], which one gather turns into M (_gather_moments, shared
-with sampled symbols, which build D from their grid), and full annuli and
-centered discs sum into one diagonal; a PolarGrid is fed from its arrays.
-One dispatcher, _piece_compression, maps (region, coefficient) pieces to
-their compression: an off-center disc D(c, r) is the Weyl translate
-W_c T_{1_D(0, r)} W_c^* of the diagonal centered disc, and the other pieces
-are sorted into the per-radius form. A SimpleSymbol is its pieces, and
+for the first N basis elements, for every symbol type. Origin-centered
+pieces are summed per radius x = pi r^2 (_per_radius, or a PolarGrid's own
+arrays): partial annular sectors into one moment table D[l = m+n, k = n-m],
+which one sector pass turns into M (_sector_compression; its gather,
+_gather_moments, also serves sampled symbols), full annuli and centered
+discs into one diagonal. _piece_compression builds only the parts its
+(region, coefficient) pieces have: each off-center disc D(c, r) as the Weyl
+translate W_c T_{1_D(0, r)} W_c^* of the centered disc, then one matrix for
+the origin-centered rest. A SimpleSymbol is its pieces, and
 region_compression() is the one-piece symbol ((region, 1),).
 radial_assemble() gives radial symbols' diagonal compressions, the
 gaussian's in closed form and compact profiles' on RadialSymbol.panels(), a
@@ -137,13 +136,17 @@ def _gather_moments(radial: np.ndarray, angular: np.ndarray, truncation: int) ->
     return out
 
 
-def _radius_index(edges):
-    """The distinct x = pi r^2 over (r_inner, r_outer) edge pairs, and where
-    each pair's x(r_outer), then each pair's x(r_inner), sits among them."""
+def _per_radius(edges, values: np.ndarray):
+    """The distinct x = pi r^2 of (r_inner, r_outer) edge pairs, in first-seen
+    order over the outer radii and then the inner ones, and at each x the sum
+    of +values[i] at pair i's outer radius and -values[i] at its inner one,
+    the outer terms first, each in pair order."""
     index = {}
     at = [index.setdefault(math.pi * r**2, len(index))
           for r in [r_out for _, r_out in edges] + [r_in for r_in, _ in edges]]
-    return list(index), at
+    sums = np.zeros((len(index),) + values.shape[1:], dtype=values.dtype)
+    np.add.at(sums, at, np.concatenate([values, -values]))
+    return list(index), sums
 
 
 def _arc_moments(t1, t2, truncation: int) -> np.ndarray:
@@ -155,7 +158,7 @@ def _arc_moments(t1, t2, truncation: int) -> np.ndarray:
                     (np.exp(1j * ks * t2) - np.exp(1j * ks * t1)) / (1j * safe_k))
 
 
-def _polar_compression(truncation: int, sector_x, sector_rows, ring_x, ring_w) -> np.ndarray:
+def _sector_compression(truncation: int, x, rows) -> np.ndarray:
     """The compression of a symbol that is constant on annular sectors
     centered at the origin, given per radius x = pi r^2.
 
@@ -164,36 +167,29 @@ def _polar_compression(truncation: int, sector_x, sector_rows, ring_x, ring_w) -
     radial increment P(l/2 + 1, x_out) - P(l/2 + 1, x_in), l = m + n:
         G[m, n] = Gamma(l/2 + 1) / sqrt(m! n!) * A(k) / (2pi) * increment.
     So every piece adds its c A(k) / (2pi) at its outer radius and subtracts
-    it at its inner one: sector_rows[j] is that sum at sector_x[j], the
-    moment table of _gather_moments once multiplied by P(l/2 + 1, x_j). A
-    full span kills every k != 0, so full rings only need their weights
-    ring_w[j] = sum of +-c at ring_x[j], which add ring_w @ P(n + 1, x) to
-    the diagonal. Each incomplete gamma is evaluated once per radius.
+    it at its inner one: rows[j] is that sum at x[j], the moment table of
+    _gather_moments once multiplied by P(l/2 + 1, x_j). Each incomplete
+    gamma is evaluated once per radius. A full span kills every k != 0, so
+    full rings are the diagonal w @ P(n + 1, x) of their summed weights w.
     """
-    n = truncation
-    if len(sector_x):
-        radial = gammainc_lower(np.arange(1.0, n + 0.5, 0.5)[:, None], sector_x)
-        total = _gather_moments(radial, sector_rows, n)
-    else:
-        total = np.zeros((n, n), dtype=np.complex128)
-    if len(ring_x):
-        total.reshape(-1)[::n + 1] += ring_w @ gammainc_lower_int_prefix(n, ring_x)
-    return total
+    radial = gammainc_lower(np.arange(1.0, truncation + 0.5, 0.5)[:, None], x)
+    return _gather_moments(radial, rows, truncation)
 
 
 def _grid_compression(grid: PolarGrid, truncation: int) -> np.ndarray:
-    """The compression of a PolarGrid by _polar_compression. Radius j is the
-    outer edge of cell j-1 and the inner edge of cell j, so its weights are
-    values[j-1] - values[j], with zero rows beyond both ends. A one-column
-    full-span grid is rings; any other grid is sectors, whose rows at radius
-    j are its weights times the angular cells' arc moments over 2pi."""
+    """The compression of a PolarGrid. Radius j is the outer edge of cell
+    j-1 and the inner edge of cell j, so its weights are values[j-1] -
+    values[j], with zero rows beyond both ends. A one-column full-span grid
+    is rings, a diagonal; any other grid is one _sector_compression, its
+    rows at radius j its weights times the angular cells' arc moments / 2pi."""
     x = math.pi * grid.radii**2
     w = -np.diff(np.pad(grid.values, ((1, 1), (0, 0))), axis=0)
     if grid.full_span and w.shape[1] == 1:
-        return _polar_compression(truncation, (), None, x, w[:, 0])
+        # + 0j: complex, and a -0.0 entry becomes 0.0
+        return np.diag(w[:, 0] @ gammainc_lower_int_prefix(truncation, x) + 0j)
     theta = grid.theta_edges[:, None]
     arcs = _arc_moments(theta[:-1], theta[1:], truncation)
-    return _polar_compression(truncation, x, w @ arcs / TWO_PI, (), None)
+    return _sector_compression(truncation, x, w @ arcs / TWO_PI)
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,48 +232,45 @@ def _displaced_disc(region: Disc, truncation: int) -> np.ndarray:
 
 
 def _piece_compression(pieces, truncation: int) -> np.ndarray:
-    """sum_p c_p G_p over (region, c_p) pieces. Each off-center disc is
-    added by Weyl translation (_displaced_disc), in piece order; then every
-    origin-centered piece goes through one _polar_compression pass: centered
-    discs and full annuli are rings, the other sectors sum their arc moments
-    per distinct radius."""
+    """sum_p c_p G_p over (region, c_p) pieces, from the parts present, added
+    in this order: c G for each off-center disc (_displaced_disc), in piece
+    order, then, if any piece is origin-centered, one matrix: the partial
+    sectors' pass (_sector_compression) or zeros, plus the diagonal of the
+    centered discs and full annuli. No pieces give zeros."""
     n = truncation
-    total = np.zeros((n, n), dtype=np.complex128)
-    rings, part = [], []
+    parts, rings, sectors = [], [], []
     for region, c in pieces:
         if isinstance(region, Disc):
             if region.center != 0:
-                total += c * _displaced_disc(region, n)
+                parts.append(c * _displaced_disc(region, n))
             else:
                 rings.append((0.0, region.radius, c))
         elif region.full_span:
             rings.append((region.r_inner, region.r_outer, c))
         else:
-            part.append((region, c))
+            sectors.append((region, c))
 
-    sector_x, sector_rows = [], None
-    if part:
-        t1, t2, coeffs = np.array([(s.theta_start, s.theta_end, c) for s, c in part]).T[:, :, None]
+    if sectors:
+        t1, t2, coeffs = np.array([(s.theta_start, s.theta_end, c) for s, c in sectors]).T[:, :, None]
         angular = _arc_moments(t1, t2, n) * (coeffs / TWO_PI)
-        sector_x, at = _radius_index([(s.r_inner, s.r_outer) for s, _ in part])
-        sector_rows = np.zeros((len(sector_x), n), dtype=np.complex128)
-        np.add.at(sector_rows, at, np.concatenate([angular, -angular]))
-
-    ring_x, ring_w = [], None
-    if rings:
-        ring_x, at = _radius_index([ring[:2] for ring in rings])
-        coeffs = [ring[2] for ring in rings]
-        ring_w = np.bincount(at, coeffs + [-c for c in coeffs], len(ring_x))
-    total += _polar_compression(n, sector_x, sector_rows, ring_x, ring_w)
-    return total
+        edges = [(s.r_inner, s.r_outer) for s, _ in sectors]
+        parts.append(_sector_compression(n, *_per_radius(edges, angular)))
+    elif rings:
+        parts.append(np.zeros((n, n), dtype=np.complex128))
+    if rings:  # onto the centered matrix, the last part
+        x, w = _per_radius([ring[:2] for ring in rings], np.array([ring[2] for ring in rings]))
+        parts[-1].reshape(-1)[::n + 1] += w @ gammainc_lower_int_prefix(n, x)
+    # sum starts from 0, so a -0.0 entry becomes 0.0
+    return sum(parts) if parts else np.zeros((n, n), dtype=np.complex128)
 
 
 def region_compression(region: Region, truncation: int) -> np.ndarray:
     """G[m, n] = int_region e_n conj(e_m) dlambda for m, n < truncation.
 
-    The compression of the one-piece SimpleSymbol ((region, 1),), by the
-    same closed forms as assemble: _piece_compression. int_region |f|^2
-    dlambda is the quadratic form Re(f^H G f).
+    _piece_compression of the one piece (region, 1): a centered disc or full
+    annulus is a diagonal, any other sector one _sector_compression pass, and
+    an off-center disc a Weyl translation. int_region |f|^2 dlambda is the
+    quadratic form Re(f^H G f).
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -291,8 +284,9 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
 
     SimpleSymbol pieces are compressed in closed form by _piece_compression,
     the path region_compression takes: each off-center disc by Weyl
-    translation, the origin-centered ones in one batched pass. A PolarGrid
-    goes through the same batched pass, fed from its arrays.
+    translation, the origin-centered pieces summed per radius into one
+    sector pass and one diagonal. A PolarGrid is summed per radius from its
+    arrays and is either one diagonal or one sector pass.
     SampledSymbol uses its own grid; the grid must resolve the
     requested truncation (radial count >= truncation, angular count >=
     2*truncation - 1). RadialSymbol compressions are the diagonal ones of

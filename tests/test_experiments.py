@@ -292,6 +292,22 @@ class TestApproximation:
         # coarse grids cannot reach the 5e-3 convergence window: honest FAIL
         assert not by_name["approx-convergence"].holds
 
+    def test_steep_peak_converges(self):
+        # A table that falls from its peak at r = 0: the first cell's center
+        # value converges to linf only like 1/m, and a composite built on it
+        # missed the exact bound by 1.7e-2 at 4,096 cells. Built on the
+        # symbol's own linf, every composite stays above the exact bound and
+        # the last is within 1.2e-3 of it.
+        table = RadialSymbol.table([0.0, 0.5, 1.0, 1.5], [1.0, -0.5, 0.3, 0.0])
+        reports = approximation_experiment(table, [8, 16, 32, 64], 30)
+        by_name = {r.experiment: r for r in reports}
+        conv = by_name["approx-convergence"]
+        assert conv.holds and conv.lhs < 1.2e-3
+        assert by_name["approx-composite-dominates"].holds
+        composites = [r.metadata["composite_bound"] for r in reports
+                      if r.experiment == "approx-stage-bound"]
+        assert min(composites) >= conv.metadata["exact_bound"]
+
     def test_errors_decrease(self):
         reports = approximation_experiment(RadialSymbol.gaussian(), [4, 8, 16], 25)
         errs = [

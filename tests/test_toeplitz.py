@@ -472,11 +472,18 @@ def _random_mixed_symbol(rng):
 class TestCentredCompression:
     def test_mixed_symbols_against_quadrature(self):
         # One oracle at N = 48 per symbol; its leading blocks are the
-        # compressions at the smaller truncations.
+        # compressions at the smaller truncations. Six random symbols, then
+        # the two shapes that leave a part out: off-center discs alone (no
+        # centered matrix) and a centered disc with a full annulus (no
+        # sector pass, only the diagonal).
         rng = np.random.default_rng(404)
+        symbols = [_random_mixed_symbol(rng) for _ in range(6)]
+        symbols += [
+            SimpleSymbol(((Disc(0.9 + 0.4j, 0.5), 0.8), (Disc(-1.1 - 0.7j, 0.6), -0.6))),
+            SimpleSymbol(((Disc(0.0, 0.7), -0.9), (AnnularSector(0.7, 1.4, 0.0, TWO_PI), 0.5))),
+        ]
         kinds = set()
-        for _ in range(6):
-            sym = _random_mixed_symbol(rng)
+        for sym in symbols:
             oracle = sum(c * _quadrature_gram(region, 48) for region, c in sym.pieces)
             for n in (1, 2, 17, 48):
                 got = assemble(sym, n).data
@@ -578,7 +585,7 @@ class TestPolarGridCompression:
         # compression is fed from the arrays, not sorted piece by piece.
         from focklab import symbols
         monkeypatch.setattr(symbols, "disjoint", _must_not_run)
-        monkeypatch.setattr(toeplitz, "_radius_index", _must_not_run)
+        monkeypatch.setattr(toeplitz, "_per_radius", _must_not_run)
         for angular in (1, 3):
             grid, _ = discretize(_RADIAL_PROFILES["table"], 256, angular)
             assert assemble(grid, 20).dimension == 20
@@ -668,7 +675,8 @@ class TestSpectra:
     def test_jacobi_every_eigenvalue(self):
         # all 50 sections of acceptance criterion 7 and the first 12 nudged
         # by one ulp, entry for entry; then pivots of 1e-290 across a gap of
-        # 1e10 (tau = 5e299), alone and inside a matrix that needs sweeps
+        # 1e10 (tau = 5e299), alone and inside a 3 x 3 matrix whose lead
+        # block is bisected
         rng = np.random.default_rng(2027)
         sections = [assemble(random_symbol(rng), 60).data for _ in range(50)]
         sections += [np.nextafter(a.real, np.inf) + 1j * a.imag for a in sections[:12]]
@@ -705,7 +713,7 @@ class TestSpectra:
 
     def test_jacobi_dense_no_split(self, monkeypatch):
         # a random dense matrix at odd N = 61: no coupling is small, so all
-        # 61 rows are the lead block, bisected without padding
+        # 61 rows are the lead block, bisected whole at its odd size
         a = _random_hermitian(np.random.default_rng(29), 61)
         sizes = _bisected_sizes(monkeypatch)
         got = jacobi_eigenvalues(a)
@@ -721,9 +729,9 @@ class TestSpectra:
         ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], {3}),  # eigenvalue 0 kept
     ])
     def test_jacobi_padding(self, monkeypatch, a, rotated):
-        # N = 1, 2 and 3: odd lead blocks are bisected as they are, with no
-        # padding row (`rotated` is the set of lead sizes bisected), and N
-        # values come back, the matrix's own zeros included
+        # N = 1, 2 and 3 lead blocks: a block of any size is bisected as it
+        # is (`rotated` is the set of lead sizes bisected), and N values come
+        # back, the matrix's own zeros included
         a = np.array(a, dtype=complex)
         sizes = _bisected_sizes(monkeypatch)
         got = jacobi_eigenvalues(a)
@@ -813,7 +821,7 @@ class TestSpectra:
         assert math.isclose(operator_norm(a, method="jacobi"), operator_norm(a),
                             rel_tol=1e-14)
 
-    def test_jacobi_sweep_limit(self, monkeypatch):
+    def test_jacobi_rounds_fixed_up_front(self, monkeypatch):
         # the number of rounds is fixed before the first one, so counts that
         # carry no information end after as many rounds as true ones do
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
