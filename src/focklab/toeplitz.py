@@ -18,11 +18,14 @@ moments from one log-domain routine (special.poisson_weight).
 rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() takes the largest eigenvalue modulus from LAPACK
-(numpy.linalg.eigvalsh); method="jacobi" runs jacobi_eigenvalues instead, a
-solver that makes no LAPACK call. It reduces the matrix to a real symmetric
-tridiagonal form by Householder reflections (_tridiagonal), returns the
-diagonal of the trailing block whose couplings are negligible, and finds the
-lead block's eigenvalues by Sturm-count multisection (_sturm_counts).
+(numpy.linalg.eigvalsh); method="jacobi" uses the solver of
+jacobi_eigenvalues instead, which makes no LAPACK call. _lead_block reduces
+the matrix to a real symmetric tridiagonal form by Householder reflections
+(_tridiagonal) and splits off the trailing block whose couplings are
+negligible, its diagonal taken as eigenvalues; _multisection finds the lead
+block's eigenvalues by Sturm-count multisection (_sturm_counts).
+jacobi_eigenvalues bisects every bracket of the lead block, the norm only
+its two extreme ones (_extreme_eigenvalues), with the same results there.
 """
 from __future__ import annotations
 
@@ -382,23 +385,27 @@ def _tridiagonal(a: np.ndarray):
     diagonal phase that makes them real and non-negative leaves e_j = ||x||.
     A column with ||x|| <= 2^-500, far below the tail split of a matrix
     scaled as jacobi_eigenvalues scales it, is taken as reduced already.
+    ||x|| is summed as numpy.linalg.norm sums a complex vector, over a
+    contiguous copy, so e_j has the bits numpy.linalg.norm(x) would give.
     """
     a = a.copy()
     size = a.shape[0]
     e = np.zeros(max(size - 1, 0))
     for j in range(size - 2):
-        x = a[j + 1:, j]
-        e[j] = norm = float(np.linalg.norm(x))
+        v = a[j + 1:, j].copy()
+        e[j] = norm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
         if norm <= 2.0**-500:
             continue
-        lead = abs(x[0])
-        v = x.copy()
+        lead = abs(v[0])
         v[0] += (v[0] / lead if lead else 1.0) * norm
         v /= math.sqrt(2.0 * norm * (norm + lead))
         b = a[j + 1:, j + 1:]
-        p = b @ v
-        q = 2.0 * (p - np.vdot(v, p).real * v)
-        b -= np.outer(v, q.conj()) + np.outer(q, v.conj())
+        q = b @ v
+        q -= np.vdot(v, q).real * v
+        q *= 2.0
+        update = v[:, None] * q.conj()
+        update += q[:, None] * v.conj()
+        b -= update
     if size > 1:
         e[-1] = abs(a[-1, -2])
     return a.diagonal().real, e
@@ -409,17 +416,67 @@ _POINTS = 16  # multisection points per bracket and round
 
 def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     """How many eigenvalues of the real symmetric tridiagonal matrix T with
-    diagonal d and squared couplings e2 lie below each point of x: the count
-    of negative pivots q_i = (d_i - x) - e2_{i-1} / q_{i-1} of T - x I, by
-    Sylvester's law of inertia. An exact zero pivot becomes -2^-900, as if x
-    were that much larger, so nothing divides by zero."""
-    count = np.zeros(x.shape, dtype=np.intp)
-    q = np.ones_like(x)
-    for d_i, e2_i in zip(d, np.r_[0.0, e2]):
-        q = (d_i - x) - e2_i / q
-        q[q == 0.0] = -2.0**-900
-        count += q < 0.0
+    diagonal d and squared couplings e2 lie below each point of the 1-d x:
+    the count of negative pivots q_i = (d_i - x) - e2_{i-1} / q_{i-1} of
+    T - x I, by Sylvester's law of inertia. An exact zero pivot becomes
+    -2^-900, as if x were that much larger, so nothing divides by zero.
+
+    The pivots are formed a block of rows at a time: the block's d_i - x in
+    one subtract.outer, its rows updated in place one after another, its
+    negative pivots counted once. A block holds at most _POINTS^2 len(d)
+    pivots, _POINTS rows of jacobi_eigenvalues' call (_POINTS points in each
+    of len(d) brackets), so memory grows linearly with len(d); the 2 x
+    _POINTS points of operator_norm's call fit in one block."""
+    count = 0
+    height = max(1, _POINTS**2 * len(d) // len(x))
+    e2, prev = [0.0] + e2.tolist(), 1.0  # row 0 subtracts 0 / 1
+    for start in range(0, len(d), height):
+        block = np.subtract.outer(d[start:start + height], x)
+        for row, e2_i in zip(block, e2[start:]):
+            row -= e2_i / prev
+            row[row == 0.0] = -2.0**-900
+            prev = row
+        count += (block < 0.0).sum(axis=0)
     return count
+
+
+def _lead_block(matrix):
+    """(d, e, k, shift) for jacobi_eigenvalues: A scaled by 2^shift, the power
+    of two that brings its largest real or imaginary part into [1/2, 1), is
+    reduced to the real tridiagonal form (d, e), and k is the size of the
+    lead block, the smallest leading k x k block whose dropped couplings have
+    2 sum_{j >= k-1} e_j^2 <= (1e-14 ||A||_F)^2. The eigenvalues of A are
+    2^-shift times those of the lead block and the tail entries d[k:]."""
+    parts = _hermitian(matrix).data.view(np.float64)
+    shift = -math.frexp(float(np.max(np.abs(parts))))[1]
+    a = np.ldexp(parts, shift).view(np.complex128)
+    d, e = _tridiagonal(a)
+    # tails[k - 1] = 2 sum_{j >= k-1} e_j^2 for the lead sizes k = 1 .. N
+    tails = np.append(np.cumsum(2.0 * e[::-1] ** 2)[::-1], 0.0)
+    k = 1 + int(np.argmax(tails <= (1e-14 * float(np.linalg.norm(a))) ** 2))
+    return d, e, k, shift
+
+
+def _multisection(d: np.ndarray, e: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
+    """The eigenvalues numbered rows (0-based, ascending) of the lead block
+    d[:k], e[:k-1]: the midpoints of their final multisection brackets, as
+    jacobi_eigenvalues describes them. The rounds are fixed by the block
+    alone, and a bracket's points and update depend only on its own counts,
+    so an eigenvalue comes out the same whatever other rows are asked for."""
+    lead, e2, radius = d[:k], e[:k - 1] ** 2, np.pad(e[:k - 1], 1)
+    lo = np.full(len(rows), np.min(lead - radius[:-1] - radius[1:]))
+    hi = np.full(len(rows), np.max(lead + radius[:-1] + radius[1:]))
+    width, target = hi[0] - lo[0], 4.0 * np.finfo(float).eps * max(-lo[0], hi[0])
+    rounds = math.ceil(math.log(width / target, _POINTS + 1)) if width > target else 0
+    at_row, index = np.arange(len(rows)), np.arange(1, _POINTS + 1)
+    for _ in range(rounds):
+        points = lo[:, None] + (hi - lo)[:, None] * index / (_POINTS + 1)
+        counts = _sturm_counts(lead, e2, points.reshape(-1)).reshape(len(rows), _POINTS)
+        # eigenvalue j lies between the last point with count <= j and the next
+        at = (counts <= rows[:, None]).sum(axis=1)
+        grid = np.concatenate([lo[:, None], points, hi[:, None]], axis=1)
+        lo, hi = grid[at_row, at], grid[at_row, at + 1]
+    return 0.5 * (lo + hi)
 
 
 def jacobi_eigenvalues(matrix) -> np.ndarray:
@@ -432,60 +489,49 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     form (d, e). (2) The lead block is the smallest leading k x k block
     whose dropped couplings have 2 sum_{j >= k-1} e_j^2 <= (1e-14 ||A||_F)^2;
     the other d entries are returned as they are. (3) Sturm-count
-    multisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967):
-    eigenvalue j of the lead block starts in its Gershgorin bracket, and
-    each round counts the eigenvalues below 16 points inside every bracket
-    in one _sturm_counts pass and keeps the two adjacent points between
-    which the count passes j. The rounds, fixed up front, are the fewest
-    that take the first bracket's width below 4 eps max|bracket|; the final
-    brackets' midpoints are returned. Each eigenvalue is then off by at most
-    the dropped couplings' 1e-14 ||A||_F (Weyl's inequality), plus half its
-    final bracket, plus the Householder stage's backward error of a few eps
-    ||A||_F. On the 50 random_symbol sections of acceptance criterion 7
-    (N = 60), k is 17-57 (median 32) and every eigenvalue is within 3.9e-15
-    of LAPACK's eigvalsh.
+    multisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), on all
+    k brackets (_multisection): eigenvalue j of the lead block starts in its
+    Gershgorin bracket, and each round counts the eigenvalues below 16
+    points inside every bracket in one _sturm_counts pass and keeps the two
+    adjacent points between which the count passes j. The rounds, fixed up
+    front, are the fewest that take the first bracket's width below 4 eps
+    max|bracket|; the final brackets' midpoints are returned. Each
+    eigenvalue is then off by at most the dropped couplings' 1e-14 ||A||_F
+    (Weyl's inequality), plus half its final bracket, plus the Householder
+    stage's backward error of a few eps ||A||_F. On the 50 random_symbol
+    sections of acceptance criterion 7 (N = 60), k is 17-57 (median 32) and
+    every eigenvalue is within 3.9e-15 of LAPACK's eigvalsh.
     """
-    parts = _hermitian(matrix).data.view(np.float64)
-    shift = -math.frexp(float(np.max(np.abs(parts))))[1]
-    a = np.ldexp(parts, shift).view(np.complex128)
-    d, e = _tridiagonal(a)
-    # tails[k - 1] = 2 sum_{j >= k-1} e_j^2 for the lead sizes k = 1 .. N
-    tails = np.append(np.cumsum(2.0 * e[::-1] ** 2)[::-1], 0.0)
-    k = 1 + int(np.argmax(tails <= (1e-14 * float(np.linalg.norm(a))) ** 2))
-
-    lead, e2, radius = d[:k], e[:k - 1] ** 2, np.pad(e[:k - 1], 1)
-    lo = np.full(k, np.min(lead - radius[:-1] - radius[1:]))
-    hi = np.full(k, np.max(lead + radius[:-1] + radius[1:]))
-    width, target = hi[0] - lo[0], 4.0 * np.finfo(float).eps * max(-lo[0], hi[0])
-    rounds = math.ceil(math.log(width / target, _POINTS + 1)) if width > target else 0
-    rows, index = np.arange(k), np.arange(1, _POINTS + 1)
-    for _ in range(rounds):
-        points = lo[:, None] + (hi - lo)[:, None] * index / (_POINTS + 1)
-        counts = _sturm_counts(lead, e2, points.reshape(-1)).reshape(k, _POINTS)
-        # eigenvalue j lies between the last point with count <= j and the next
-        at = np.sum(counts <= rows[:, None], axis=1)
-        grid = np.column_stack([lo, points, hi])
-        lo, hi = grid[rows, at], grid[rows, at + 1]
-    eigs = np.concatenate([0.5 * (lo + hi), d[k:]])
+    d, e, k, shift = _lead_block(matrix)
+    eigs = np.concatenate([_multisection(d, e, k, np.arange(k)), d[k:]])
     return np.ldexp(np.sort(eigs), -shift)
+
+
+def _extreme_eigenvalues(matrix):
+    """(lambda_min, lambda_max) as jacobi_eigenvalues finds them, bit for bit,
+    from the lead block's two extreme brackets and the tail d[k:] alone."""
+    d, e, k, shift = _lead_block(matrix)
+    eigs = np.concatenate([_multisection(d, e, k, np.array([0, k - 1])), d[k:]])
+    return float(np.ldexp(np.min(eigs), -shift)), float(np.ldexp(np.max(eigs), -shift))
 
 
 def operator_norm(matrix, *, method: str = "auto") -> float:
     """Spectral norm of a Hermitian matrix: the largest eigenvalue modulus.
 
-    method="auto" takes the spectrum from LAPACK (numpy.linalg.eigvalsh);
-    "jacobi" takes it from jacobi_eigenvalues, a solver that makes no LAPACK
-    call. Only the solver is LAPACK-free: assembling an off-center disc
-    still calls scipy.linalg.eigh_tridiagonal (_hermite_eigh).
+    method="auto" takes the spectrum from LAPACK (numpy.linalg.eigvalsh).
+    "jacobi" uses the solver of jacobi_eigenvalues, which makes no LAPACK
+    call, but bisects only the two extreme brackets of its lead block: the
+    norm is max(-lambda_min, lambda_max), equal to max |jacobi_eigenvalues|.
+    Only the solver is LAPACK-free: assembling an off-center disc still
+    calls scipy.linalg.eigh_tridiagonal (_hermite_eigh).
     """
     h = _hermitian(matrix)
     if method == "auto":
-        eigs = np.linalg.eigvalsh(h.data)
-    elif method == "jacobi":
-        eigs = jacobi_eigenvalues(h)
-    else:
-        raise ValueError(f"unknown method: {method!r}")
-    return float(np.max(np.abs(eigs)))
+        return float(np.max(np.abs(np.linalg.eigvalsh(h.data))))
+    if method == "jacobi":
+        lo, hi = _extreme_eigenvalues(h)
+        return max(abs(lo), abs(hi))
+    raise ValueError(f"unknown method: {method!r}")
 
 
 # ---------------------------------------------------------------------------

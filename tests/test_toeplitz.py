@@ -610,6 +610,58 @@ def _bisected_sizes(monkeypatch):
     return sizes
 
 
+def _criterion7_sections():
+    """The 50 random_symbol sections of acceptance criterion 7 (seed 2027,
+    N = 60) and the first 12 of them nudged by one ulp, entry for entry."""
+    rng = np.random.default_rng(2027)
+    sections = [assemble(random_symbol(rng), 60).data for _ in range(50)]
+    return sections + [np.nextafter(a.real, np.inf) + 1j * a.imag for a in sections[:12]]
+
+
+def _deep_split_matrix():
+    """V diag(lambda) V^H with lambda from 1 down to 1e-40 (N = 60): its lead
+    block is small and most eigenvalues come from the tail."""
+    rng = np.random.default_rng(5)
+    v, _ = np.linalg.qr(rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60)))
+    return (v * np.logspace(0.0, -40.0, 60)) @ v.conj().T
+
+
+def _reference_tridiagonal(a):
+    """The Householder stage written with numpy.linalg.norm and np.outer,
+    the reference toeplitz._tridiagonal must match bit for bit."""
+    a = a.copy()
+    size = a.shape[0]
+    e = np.zeros(max(size - 1, 0))
+    for j in range(size - 2):
+        x = a[j + 1:, j]
+        e[j] = norm = float(np.linalg.norm(x))
+        if norm <= 2.0**-500:
+            continue
+        lead = abs(x[0])
+        v = x.copy()
+        v[0] += (v[0] / lead if lead else 1.0) * norm
+        v /= math.sqrt(2.0 * norm * (norm + lead))
+        b = a[j + 1:, j + 1:]
+        p = b @ v
+        q = 2.0 * (p - np.vdot(v, p).real * v)
+        b -= np.outer(v, q.conj()) + np.outer(q, v.conj())
+    if size > 1:
+        e[-1] = abs(a[-1, -2])
+    return a.diagonal().real, e
+
+
+def _reference_sturm_counts(d, e2, x):
+    """The Sturm count one row at a time over all points, with a running
+    count, the reference toeplitz._sturm_counts must match exactly."""
+    count = np.zeros(x.shape, dtype=np.intp)
+    q = np.ones_like(x)
+    for d_i, e2_i in zip(d, np.r_[0.0, e2]):
+        q = (d_i - x) - e2_i / q
+        q[q == 0.0] = -2.0**-900
+        count += q < 0.0
+    return count
+
+
 class TestSpectra:
     def test_operator_norm_diagonal(self):
         mat = HermitianMatrix(np.diag([1.0, -4.0, 2.5]).astype(complex))
@@ -847,6 +899,97 @@ class TestSpectra:
         lam, v = top_eigenpair(a)
         assert math.isclose(lam, -3.0, rel_tol=1e-12)
         assert abs(abs(v[0]) - 1.0) < 1e-10
+
+
+class TestJacobiNorm:
+    """operator_norm(method="jacobi") bisects only the two extreme brackets
+    of the lead block; the kernels it runs on match row-at-a-time references
+    bit for bit."""
+
+    @staticmethod
+    def _matrices():
+        return _criterion7_sections() + [
+            _random_hermitian(np.random.default_rng(29), 61), _deep_split_matrix()]
+
+    def test_extremes_are_the_ends_of_every_eigenvalue(self):
+        for a in self._matrices():
+            eigs = jacobi_eigenvalues(a)
+            assert np.array_equal(np.array(toeplitz._extreme_eigenvalues(a)), eigs[[0, -1]])
+            assert operator_norm(a, method="jacobi") == float(np.max(np.abs(eigs)))
+
+    def test_two_brackets_per_round(self, monkeypatch):
+        # the norm sends 2 x 16 points per round, for as many rounds as the
+        # all-brackets call, which sends 16 per lead-block row
+        calls = []
+        counts = toeplitz._sturm_counts
+
+        def spy(d, e2, x):
+            calls.append((len(d), len(x)))
+            return counts(d, e2, x)
+
+        monkeypatch.setattr(toeplitz, "_sturm_counts", spy)
+        for a in self._matrices()[::10]:
+            calls.clear()
+            jacobi_eigenvalues(a)
+            every = list(calls)
+            calls.clear()
+            operator_norm(a, method="jacobi")
+            assert len(calls) == len(every) > 0
+            assert all(points == 16 * k for k, points in every)
+            assert all(points == 32 for _, points in calls)
+
+    @pytest.mark.parametrize("a, norm", [
+        ([[0.0, 1e-290], [1e-290, 1e10]], 1e10),   # from the tail d[k:]
+        ([[-3.0, 0.5], [0.5, 1.0]], 1.0 + math.sqrt(4.25)),  # lambda_min wins
+        ([[-2.5]], 2.5),                           # 1 x 1
+    ])
+    def test_edge_cases(self, a, norm):
+        a = np.array(a, dtype=complex)
+        got = operator_norm(a, method="jacobi")
+        assert got == float(np.max(np.abs(jacobi_eigenvalues(a))))
+        assert math.isclose(got, norm, rel_tol=1e-14)
+
+    def test_zero_matrix_runs_no_round(self, monkeypatch):
+        sizes = _bisected_sizes(monkeypatch)
+        got = operator_norm(np.zeros((4, 4)), method="jacobi")
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        assert sizes == []
+
+    def test_zero_pivot_through_the_norm(self):
+        # the matrix of test_jacobi_point_on_eigenvalue: a first-round point
+        # lands on its eigenvalue 0, and nothing divides by zero
+        a = np.array([[0.0, 8.0, 0.0], [8.0, 0.5, 0.5], [0.0, 0.5, 0.0]])
+        with np.errstate(divide="raise", invalid="raise"):
+            got = operator_norm(a, method="jacobi")
+        assert got == float(np.max(np.abs(jacobi_eigenvalues(a))))
+        assert math.isclose(got, float(np.max(np.abs(np.linalg.eigvalsh(a)))), rel_tol=1e-14)
+
+    def test_tridiagonal_against_reference(self):
+        rng = np.random.default_rng(41)
+        for a in (_criterion7_sections()[:50]
+                  + [_random_hermitian(rng, n) for n in (1, 2, 3, 17, 61)]):
+            for got, expect in zip(toeplitz._tridiagonal(a), _reference_tridiagonal(a)):
+                assert np.array_equal(got, expect)
+
+    def test_sturm_counts_against_reference(self):
+        rng = np.random.default_rng(43)
+        cases = []
+        for k in (1, 2, 17, 40):
+            d, e2 = rng.normal(size=k), rng.random(k - 1)
+            spread = np.concatenate([rng.uniform(-4.0, 4.0, 16 * k), d])
+            cases += [(d, e2, spread), (d, e2, spread[:32])]
+        # exact zero pivots: q_0 = 0 with e2_0 = 0 (unguarded, 0 / 0), and
+        # q_16 = 1 - 1 / 1 = 0, the first row of a block of 16
+        cases.append((np.array([0.0, -1.0, -1.0]), np.array([0.0, 0.5]), np.array([0.0, -2.0, 2.0])))
+        e2 = np.zeros(39)
+        e2[15] = e2[16] = 1.0
+        for points in (32, 640):
+            x = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, points - 1)])
+            cases.append((np.ones(40), e2, x))
+        for d, e2, x in cases:
+            with np.errstate(divide="raise", invalid="raise"):
+                assert np.array_equal(toeplitz._sturm_counts(d, e2, x),
+                                      _reference_sturm_counts(d, e2, x))
 
 
 def _grid_rayleigh_radial(symbol, f):
