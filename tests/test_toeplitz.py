@@ -1,4 +1,5 @@
 """Matrix compressions, spectra, and quadratic forms."""
+import functools
 import math
 
 import numpy as np
@@ -436,6 +437,118 @@ class TestRegionCompression:
             region_compression(Disc(1.0, 1.0), 0)
         with pytest.raises(TypeError):
             region_compression("nope", 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_section_eigh(size):
+    return scipy.linalg.eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1.0, size)))
+
+
+def _full_spectrum_displaced_disc(disc, truncation):
+    """The off-centre disc from every eigenpair of the a + a^* section, in
+    complex arithmetic: W = U V e^{i |alpha| mu} V^T U^*, U = diag(e^{i m
+    (arg alpha - pi/2)}), and W diag(P(k+1, pi r^2)) W^*, with the section
+    size and column count of toeplitz._displaced_disc."""
+    alpha = math.sqrt(math.pi) * disc.center.conjugate()
+    x = math.pi * disc.radius**2
+    cols = math.ceil(x + 12.0 * math.sqrt(x + 1.0) + 40.0)
+    size = 64 * math.ceil((math.sqrt(max(truncation, cols)) + abs(alpha) + 3.0) ** 2 / 64.0)
+    mu, v = _hermite_section_eigh(size)
+    phase = abs(alpha) * mu
+    w = (v[:truncation] * np.exp(1j * phase)) @ v[:cols].T
+    psi = math.atan2(alpha.imag, alpha.real) - 0.5 * math.pi
+    w *= np.exp(1j * psi * np.arange(truncation))[:, None]
+    w *= np.exp(-1j * psi * np.arange(cols))[None, :]
+    return (w * gammainc(np.arange(1.0, cols + 1.0), x)) @ w.conj().T
+
+
+class TestDisplacedDisc:
+    def test_half_spectrum_against_the_full_one(self):
+        # radii 0.2 and 2 take K = 53 and 97 columns, so K < N and K > N
+        # both occur; the random radii add even K (58, 76, 78, ...), and N
+        # takes both parities too
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 3, 20, 57, 96, 128):
+            for radius in (0.2, 2.0, *rng.uniform(0.2, 2.0, size=2)):
+                modulus, angle = rng.uniform(0.0, 8.0), rng.uniform(0.0, TWO_PI)
+                center = modulus * complex(math.cos(angle), math.sin(angle))
+                disc = Disc(center, radius)
+                got = toeplitz._displaced_disc(disc, n)
+                # each form is within about 1.5e-15 of a 30-digit evaluation
+                # of the same sum on such discs, so they may differ by twice that
+                assert np.max(np.abs(got - _full_spectrum_displaced_disc(disc, n))) <= 3e-15
+
+    def test_coherent_state_residual(self):
+        # W_c e_0 is the coherent state at c: its mass on D(c, r) is
+        # 1 - e^{-pi r^2}. On these discs the full-spectrum form's residuals
+        # have median 6.7e-16, max 2.2e-15 and mean +5.9e-16; the
+        # half-spectrum form's 3.6e-16, 2.1e-15 and +2.4e-16.
+        rng = np.random.default_rng(2026)
+        residuals = []
+        for _ in range(300):
+            n = int(rng.integers(60, 101))
+            modulus, angle = 2.0 * math.sqrt(rng.uniform()), rng.uniform(0.0, TWO_PI)
+            center = modulus * complex(math.cos(angle), math.sin(angle))
+            radius = rng.uniform(0.2, 2.0)
+            f = coherent(center, n)
+            g = toeplitz._displaced_disc(Disc(center, radius), n)
+            residuals.append(float(np.real(np.vdot(f.coeffs, g @ f.coeffs)))
+                             + math.expm1(-math.pi * radius**2))
+        residuals = np.abs(residuals)
+        assert np.median(residuals) <= 5.6e-16
+        assert np.max(residuals) <= 2.5e-15
+
+    @pytest.mark.parametrize("size", [64, 192, 320])
+    def test_half_spectrum_is_an_eigendecomposition(self, size):
+        # the positive nodes with their even and odd rows, and the mirror
+        # images diag((-1)^m) v for the negative nodes, diagonalize the section
+        mu, even, odd = toeplitz._hermite_eigh(size)
+        assert len(mu) == size // 2 and np.all(mu > 0.0) and np.all(np.diff(mu) > 0.0)
+        v = np.empty((size, size // 2))
+        v[0::2], v[1::2] = even, odd
+        off = np.sqrt(np.arange(1.0, size))
+        xv = np.zeros_like(v)
+        xv[:-1] += off[:, None] * v[1:]
+        xv[1:] += off[:, None] * v[:-1]
+        assert np.max(np.abs(xv - v * mu)) <= 1e-13 * math.sqrt(size)
+        full = np.concatenate([v * (-1.0) ** np.arange(size)[:, None], v], axis=1)
+        assert np.max(np.abs(full.T @ full - np.eye(size))) <= 1e-13
+        for table in (mu, even, odd):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+
+def _gather_from_scratch(radial, angular, n):
+    """_gather_moments with its scale and mask built at exactly n."""
+    d = (radial @ angular.view(np.float64)).view(np.complex128)
+    idx = np.arange(n)
+    upper = d[idx[:, None] + idx[None, :], idx[None, :] - idx[:, None]]
+    out = np.where(np.greater.outer(idx, idx), upper.T.conj(), upper)
+    lgam = gammaln(np.arange(1.0, n + 0.5, 0.5))
+    lf = gammaln(idx + 1.0)
+    out *= np.exp(lgam[idx[:, None] + idx[None, :]] - 0.5 * np.add.outer(lf, lf))
+    return out
+
+
+class TestGatherTables:
+    def test_bit_identical_to_a_build_at_each_size(self):
+        rng = np.random.default_rng(96)
+        toeplitz._gather_tables.cache_clear()
+        for n in (96, 40, 130):
+            radial = rng.standard_normal((2 * n - 1, 3))
+            angular = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+            got = toeplitz._gather_moments(radial, angular, n)
+            assert np.array_equal(got, _gather_from_scratch(radial, angular, n))
+        # one build each at the sizes 128, 64 and 192; N = 100 reads size 128
+        toeplitz._gather_moments(radial[:199], np.ascontiguousarray(angular[:, :100]), 100)
+        assert toeplitz._gather_tables.cache_info()[:2] == (1, 3)
+
+    def test_tables_are_read_only(self):
+        scale, lower = toeplitz._gather_tables(64)
+        with pytest.raises(ValueError):
+            scale[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            lower[0, 0] = True
 
 
 def _must_not_run(*args, **kwargs):
