@@ -371,12 +371,32 @@ def _config_text(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
 
+def _attach_signed_values(argv: list) -> list:
+    """argv with each `--flag VALUE` whose VALUE starts with '-' and reads as
+    a number written `--flag=VALUE`: argparse takes such a VALUE for an
+    option unless it is a plain negative real, so `--center -2+1j` would
+    otherwise lack its argument."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
+            try:
+                complex(token.replace(" ", ""))
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def _parse(argv: list) -> argparse.Namespace:
     """Flags, then --config entries, then the defaults of _COMMANDS.
 
     The config entries of the subcommand's unset flags (those that read None;
     other subcommands' flags are absent) are appended to argv as --flag=text
     and parsed again, so they pass the same checks as flags."""
+    argv = _attach_signed_values(argv)
     args = _PARSER.parse_args(argv)
     if args.config is not None:
         given = [f"{_option(key)}={_config_text(value)}"

@@ -29,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
 
 from .regions import TWO_PI, AnnularSector, Disc, Region
+from .tridiagonal import _multisection
 
 MAX_RADIAL_ORDER = 256
 MAX_LEGENDRE_ORDER = 1024
@@ -86,9 +86,11 @@ class RadialRule:
             raise ValueError(
                 f"radial node count must be in [1, {MAX_RADIAL_ORDER}], got {count}"
             )
+        # the nodes are the eigenvalues of the Jacobi matrix of L_K, diagonal
+        # 2k + 1 and couplings k, bracketed by multisection
         diag = 2.0 * np.arange(count) + 1.0
         off = np.arange(1.0, count)
-        nodes, _ = eigh_tridiagonal(diag, off)
+        nodes = _multisection(diag, off, count, np.arange(count))
 
         # The K-term recurrences below lose about K ulps in float64 (3e-14 of
         # the weights at K = 252), so they run in np.longdouble, which has a

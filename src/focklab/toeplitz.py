@@ -11,8 +11,9 @@ centered discs into one diagonal. _piece_compression builds only the parts
 its (region, coefficient) pieces have: each off-center disc D(c, r) as the
 Weyl translate W_c T_{1_D(0, r)} W_c^* of the centered disc, in real
 arithmetic from the positive half-spectrum of a section of a + a^*
-(_displaced_disc, _hermite_eigh), then one matrix for the origin-centered
-rest. A SimpleSymbol is its pieces, and
+(_displaced_disc; _hermite_eigh takes it from multisection, a Newton step
+and the Hermite recurrence, with no LAPACK call), then one matrix for the
+origin-centered rest. A SimpleSymbol is its pieces, and
 region_compression() is the one-piece symbol ((region, 1),).
 radial_assemble() gives radial symbols' diagonal compressions, the
 gaussian's in closed form and compact profiles' on RadialSymbol.panels(), a
@@ -22,11 +23,13 @@ rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() takes the largest eigenvalue modulus from LAPACK
 (numpy.linalg.eigvalsh); method="jacobi" uses the solver of
-jacobi_eigenvalues instead, which makes no LAPACK call. _lead_block reduces
+jacobi_eigenvalues instead, which makes no LAPACK call, and neither does
+any assembly, so the whole Jacobi path is LAPACK-free. _lead_block reduces
 the matrix to a real symmetric tridiagonal form by Householder reflections
 (_tridiagonal) and splits off the trailing block whose couplings are
-negligible, its diagonal taken as eigenvalues; _multisection finds the lead
-block's eigenvalues by Sturm-count multisection (_sturm_counts).
+negligible, its diagonal taken as eigenvalues; tridiagonal._multisection
+finds the lead block's eigenvalues by Sturm-count multisection
+(_sturm_counts, passed as this module's binding).
 jacobi_eigenvalues bisects every bracket of the lead block, the norm only
 its two extreme ones (_extreme_eigenvalues), with the same results there.
 """
@@ -39,13 +42,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .fock import FockFunction
 from .regions import TWO_PI, AnnularSector, Disc, Region
-from .special import gammainc_lower, gammainc_lower_int_prefix, log_factorial, poisson_weight
+from .special import (gammainc_lower_half_prefix, gammainc_lower_int_prefix, lgamma_halves,
+                      log_factorial, poisson_weight)
 from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol
+from .tridiagonal import _multisection, _sturm_counts
 
 __all__ = [
     "HermitianMatrix",
@@ -124,7 +127,7 @@ def _gather_tables(size: int):
     block serves every smaller truncation. Read-only, since the cache hands
     the same arrays to every caller."""
     idx = np.arange(size)
-    lgam = gammaln(np.arange(1.0, size + 0.5, 0.5))  # Gamma(l/2 + 1), l = 0 .. 2 size - 2
+    lgam = lgamma_halves(2 * size - 2)[:2 * size - 1]  # Gamma(l/2 + 1), l = 0 .. 2 size - 2
     # lgam[m + n] at flat offset m + n: a strided (Hankel) view
     hankel = np.ndarray((size, size), np.float64, lgam, 0, (lgam.itemsize,) * 2)
     lf = log_factorial(idx)
@@ -165,18 +168,33 @@ def _per_radius(edges, values: np.ndarray):
     index = {}
     at = [index.setdefault(math.pi * r**2, len(index))
           for r in [r_out for _, r_out in edges] + [r_in for r_in, _ in edges]]
+    terms = np.concatenate([values, -values])
+    if len(index) == len(at):  # every radius distinct: at is 0, 1, 2, ...
+        # + 0.0, as a sum into zeros: a -0.0 becomes 0.0
+        return list(index), terms + 0.0
     sums = np.zeros((len(index),) + values.shape[1:], dtype=values.dtype)
-    np.add.at(sums, at, np.concatenate([values, -values]))
+    np.add.at(sums, at, terms)
     return list(index), sums
+
+
+@functools.lru_cache(maxsize=8)
+def _arc_tables(truncation: int):
+    """i k and the divisor i max(k, 1) of _arc_moments for k < truncation,
+    read-only, since the cache hands the same arrays to every caller."""
+    ks = np.arange(truncation)
+    tables = 1j * ks, 1j * np.where(ks == 0, 1, ks)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _arc_moments(t1, t2, truncation: int) -> np.ndarray:
     """A(k) = int_t1^t2 e^{ik theta} dtheta for k = 0 .. truncation-1, one
     row per arc (t1, t2 are column arrays)."""
-    ks = np.arange(truncation)
-    safe_k = np.where(ks == 0, 1, ks)
-    return np.where(ks == 0, t2 - t1,
-                    (np.exp(1j * ks * t2) - np.exp(1j * ks * t1)) / (1j * safe_k))
+    ik, divisor = _arc_tables(truncation)
+    out = (np.exp(ik * t2) - np.exp(ik * t1)) / divisor
+    out[:, 0] = (t2 - t1)[:, 0]
+    return out
 
 
 def _sector_compression(truncation: int, x, rows) -> np.ndarray:
@@ -193,7 +211,8 @@ def _sector_compression(truncation: int, x, rows) -> np.ndarray:
     gamma is evaluated once per radius. A full span kills every k != 0, so
     full rings are the diagonal w @ P(n + 1, x) of their summed weights w.
     """
-    radial = gammainc_lower(np.arange(1.0, truncation + 0.5, 0.5)[:, None], x)
+    # P(a, x_j) for a = 1, 3/2, ..., N, one row per a
+    radial = gammainc_lower_half_prefix(truncation, x)[:, 1:].T
     return _gather_moments(radial, rows, truncation)
 
 
@@ -213,19 +232,41 @@ def _grid_compression(grid: PolarGrid, truncation: int) -> np.ndarray:
     return _sector_compression(truncation, x, w @ arcs / TWO_PI)
 
 
+def _hermite_rows(x: np.ndarray, count: int) -> np.ndarray:
+    """p_m(x) e^{-x^2/8} for m = 0 .. count-1, one row per m, where p_m are
+    the orthonormal polynomials of a + a^*: sqrt(m+1) p_{m+1} = x p_m -
+    sqrt(m) p_{m-1}, p_0 = 1, in the precision of x. |p_m(x)| grows to about
+    e^{x^2/4} inside the spectrum, so the start e^{-x^2/8} keeps every row
+    within e^{+-x^2/8} of one."""
+    root = np.sqrt(np.arange(count + 1, dtype=x.dtype))
+    rows = np.empty((count, len(x)), dtype=x.dtype)
+    rows[0] = np.exp(-x * x / 8)
+    prev = np.zeros_like(x)
+    for m in range(count - 1):
+        rows[m + 1] = (x * rows[m] - root[m] * prev) / root[m + 1]
+        prev = rows[m]
+    return rows
+
+
 @functools.lru_cache(maxsize=8)
 def _hermite_eigh(size: int):
     """The positive half-spectrum of the size x size section of a + a^* (size
     even): the Jacobi matrix with zero diagonal and off-diagonals sqrt(1),
-    ..., sqrt(size-1). Returns its positive eigenvalues mu (ascending) and the
-    even and odd rows of their eigenvectors, from bisection and inverse
-    iteration (LAPACK stebz and stein), whose vectors are about ten times
-    closer to exact here than the default full-spectrum driver's (1.0e-15
-    against 1.5e-14 entrywise at size 128). Read-only, since the cache hands
-    the same arrays to every caller."""
-    mu, v = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1.0, size)),
-                             select="i", select_range=(size // 2, size - 1), lapack_driver="stebz")
-    tables = mu, v[0::2].copy(), v[1::2].copy()
+    ..., sqrt(size-1), in numpy alone, with no LAPACK call. Returns its
+    positive eigenvalues mu (ascending) and the even and odd rows of their
+    eigenvectors. mu are the roots of p_size, the orthonormal polynomial of
+    _hermite_rows: _multisection brackets them, and one Newton step on p_size
+    (p_m' = sqrt(m) p_{m-1}) in np.longdouble polishes them. The eigenvector
+    of mu is (p_0(mu), ..., p_{size-1}(mu)), run in np.longdouble (64-bit
+    mantissa on x86-64) and normalized. Read-only, since the cache hands the
+    same arrays to every caller."""
+    off = np.sqrt(np.arange(1.0, size))
+    x = _multisection(np.zeros(size), off, size, np.arange(size // 2, size)).astype(np.longdouble)
+    rows = _hermite_rows(x, size + 1)
+    x -= rows[size] / (np.sqrt(np.longdouble(size)) * rows[size - 1])
+    v = _hermite_rows(x, size)
+    v /= np.sqrt(np.sum(v * v, axis=0))
+    tables = x.astype(np.float64), v[0::2].astype(np.float64), v[1::2].astype(np.float64)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -268,7 +309,7 @@ def _displaced_disc(region: Disc, truncation: int) -> np.ndarray:
     y[0::2, 1::2] = (rows_even * -sin) @ cols_odd
     y[1::2, 1::2] = (rows_odd * cos) @ cols_odd
     # the factor 2 of Y, squared, rides on diag(P)
-    r = (y * (4.0 * gammainc_lower(np.arange(1.0, cols + 1.0), x))) @ y.T
+    r = (y * (4.0 * gammainc_lower_half_prefix(cols, x)[1::2])) @ y.T
     z = np.exp(1j * (cmath.phase(alpha) - 0.5 * math.pi) * np.arange(n))
     z[1::2] *= 1j
     return r * (z[:, None] * z.conj())
@@ -451,35 +492,6 @@ def _tridiagonal(a: np.ndarray):
     return a.diagonal().real, e
 
 
-_POINTS = 16  # multisection points per bracket and round
-
-
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """How many eigenvalues of the real symmetric tridiagonal matrix T with
-    diagonal d and squared couplings e2 lie below each point of the 1-d x:
-    the count of negative pivots q_i = (d_i - x) - e2_{i-1} / q_{i-1} of
-    T - x I, by Sylvester's law of inertia. An exact zero pivot becomes
-    -2^-900, as if x were that much larger, so nothing divides by zero.
-
-    The pivots are formed a block of rows at a time: the block's d_i - x in
-    one subtract.outer, its rows updated in place one after another, its
-    negative pivots counted once. A block holds at most _POINTS^2 len(d)
-    pivots, _POINTS rows of jacobi_eigenvalues' call (_POINTS points in each
-    of len(d) brackets), so memory grows linearly with len(d); the 2 x
-    _POINTS points of operator_norm's call fit in one block."""
-    count = 0
-    height = max(1, _POINTS**2 * len(d) // len(x))
-    e2, prev = [0.0] + e2.tolist(), 1.0  # row 0 subtracts 0 / 1
-    for start in range(0, len(d), height):
-        block = np.subtract.outer(d[start:start + height], x)
-        for row, e2_i in zip(block, e2[start:]):
-            row -= e2_i / prev
-            row[row == 0.0] = -2.0**-900
-            prev = row
-        count += (block < 0.0).sum(axis=0)
-    return count
-
-
 def _lead_block(matrix):
     """(d, e, k, shift) for jacobi_eigenvalues: A scaled by 2^shift, the power
     of two that brings its largest real or imaginary part into [1/2, 1), is
@@ -495,28 +507,6 @@ def _lead_block(matrix):
     tails = np.append(np.cumsum(2.0 * e[::-1] ** 2)[::-1], 0.0)
     k = 1 + int(np.argmax(tails <= (1e-14 * float(np.linalg.norm(a))) ** 2))
     return d, e, k, shift
-
-
-def _multisection(d: np.ndarray, e: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
-    """The eigenvalues numbered rows (0-based, ascending) of the lead block
-    d[:k], e[:k-1]: the midpoints of their final multisection brackets, as
-    jacobi_eigenvalues describes them. The rounds are fixed by the block
-    alone, and a bracket's points and update depend only on its own counts,
-    so an eigenvalue comes out the same whatever other rows are asked for."""
-    lead, e2, radius = d[:k], e[:k - 1] ** 2, np.pad(e[:k - 1], 1)
-    lo = np.full(len(rows), np.min(lead - radius[:-1] - radius[1:]))
-    hi = np.full(len(rows), np.max(lead + radius[:-1] + radius[1:]))
-    width, target = hi[0] - lo[0], 4.0 * np.finfo(float).eps * max(-lo[0], hi[0])
-    rounds = math.ceil(math.log(width / target, _POINTS + 1)) if width > target else 0
-    at_row, index = np.arange(len(rows)), np.arange(1, _POINTS + 1)
-    for _ in range(rounds):
-        points = lo[:, None] + (hi - lo)[:, None] * index / (_POINTS + 1)
-        counts = _sturm_counts(lead, e2, points.reshape(-1)).reshape(len(rows), _POINTS)
-        # eigenvalue j lies between the last point with count <= j and the next
-        at = (counts <= rows[:, None]).sum(axis=1)
-        grid = np.concatenate([lo[:, None], points, hi[:, None]], axis=1)
-        lo, hi = grid[at_row, at], grid[at_row, at + 1]
-    return 0.5 * (lo + hi)
 
 
 def jacobi_eigenvalues(matrix) -> np.ndarray:
@@ -543,7 +533,7 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     every eigenvalue is within 3.9e-15 of LAPACK's eigvalsh.
     """
     d, e, k, shift = _lead_block(matrix)
-    eigs = np.concatenate([_multisection(d, e, k, np.arange(k)), d[k:]])
+    eigs = np.concatenate([_multisection(d, e, k, np.arange(k), _sturm_counts), d[k:]])
     return np.ldexp(np.sort(eigs), -shift)
 
 
@@ -551,7 +541,7 @@ def _extreme_eigenvalues(matrix):
     """(lambda_min, lambda_max) as jacobi_eigenvalues finds them, bit for bit,
     from the lead block's two extreme brackets and the tail d[k:] alone."""
     d, e, k, shift = _lead_block(matrix)
-    eigs = np.concatenate([_multisection(d, e, k, np.array([0, k - 1])), d[k:]])
+    eigs = np.concatenate([_multisection(d, e, k, np.array([0, k - 1]), _sturm_counts), d[k:]])
     return float(np.ldexp(np.min(eigs), -shift)), float(np.ldexp(np.max(eigs), -shift))
 
 
@@ -562,8 +552,8 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
     "jacobi" uses the solver of jacobi_eigenvalues, which makes no LAPACK
     call, but bisects only the two extreme brackets of its lead block: the
     norm is max(-lambda_min, lambda_max), equal to max |jacobi_eigenvalues|.
-    Only the solver is LAPACK-free: assembling an off-center disc still
-    calls scipy.linalg.eigh_tridiagonal (_hermite_eigh).
+    Assembly makes no LAPACK call either (_hermite_eigh included), so
+    assemble followed by the Jacobi norm is LAPACK-free end to end.
     """
     h = _hermitian(matrix)
     if method == "auto":

@@ -230,6 +230,22 @@ class TestVerifySuites:
         assert res.stdout.count("PASS") == 3
         assert "3/3 checks hold" in res.stdout
 
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_sharpness_center_with_leading_minus(self, run_cli, tmp_path):
+        # `focklab sharpness --center -2+1j --radius 1.3` once exited 2 with
+        # "argument --center: expected one argument": argparse read -2+1j as
+        # an option. At the default N = 40 the coherent state at |c| = 2.24
+        # drops tail mass 2.1e-7, so the equality check fails honestly.
+        res = run_cli("sharpness", "--center", "-2+1j", "--radius", "1.3")
+        assert res.stderr == ("warning: coherent state at |w0| = 2.236 loses tail mass "
+                              "2.077e-07 at truncation 40\n")
+        assert res.returncode == 1
+        assert "2/3 checks hold" in res.stdout
+        reports = [json.loads(line) for line in
+                   (tmp_path / "sharpness_reports.jsonl").read_text().splitlines()]
+        assert [r["metadata"]["center"] for r in reports] == [[-2.0, 1.0]] * 3
+        assert run_cli("sharpness", "--center=-2+1j", "--radius", "1.3").stdout == res.stdout
+
     def test_approximate_coarse_grids_fail_honestly(self, tmp_path, gaussian_symbol):
         out = tmp_path / "out"
         res = run_process("approximate", "--symbol", str(gaussian_symbol),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from focklab.quadrature import (
+    _scaled_laguerre,
     AngularRule,
     ProductRule,
     RadialRule,
@@ -70,6 +71,50 @@ class TestRadialRule:
             RadialRule.gauss_laguerre(0)
         with pytest.raises(ValueError):
             RadialRule.gauss_laguerre(100000)
+
+
+def _lapack_seeded_laguerre(count):
+    """(nodes, weights, scaled weights) of the rule RadialRule.gauss_laguerre
+    built when LAPACK (scipy.linalg.eigh_tridiagonal) gave the nodes that its
+    Newton polish starts from; the polish and the weights are its own."""
+    import scipy.linalg
+
+    nodes, _ = scipy.linalg.eigh_tridiagonal(2.0 * np.arange(count) + 1.0, np.arange(1.0, count))
+    t = nodes.astype(np.longdouble)
+    q = _scaled_laguerre(t, count + 1)
+    denom = count * (q[count] - q[count - 1])
+    safe = np.where(denom == 0.0, 1.0, denom)
+    t = np.sort(t - np.where(denom == 0.0, 0.0, t * q[count] / safe))
+    q = _scaled_laguerre(t, count)
+    nodes = t.astype(np.float64)
+    scaled = (1.0 / np.sum(q * q, axis=0)).astype(np.float64)
+    scaled /= np.sum(scaled * np.exp(-nodes))
+    return nodes, scaled * np.exp(-nodes), scaled
+
+
+class TestLaguerreWithoutLapack:
+    """The nodes come from Sturm multisection, not LAPACK; the polish that
+    follows makes the rule what the LAPACK-seeded one was, to an ulp."""
+
+    def test_counts_to_80(self):
+        moved = []
+        for count in range(1, 81):
+            rule = RadialRule.gauss_laguerre(count)
+            for got, old in zip((rule.nodes, rule.weights, rule.scaled_weights),
+                                _lapack_seeded_laguerre(count)):
+                assert np.all(np.abs(got - old) <= np.spacing(old))
+                moved += [count] * int(np.count_nonzero(got != old))
+            if count in (1, 2, 8, 24, 80):
+                assert count not in moved
+        # one weight (and its scaled weight) at K = 19 and the first node at K = 62
+        assert moved == [19, 19, 62]
+
+    @pytest.mark.parametrize("count", [160, 256])
+    def test_large_counts(self, count):
+        rule = RadialRule.gauss_laguerre(count)
+        for got, old in zip((rule.nodes, rule.weights, rule.scaled_weights),
+                            _lapack_seeded_laguerre(count)):
+            assert np.all(np.abs(got - old) <= 1e-15 * old)
 
 
 class TestAngularRule:

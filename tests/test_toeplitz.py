@@ -498,6 +498,22 @@ class TestDisplacedDisc:
         assert np.median(residuals) <= 5.6e-16
         assert np.max(residuals) <= 2.5e-15
 
+    @pytest.mark.parametrize("size", [64, 128, 192, 320])
+    def test_half_spectrum_matches_lapack(self, size):
+        # the eigenpairs LAPACK's stebz and stein gave before, with no LAPACK
+        # call now: every vector entry within 3e-15 (a vector's sign is
+        # free), the nodes within 1e-14, and the vectors orthonormal
+        mu, even, odd = toeplitz._hermite_eigh(size)
+        ref_mu, ref_v = scipy.linalg.eigh_tridiagonal(
+            np.zeros(size), np.sqrt(np.arange(1.0, size)), select="i",
+            select_range=(size // 2, size - 1), lapack_driver="stebz")
+        v = np.empty((size, size // 2))
+        v[0::2], v[1::2] = even, odd
+        assert np.max(np.abs(mu - ref_mu)) <= 1e-14
+        assert np.max(np.abs(v.T @ v - np.eye(size // 2))) <= 3e-15
+        v *= np.sign(np.sum(v * ref_v, axis=0))
+        assert np.max(np.abs(v - ref_v)) <= 3e-15
+
     @pytest.mark.parametrize("size", [64, 192, 320])
     def test_half_spectrum_is_an_eigendecomposition(self, size):
         # the positive nodes with their even and odd rows, and the mirror
@@ -953,11 +969,15 @@ class TestSpectra:
     def test_jacobi_without_lapack(self, monkeypatch):
         # every LAPACK eigensolver or factorization numpy and scipy offer for
         # this, made to raise: the Jacobi path still solves a criterion-7
-        # section and a random matrix of odd size
+        # section and a random matrix of odd size, and assembles and norms an
+        # off-centre disc, whose Weyl translation is built afresh
         section = assemble(random_symbol(np.random.default_rng(2027)), 60)
         dense = _random_hermitian(np.random.default_rng(31), 61)
+        disc = SimpleSymbol(((Disc(1 + 0.5j, 0.56), 1.0),))
+        disc_section = assemble(disc, 40)
         cases = [(section, np.linalg.eigvalsh(section.data), 1e-14),
                  (dense, np.linalg.eigvalsh(dense), 1e-13 * np.linalg.norm(dense))]
+        disc_norm = float(np.max(np.abs(np.linalg.eigvalsh(disc_section.data))))
 
         def lapack(*args, **kwargs):
             raise AssertionError("LAPACK was called")
@@ -966,11 +986,15 @@ class TestSpectra:
             monkeypatch.setattr(np.linalg, name, lapack)
         for name in ("eigh", "eigh_tridiagonal", "eigvalsh_tridiagonal"):
             monkeypatch.setattr(scipy.linalg, name, lapack)
-        monkeypatch.setattr(toeplitz, "eigh_tridiagonal", lapack)
         for a, expect, tol in cases:
             got = jacobi_eigenvalues(a)
             assert np.max(np.abs(got - expect)) <= tol
             assert operator_norm(a, method="jacobi") == float(np.max(np.abs(got)))
+        toeplitz._hermite_eigh.cache_clear()
+        rebuilt = assemble(disc, 40)
+        assert toeplitz._hermite_eigh.cache_info().misses == 1
+        assert np.array_equal(rebuilt.data, disc_section.data)
+        assert abs(operator_norm(rebuilt, method="jacobi") - disc_norm) <= 1e-14
 
     @pytest.mark.parametrize("a", [
         [[0.0, 1e200], [1e200, 0.0]],     # ||A||_F overflows
