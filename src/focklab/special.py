@@ -36,7 +36,7 @@ def _lgam(x: float) -> float:
     + 1, k < 400,001); math.lgamma differs from those in about half the
     half-integers."""
     if x >= 13.0:
-        q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+        q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # Cephes' ln sqrt(2 pi)
         if x > 1e8:
             return q
         p = 1.0 / (x * x)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from focklab.quadrature import (
     _scaled_laguerre,
@@ -77,8 +78,6 @@ def _lapack_seeded_laguerre(count):
     """(nodes, weights, scaled weights) of the rule RadialRule.gauss_laguerre
     built when LAPACK (scipy.linalg.eigh_tridiagonal) gave the nodes that its
     Newton polish starts from; the polish and the weights are its own."""
-    import scipy.linalg
-
     nodes, _ = scipy.linalg.eigh_tridiagonal(2.0 * np.arange(count) + 1.0, np.arange(1.0, count))
     t = nodes.astype(np.longdouble)
     q = _scaled_laguerre(t, count + 1)
