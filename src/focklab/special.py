@@ -220,12 +220,7 @@ def gammainc_lower(a, x):
         return np.zeros(np.broadcast_shapes(j.shape, x.shape))
     tails, last = _tails(x.reshape(-1), j_lo, j_hi)
     # b = j/2 sits at flat position 2 last - j
-    at = 2 * last - j
-    if x.ndim == 0:
-        return tails[0, at]
-    if x.ndim == 1 and at.shape[-1:] == (1,):  # an outer product
-        return tails[:, at[..., 0]].T.reshape(at.shape[:-1] + x.shape)
-    return tails[np.arange(x.size).reshape(x.shape), at]
+    return tails[np.arange(x.size).reshape(x.shape), 2 * last - j]
 
 
 def gammainc_lower_half_prefix(a_max: int, x) -> np.ndarray:
