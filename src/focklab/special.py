@@ -202,7 +202,9 @@ def gammainc_lower(a, x):
     the largest a's tail is negligible (_reach), in two interleaved runs of
     step 1 summed from the top down, holds every tail at once (_tails); x
     above max(a) + _reach(max(a), max(a)) is taken at that value, where
-    every P rounds to 1. Each weight is Loader's saddle-point form
+    every P rounds to 1. A run of a (_half_run), the shape assembly passes,
+    is one strided slice of the table; any other a is a per-element gather
+    from it, with the same bits. Each weight is Loader's saddle-point form
     (C. Loader, "Fast and accurate computation of binomial probabilities",
     2000)
         w(b, x) = exp(-e(b) - b (q - 1 - ln q)) / sqrt(2 pi b),  q = x / b,
@@ -214,8 +216,15 @@ def gammainc_lower(a, x):
     gammainc is within 1.6e-15 of it there, and off by up to 5.3e-13
     relative itself.
     """
-    j, j_lo, j_hi = _halves(a, 1)
     x = np.asarray(x, dtype=float)
+    run = _half_run(a, x)
+    if run:
+        # one strided slice of the table, reversed: b = j_lo/2, (j_lo + step)/2, ...
+        j_lo, j_hi, step = run
+        tails, last = _tails(x.reshape(-1), j_lo, j_hi)
+        block = tails[:, 2 * last - j_hi:2 * last - j_lo + 1:step][:, ::-1]
+        return block[0] if x.ndim == 0 else block.T
+    j, j_lo, j_hi = _halves(a, 1)
     if not (j.size and x.size):
         return np.zeros(np.broadcast_shapes(j.shape, x.shape))
     tails, last = _tails(x.reshape(-1), j_lo, j_hi)
@@ -223,17 +232,24 @@ def gammainc_lower(a, x):
     return tails[np.arange(x.size).reshape(x.shape), 2 * last - j]
 
 
-def gammainc_lower_half_prefix(a_max: int, x) -> np.ndarray:
-    """P(a, x) for all a = 1/2, 1, 3/2, ..., a_max in one pass, as
-    gammainc_lower computes them, for a scalar x or an array of x; the
-    result has shape x.shape + (2 a_max,), C-contiguous."""
-    if a_max < 1:
-        raise ValueError("a_max must be >= 1")
-    x = np.asarray(x, dtype=float)
-    tails, last = _tails(x.reshape(-1), 1, 2 * a_max)
-    # a = 1/2 .. a_max sit at flat positions 2 last - 1 down to 2 last - 2 a_max
-    prefix = np.ascontiguousarray(tails[:, 2 * (last - a_max):2 * last][:, ::-1])
-    return prefix.reshape(x.shape + (2 * a_max,))
+def _half_run(a, x: np.ndarray):
+    """(j_lo, j_hi, step) when a is the run j_lo/2, (j_lo + step)/2, ...,
+    j_hi/2 >= 1/2 of step 1/2 or 1, along a row with a scalar x or down a
+    column with a 1-d x: the shapes whose P(a, x) are one strided slice of
+    the _tails table. None for any other a."""
+    if not isinstance(a, np.ndarray) or not a.size:
+        return None
+    if not (a.ndim == 1 and x.ndim == 0 or a.shape[1:] == (1,) and x.ndim == 1):
+        return None
+    flat = a.reshape(-1)
+    lo = float(flat[0])
+    step = float(flat[1]) - lo if len(flat) > 1 else 0.5
+    if not ((2.0 * lo).is_integer() and lo >= 0.5 and step in (0.5, 1.0)):
+        return None
+    hi = lo + step * (len(flat) - 1)
+    if not (flat == np.arange(lo, hi + 0.25, step)).all():
+        return None
+    return int(2.0 * lo), int(2.0 * hi), int(2.0 * step)
 
 
 def gammainc_lower_int_prefix(a_max: int, x) -> np.ndarray:

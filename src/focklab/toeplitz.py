@@ -45,8 +45,8 @@ import numpy as np
 
 from .fock import FockFunction
 from .regions import TWO_PI, AnnularSector, Disc, Region
-from .special import (gammainc_lower_half_prefix, gammainc_lower_int_prefix, lgamma_halves,
-                      log_factorial, poisson_weight)
+from .special import (gammainc_lower, gammainc_lower_int_prefix, lgamma_halves, log_factorial,
+                      poisson_weight)
 from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol
 from .tridiagonal import _multisection, _sturm_counts
 
@@ -168,33 +168,18 @@ def _per_radius(edges, values: np.ndarray):
     index = {}
     at = [index.setdefault(math.pi * r**2, len(index))
           for r in [r_out for _, r_out in edges] + [r_in for r_in, _ in edges]]
-    terms = np.concatenate([values, -values])
-    if len(index) == len(at):  # every radius distinct: at is 0, 1, 2, ...
-        # + 0.0, as a sum into zeros: a -0.0 becomes 0.0
-        return list(index), terms + 0.0
     sums = np.zeros((len(index),) + values.shape[1:], dtype=values.dtype)
-    np.add.at(sums, at, terms)
+    np.add.at(sums, at, np.concatenate([values, -values]))
     return list(index), sums
-
-
-@functools.lru_cache(maxsize=8)
-def _arc_tables(truncation: int):
-    """i k and the divisor i max(k, 1) of _arc_moments for k < truncation,
-    read-only, since the cache hands the same arrays to every caller."""
-    ks = np.arange(truncation)
-    tables = 1j * ks, 1j * np.where(ks == 0, 1, ks)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
 
 
 def _arc_moments(t1, t2, truncation: int) -> np.ndarray:
     """A(k) = int_t1^t2 e^{ik theta} dtheta for k = 0 .. truncation-1, one
     row per arc (t1, t2 are column arrays)."""
-    ik, divisor = _arc_tables(truncation)
-    out = (np.exp(ik * t2) - np.exp(ik * t1)) / divisor
-    out[:, 0] = (t2 - t1)[:, 0]
-    return out
+    ks = np.arange(truncation)
+    safe_k = np.where(ks == 0, 1, ks)
+    return np.where(ks == 0, t2 - t1,
+                    (np.exp(1j * ks * t2) - np.exp(1j * ks * t1)) / (1j * safe_k))
 
 
 def _sector_compression(truncation: int, x, rows) -> np.ndarray:
@@ -211,8 +196,7 @@ def _sector_compression(truncation: int, x, rows) -> np.ndarray:
     gamma is evaluated once per radius. A full span kills every k != 0, so
     full rings are the diagonal w @ P(n + 1, x) of their summed weights w.
     """
-    # P(a, x_j) for a = 1, 3/2, ..., N, one row per a
-    radial = gammainc_lower_half_prefix(truncation, x)[:, 1:].T
+    radial = gammainc_lower(np.arange(1.0, truncation + 0.5, 0.5)[:, None], x)
     return _gather_moments(radial, rows, truncation)
 
 
@@ -248,6 +232,20 @@ def _hermite_rows(x: np.ndarray, count: int) -> np.ndarray:
     return rows
 
 
+def _unit_columns(v: np.ndarray) -> np.ndarray:
+    """v with each column scaled to unit 2-norm: first by the power of two
+    that takes its largest entry into [1/2, 1), exactly, so that no sum of
+    squares overflows, whatever the columns' scale."""
+    v = np.ldexp(v, -np.frexp(np.abs(v).max(axis=0))[1])
+    v /= np.sqrt(np.sum(v * v, axis=0))
+    return v
+
+
+# the rows of _hermite_eigh start at e^{-(size-1)/2} and peak near
+# e^{(size-1)/2}; keep both, with e^16 to spare, inside long double's range
+_HERMITE_MAX_SIZE = 1 + 2 * int(-np.finfo(np.longdouble).minexp * math.log(2.0) - 16.0)
+
+
 @functools.lru_cache(maxsize=8)
 def _hermite_eigh(size: int):
     """The positive half-spectrum of the size x size section of a + a^* (size
@@ -258,14 +256,21 @@ def _hermite_eigh(size: int):
     _hermite_rows: _multisection brackets them, and one Newton step on p_size
     (p_m' = sqrt(m) p_{m-1}) in np.longdouble polishes them. The eigenvector
     of mu is (p_0(mu), ..., p_{size-1}(mu)), run in np.longdouble (64-bit
-    mantissa on x86-64) and normalized. Read-only, since the cache hands the
-    same arrays to every caller."""
+    mantissa on x86-64) and normalized by _unit_columns, whose squares
+    cannot overflow. Every node lies below 2 sqrt(size - 1), so the rows stay
+    within e^{+-(size-1)/2} of one: a size whose rows would leave long
+    double's exponent range (above _HERMITE_MAX_SIZE: 22,679 with x86-64's
+    80-bit long double, 1,385 where long double is float64) raises
+    ValueError. Read-only, since the cache hands the same arrays to every
+    caller."""
+    if size > _HERMITE_MAX_SIZE:
+        raise ValueError(f"an a + a^* section of size {size} is beyond long double's exponent "
+                         f"range here (at most {_HERMITE_MAX_SIZE})")
     off = np.sqrt(np.arange(1.0, size))
     x = _multisection(np.zeros(size), off, size, np.arange(size // 2, size)).astype(np.longdouble)
     rows = _hermite_rows(x, size + 1)
     x -= rows[size] / (np.sqrt(np.longdouble(size)) * rows[size - 1])
-    v = _hermite_rows(x, size)
-    v /= np.sqrt(np.sum(v * v, axis=0))
+    v = _unit_columns(_hermite_rows(x, size))
     tables = x.astype(np.float64), v[0::2].astype(np.float64), v[1::2].astype(np.float64)
     for table in tables:
         table.setflags(write=False)
@@ -309,7 +314,7 @@ def _displaced_disc(region: Disc, truncation: int) -> np.ndarray:
     y[0::2, 1::2] = (rows_even * -sin) @ cols_odd
     y[1::2, 1::2] = (rows_odd * cos) @ cols_odd
     # the factor 2 of Y, squared, rides on diag(P)
-    r = (y * (4.0 * gammainc_lower_half_prefix(cols, x)[1::2])) @ y.T
+    r = (y * (4.0 * gammainc_lower(np.arange(1.0, cols + 1.0), x))) @ y.T
     z = np.exp(1j * (cmath.phase(alpha) - 0.5 * math.pi) * np.arange(n))
     z[1::2] *= 1j
     return r * (z[:, None] * z.conj())

@@ -149,7 +149,23 @@ def test_gammainc_lower_shapes_and_edges():
     assert gammainc_lower(np.zeros((0, 3)) + 1.0, 2.0).shape == (0, 3)
 
 
-@pytest.mark.parametrize("a", [0.25, 1.3, 0.0, -1.0, math.nan, math.inf, [1.0, 2.75]])
+@pytest.mark.parametrize("start, stop, step", [(1.0, 64.5, 0.5), (0.5, 3.0, 0.5), (1.0, 101.0, 1.0),
+                                               (2.5, 40.0, 1.0), (7.0, 7.5, 0.5)])
+def test_gammainc_lower_runs_match_the_gather(start, stop, step):
+    # a run of a down a column (1-d x) or along a row (scalar x) is one slice
+    # of the table; reversed, the same a goes through the general gather
+    a = np.arange(start, stop, step)
+    x = math.pi * np.linspace(0.0, 6.0, 7) ** 2
+    column = gammainc_lower(a[:, None], x)
+    assert np.array_equal(column, gammainc_lower(a[::-1, None], x)[::-1])
+    for v in x:
+        assert np.array_equal(gammainc_lower(a, v), column[:, list(x).index(v)])
+        assert np.array_equal(gammainc_lower(a, v), gammainc_lower(a[::-1], v)[::-1])
+
+
+@pytest.mark.parametrize("a", [0.25, 1.3, 0.0, -1.0, math.nan, math.inf, [1.0, 2.75],
+                               np.array([1.0, 2.75]), np.array([[1.0], [1.25]]),
+                               np.array([0.0, 0.5]), np.array([math.nan, 1.0])])
 def test_gammainc_lower_rejects_other_shapes(a):
     with pytest.raises(ValueError, match="half-integer"):
         gammainc_lower(a, 1.0)

@@ -533,6 +533,26 @@ class TestDisplacedDisc:
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
+    def test_float64_rows_normalize_without_overflow(self):
+        # where long double is float64 the rows are built in float64: at size
+        # 768 their squares overflow in 20-odd columns, and _unit_columns
+        # still gives the long-double table's vectors
+        size = 768
+        mu, even, odd = toeplitz._hermite_eigh(size)
+        rows = toeplitz._hermite_rows(mu.copy(), size)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(rows * rows, axis=0)).any()
+        v = toeplitz._unit_columns(rows)
+        ref = np.empty((size, size // 2))
+        ref[0::2], ref[1::2] = even, odd
+        assert np.max(np.abs(v - ref)) <= 1e-14
+
+    def test_size_beyond_long_double_range_raises(self):
+        # refused before anything is built
+        assert toeplitz._HERMITE_MAX_SIZE >= 1385
+        with pytest.raises(ValueError, match="exponent range"):
+            toeplitz._hermite_eigh(toeplitz._HERMITE_MAX_SIZE + 1)
+
 
 def _gather_from_scratch(radial, angular, n):
     """_gather_moments with its scale and mask built at exactly n."""
