@@ -168,18 +168,23 @@ def _per_radius(edges, values: np.ndarray):
     index = {}
     at = [index.setdefault(math.pi * r**2, len(index))
           for r in [r_out for _, r_out in edges] + [r_in for r_in, _ in edges]]
+    terms = np.concatenate([values, -values])
+    if len(index) == len(at):  # every radius distinct: at is 0, 1, 2, ...
+        # + 0.0, as a sum into zeros: a -0.0 becomes 0.0
+        return list(index), terms + 0.0
     sums = np.zeros((len(index),) + values.shape[1:], dtype=values.dtype)
-    np.add.at(sums, at, np.concatenate([values, -values]))
+    np.add.at(sums, at, terms)
     return list(index), sums
 
 
 def _arc_moments(t1, t2, truncation: int) -> np.ndarray:
     """A(k) = int_t1^t2 e^{ik theta} dtheta for k = 0 .. truncation-1, one
     row per arc (t1, t2 are column arrays)."""
-    ks = np.arange(truncation)
-    safe_k = np.where(ks == 0, 1, ks)
-    return np.where(ks == 0, t2 - t1,
-                    (np.exp(1j * ks * t2) - np.exp(1j * ks * t1)) / (1j * safe_k))
+    ik = 1j * np.arange(truncation)
+    out = np.exp(ik * t2) - np.exp(ik * t1)
+    out[:, 1:] /= ik[1:]
+    out[:, 0] = (t2 - t1)[:, 0]
+    return out
 
 
 def _sector_compression(truncation: int, x, rows) -> np.ndarray:

@@ -646,6 +646,28 @@ class TestCentredCompression:
                         kinds.add("wrapping")
         assert kinds == {"centered", "off-center", "full", "partial", "wrapping"}
 
+    @pytest.mark.parametrize("edges", [
+        [(0.4, 1.3)],                          # distinct radii: no accumulation
+        [(0.0, 0.7), (1.1, 1.6), (0.2, 0.5)],
+        [(0.4, 1.3), (0.4, 1.3), (1.3, 2.0)],  # shared radii: accumulated
+        [(0.0, 0.7), (0.7, 1.2), (0.0, 1.2)],
+    ])
+    def test_per_radius_sums_like_add_at(self, edges):
+        # both ways of forming the sums give the bits of np.add.at into
+        # zeros, a -0.0 term included
+        rng = np.random.default_rng(len(edges))
+        values = rng.normal(size=(len(edges), 5)) + 1j * rng.normal(size=(len(edges), 5))
+        values[0, 1] = -0.0
+        x, sums = toeplitz._per_radius(edges, values)
+        radii = [r for _, r in edges] + [r for r, _ in edges]
+        assert x == list(dict.fromkeys(math.pi * r**2 for r in radii))
+        at = [x.index(math.pi * r**2) for r in radii]
+        ref = np.zeros((len(x), 5), dtype=complex)
+        np.add.at(ref, at, np.concatenate([values, -values]))
+        for got, want in ((sums.real, ref.real), (sums.imag, ref.imag)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_empty_symbol(self):
         for n in (1, 7):
             assert np.array_equal(assemble(SimpleSymbol(()), n).data, np.zeros((n, n)))
