@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import LN_PI, log_factorial, poisson_tail
+from .special import LN_PI, gammainc_lower, log_factorial
 
 DEFAULT_TRUNCATION = 64
 TAIL_WARN_THRESHOLD = 1e-12
@@ -202,7 +202,7 @@ def coherent(w0: complex, truncation: int = DEFAULT_TRUNCATION) -> FockFunction:
     log_mag = -0.5 * mu + 0.5 * (ns * LN_PI - log_factorial(ns)) + ns * math.log(abs(w0))
     phase = -ns * cmath.phase(w0)
     coeffs = np.exp(log_mag + 1j * phase)
-    tail = poisson_tail(truncation, mu)
+    tail = float(gammainc_lower(truncation, mu)[-1])  # Pr[Poisson(mu) >= truncation]
     if tail > TAIL_WARN_THRESHOLD:
         warnings.warn(
             f"coherent state at |w0| = {abs(w0):.4g} loses tail mass "

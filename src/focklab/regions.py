@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
 TWO_PI = 2.0 * math.pi
 _TOL = 1e-12
+R_MAX = math.sqrt(sys.float_info.max / math.pi)  # about the largest r with pi r^2 finite
+
+
+def _check_radius(name: str, r: float) -> None:
+    if not math.isfinite(math.pi * r * r):
+        raise ValueError(f"{name} must be at most {R_MAX:.4g}, where pi r^2 stays finite; got {r}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,8 @@ class Disc:
             raise ValueError("disc center must be finite")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"disc radius must be positive and finite, got {self.radius}")
+        _check_radius("disc radius", self.radius)
+        _check_radius("disc |center|", abs(c))
 
     @property
     def area(self) -> float:
@@ -58,6 +67,7 @@ class AnnularSector:
             raise ValueError(
                 f"need 0 <= r_inner < r_outer, got [{self.r_inner}, {self.r_outer}]"
             )
+        _check_radius("sector r_outer", self.r_outer)
         if not (math.isfinite(self.theta_start) and math.isfinite(self.theta_end)):
             raise ValueError("sector angles must be finite")
         span = self.theta_end - self.theta_start

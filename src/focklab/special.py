@@ -1,6 +1,9 @@
 """Small special-function kit shared by the quadrature and assembly code,
 in numpy and the standard library alone: ln Gamma at half-integers, Poisson
-weights, and the regularized lower incomplete gamma P(a, x) at half-integer a.
+weights, and the regularized lower incomplete gamma P(a, x) by prefixes:
+gammainc_lower(a_max, x) at every a = 1/2, 1, ..., a_max, shape
+x.shape + (2 a_max,), and gammainc_lower_int_prefix(a_max, x) at every
+a = 1, 2, ..., a_max, shape x.shape + (a_max,).
 """
 from __future__ import annotations
 
@@ -75,17 +78,15 @@ def lgamma_halves(k_max: int) -> np.ndarray:
     return _lgamma_halves
 
 
-def _halves(a, least: int):
-    """(2a as an intp array, its least and largest entries) for a in
-    {least/2, (least+1)/2, ...}; any other a raises ValueError."""
+def _halves(a):
+    """(2a as an intp array, its largest entry) for a in {0, 1/2, 1, ...};
+    any other a raises ValueError."""
     twice = np.asarray(a, dtype=float) * 2.0
-    if not twice.size:
-        return twice.astype(np.intp), least, least
     lo, hi = float(twice.min()), float(twice.max())
-    k = twice.astype(np.intp) if least <= lo and hi < 2.0**62 else None
+    k = twice.astype(np.intp) if 0.0 <= lo and hi < 2.0**62 else None
     if k is None or np.count_nonzero(k != twice):
-        raise ValueError(f"a must be a half-integer >= {least / 2:g}, got {a!r}")
-    return k, int(lo), int(hi)
+        raise ValueError(f"a must be a half-integer >= 0, got {a!r}")
+    return k, int(hi)
 
 
 def log_factorial(n):
@@ -102,7 +103,7 @@ def poisson_weight(a, x, log_w=0.0) -> np.ndarray:
     neither the power nor the gamma function overflows. ln x is taken at
     max(x, tiny): at x = 0 every weight with a > 0 underflows to 0 and a = 0
     gives w."""
-    k, _, k_max = _halves(a, 0)
+    k, k_max = _halves(a)
     lgam = lgamma_halves(k_max)[k]
     return np.exp(a * np.log(np.maximum(x, _TINY)) - x + log_w - lgam)
 
@@ -158,25 +159,50 @@ def _reach(a: float, x: float) -> float:
     return k
 
 
-def _tails(x: np.ndarray, j_lo: int, j_hi: int):
-    """(tails, last) for the nonnegative 1-d x: tails[i, 2 last - j] =
-    P(j/2, x[i]) for every j = j_lo .. j_hi (gammainc_lower)."""
-    x_lo, x_hi = (x[0], x[0]) if len(x) == 1 else (x.min(), x.max())
+def gammainc_lower(a_max, x) -> np.ndarray:
+    """P(a, x) for every a = 1/2, 1, 3/2, ..., a_max in one pass, for a
+    half-integer a_max >= 1 and a scalar or 1-d x >= 0; the result has shape
+    x.shape + (2 a_max,), column i holding a = (i + 1)/2. Any other a_max or
+    x raises ValueError.
+
+    P(a, x) = sum_{i >= 0} w(a + i, x) for the Poisson weights
+    w(b, x) = x^b e^{-x} / Gamma(b + 1), positive terms whatever a and x.
+    One table of the weights at b = 1/2, 1, ... up to where a_max's tail is
+    negligible (_reach), in two interleaved runs of step 1 summed from the
+    top down, holds every P at once; x above a_max + _reach(a_max, a_max)
+    is taken at that value, where every P rounds to 1. Each weight is
+    Loader's saddle-point form (C. Loader, "Fast and accurate computation of
+    binomial probabilities", 2000)
+        w(b, x) = exp(-e(b) - b (q - 1 - ln q)) / sqrt(2 pi b),  q = x / b,
+    with the Stirling error e(b) from _lattice, so no term of size b cancels:
+    ln q - (q - 1) is formed from q alone and is small where q is near 1.
+    Against 40-digit values over a in {1/2, 1, ..., 240} and x = pi r^2,
+    r in [0, 16] (step 0.1), the absolute error is at most 1.6e-15, and
+    where P >= 1e-200 the relative error at most 1.3e-13; scipy.special.
+    gammainc is within 1.6e-15 of it there, and off by up to 5.3e-13
+    relative itself.
+    """
+    twice = 2.0 * np.asarray(a_max, dtype=float)
+    if twice.ndim or not (2.0 <= twice < 2.0**62 and float(twice).is_integer()):
+        raise ValueError(f"a_max must be a half-integer >= 1, got {a_max!r}")
+    j_max, x = int(twice), np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    x_lo, x_hi = (flat[0], flat[0]) if len(flat) == 1 else (flat.min(), flat.max())
     if not x_lo >= 0.0:
         raise ValueError("x must be >= 0")
-    a_max = 0.5 * j_hi
+    a_max = 0.5 * j_max
     top = a_max + _reach(a_max, a_max)
     if x_hi > top:
-        x, x_hi = np.minimum(x, top), top
-    # weights from b = j_lo / 2 up to the last one that counts
+        flat, x_hi = np.minimum(flat, top), top
+    # weights from b = 1/2 up to the last one that counts
     if x_hi > a_max:
         last = math.ceil(x_hi + _reach(x_hi, x_hi))
     else:
         last = math.ceil(a_max + _reach(a_max, x_hi))
     size = 256 << max(0, math.ceil(math.log2(last / 256.0)))
-    b, inv_b, const = _lattice(size)[:, size - last:size + 1 - (j_lo + 1) // 2]
+    b, inv_b, const = _lattice(size)[:, size - last:]
 
-    q = x.reshape(-1, 1, 1) * inv_b
+    q = flat.reshape(-1, 1, 1) * inv_b
     if x_lo > 0.0:
         w = np.log(q)
     else:
@@ -187,69 +213,10 @@ def _tails(x: np.ndarray, j_lo: int, j_hi: int):
     w *= b
     w += const
     np.exp(w, out=w)
-    # a sum near 1 can round a few ulps above it
-    return np.minimum(w.cumsum(axis=1).reshape(len(w), -1), 1.0), last
-
-
-def gammainc_lower(a, x):
-    """Regularized lower incomplete gamma P(a, x), elementwise with numpy
-    broadcasting, for a in {1/2, 1, 3/2, ...} and x >= 0; any other a or x
-    raises ValueError.
-
-    P(a, x) = sum_{i >= 0} w(a + i, x) for the Poisson weights
-    w(b, x) = x^b e^{-x} / Gamma(b + 1), positive terms whatever a and x.
-    One table of the weights at b = min(a), min(a) + 1/2, ... up to where
-    the largest a's tail is negligible (_reach), in two interleaved runs of
-    step 1 summed from the top down, holds every tail at once (_tails); x
-    above max(a) + _reach(max(a), max(a)) is taken at that value, where
-    every P rounds to 1. A run of a (_half_run), the shape assembly passes,
-    is one strided slice of the table; any other a is a per-element gather
-    from it, with the same bits. Each weight is Loader's saddle-point form
-    (C. Loader, "Fast and accurate computation of binomial probabilities",
-    2000)
-        w(b, x) = exp(-e(b) - b (q - 1 - ln q)) / sqrt(2 pi b),  q = x / b,
-    with the Stirling error e(b) from _lattice, so no term of size b cancels:
-    ln q - (q - 1) is formed from q alone and is small where q is near 1.
-    Against 40-digit values over a in {1/2, 1, ..., 240} and x = pi r^2,
-    r in [0, 16] (step 0.1), the absolute error is at most 1.6e-15, and
-    where P >= 1e-200 the relative error at most 1.3e-13; scipy.special.
-    gammainc is within 1.6e-15 of it there, and off by up to 5.3e-13
-    relative itself.
-    """
-    x = np.asarray(x, dtype=float)
-    run = _half_run(a, x)
-    if run:
-        # one strided slice of the table, reversed: b = j_lo/2, (j_lo + step)/2, ...
-        j_lo, j_hi, step = run
-        tails, last = _tails(x.reshape(-1), j_lo, j_hi)
-        block = tails[:, 2 * last - j_hi:2 * last - j_lo + 1:step][:, ::-1]
-        return block[0] if x.ndim == 0 else block.T
-    j, j_lo, j_hi = _halves(a, 1)
-    if not (j.size and x.size):
-        return np.zeros(np.broadcast_shapes(j.shape, x.shape))
-    tails, last = _tails(x.reshape(-1), j_lo, j_hi)
-    # b = j/2 sits at flat position 2 last - j
-    return tails[np.arange(x.size).reshape(x.shape), 2 * last - j]
-
-
-def _half_run(a, x: np.ndarray):
-    """(j_lo, j_hi, step) when a is the run j_lo/2, (j_lo + step)/2, ...,
-    j_hi/2 >= 1/2 of step 1/2 or 1, along a row with a scalar x or down a
-    column with a 1-d x: the shapes whose P(a, x) are one strided slice of
-    the _tails table. None for any other a."""
-    if not isinstance(a, np.ndarray) or not a.size:
-        return None
-    if not (a.ndim == 1 and x.ndim == 0 or a.shape[1:] == (1,) and x.ndim == 1):
-        return None
-    flat = a.reshape(-1)
-    lo = float(flat[0])
-    step = float(flat[1]) - lo if len(flat) > 1 else 0.5
-    if not ((2.0 * lo).is_integer() and lo >= 0.5 and step in (0.5, 1.0)):
-        return None
-    hi = lo + step * (len(flat) - 1)
-    if not (flat == np.arange(lo, hi + 0.25, step)).all():
-        return None
-    return int(2.0 * lo), int(2.0 * hi), int(2.0 * step)
+    # b = j/2 sits at flat position 2 last - j; a sum near 1 can round a few
+    # ulps above it
+    tails = np.minimum(w.cumsum(axis=1).reshape(len(w), -1), 1.0)
+    return tails[:, 2 * last - j_max:][:, ::-1].reshape(x.shape + (j_max,))
 
 
 def gammainc_lower_int_prefix(a_max: int, x) -> np.ndarray:
@@ -268,12 +235,3 @@ def gammainc_lower_int_prefix(a_max: int, x) -> np.ndarray:
     if x.size and not x.min() >= 0.0:
         raise ValueError("x must be >= 0")
     return 1.0 - poisson_weight(np.arange(a_max), x[..., None]).cumsum(axis=-1)
-
-
-def poisson_tail(n: int, mu: float) -> float:
-    """Pr[Poisson(mu) >= n]: the mass a degree-(n-1) truncation drops."""
-    if n <= 0:
-        return 1.0
-    # P(n, mu), as gammainc_lower computes it
-    tails, last = _tails(np.array([float(mu)]), 2 * n, 2 * n)
-    return float(tails[0, 2 * (last - n)])

@@ -28,8 +28,7 @@ any assembly, so the whole Jacobi path is LAPACK-free. _lead_block reduces
 the matrix to a real symmetric tridiagonal form by Householder reflections
 (_tridiagonal) and splits off the trailing block whose couplings are
 negligible, its diagonal taken as eigenvalues; tridiagonal._multisection
-finds the lead block's eigenvalues by Sturm-count multisection
-(_sturm_counts, passed as this module's binding).
+finds the lead block's eigenvalues by Sturm-count multisection.
 jacobi_eigenvalues bisects every bracket of the lead block, the norm only
 its two extreme ones (_extreme_eigenvalues), with the same results there.
 """
@@ -48,7 +47,7 @@ from .regions import TWO_PI, AnnularSector, Disc, Region
 from .special import (gammainc_lower, gammainc_lower_int_prefix, lgamma_halves, log_factorial,
                       poisson_weight)
 from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol
-from .tridiagonal import _multisection, _sturm_counts
+from .tridiagonal import _multisection
 
 __all__ = [
     "HermitianMatrix",
@@ -201,7 +200,7 @@ def _sector_compression(truncation: int, x, rows) -> np.ndarray:
     gamma is evaluated once per radius. A full span kills every k != 0, so
     full rings are the diagonal w @ P(n + 1, x) of their summed weights w.
     """
-    radial = gammainc_lower(np.arange(1.0, truncation + 0.5, 0.5)[:, None], x)
+    radial = gammainc_lower(truncation, x)[:, 1:].T  # a = 1, 3/2, ..., N down a column
     return _gather_moments(radial, rows, truncation)
 
 
@@ -319,7 +318,7 @@ def _displaced_disc(region: Disc, truncation: int) -> np.ndarray:
     y[0::2, 1::2] = (rows_even * -sin) @ cols_odd
     y[1::2, 1::2] = (rows_odd * cos) @ cols_odd
     # the factor 2 of Y, squared, rides on diag(P)
-    r = (y * (4.0 * gammainc_lower(np.arange(1.0, cols + 1.0), x))) @ y.T
+    r = (y * (4.0 * gammainc_lower(cols, x)[1::2])) @ y.T
     z = np.exp(1j * (cmath.phase(alpha) - 0.5 * math.pi) * np.arange(n))
     z[1::2] *= 1j
     return r * (z[:, None] * z.conj())
@@ -543,7 +542,7 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     every eigenvalue is within 3.9e-15 of LAPACK's eigvalsh.
     """
     d, e, k, shift = _lead_block(matrix)
-    eigs = np.concatenate([_multisection(d, e, k, np.arange(k), _sturm_counts), d[k:]])
+    eigs = np.concatenate([_multisection(d, e, k, np.arange(k)), d[k:]])
     return np.ldexp(np.sort(eigs), -shift)
 
 
@@ -551,7 +550,7 @@ def _extreme_eigenvalues(matrix):
     """(lambda_min, lambda_max) as jacobi_eigenvalues finds them, bit for bit,
     from the lead block's two extreme brackets and the tail d[k:] alone."""
     d, e, k, shift = _lead_block(matrix)
-    eigs = np.concatenate([_multisection(d, e, k, np.array([0, k - 1]), _sturm_counts), d[k:]])
+    eigs = np.concatenate([_multisection(d, e, k, np.array([0, k - 1])), d[k:]])
     return float(np.ldexp(np.min(eigs), -shift)), float(np.ldexp(np.max(eigs), -shift))
 
 

@@ -44,19 +44,17 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
-def _multisection(d: np.ndarray, e: np.ndarray, k: int, rows: np.ndarray,
-                  counts=_sturm_counts) -> np.ndarray:
+def _multisection(d: np.ndarray, e: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
     """The eigenvalues numbered rows (0-based, ascending) of the lead block
     d[:k], e[:k-1]: the midpoints of their final multisection brackets
     (Barth, Martin & Wilkinson, Numer. Math. 9, 1967). Eigenvalue j starts
     in the block's Gershgorin bracket, and each round counts the eigenvalues
-    below _POINTS points inside every bracket in one counts pass and keeps
-    the two adjacent points between which the count passes j. The rounds,
+    below _POINTS points inside every bracket in one _sturm_counts pass and
+    keeps the two adjacent points between which the count passes j. The rounds,
     fixed up front by the block alone, are the fewest that take the first
     bracket's width below 4 eps max|bracket|. A bracket's points and update
     depend only on its own counts, so an eigenvalue comes out the same
-    whatever other rows are asked for. counts is the Sturm counter,
-    _sturm_counts unless a caller passes its own binding of it."""
+    whatever other rows are asked for."""
     lead, e2, radius = d[:k], e[:k - 1] ** 2, np.pad(e[:k - 1], 1)
     lo = np.full(len(rows), np.min(lead - radius[:-1] - radius[1:]))
     hi = np.full(len(rows), np.max(lead + radius[:-1] + radius[1:]))
@@ -65,7 +63,7 @@ def _multisection(d: np.ndarray, e: np.ndarray, k: int, rows: np.ndarray,
     at_row, index = np.arange(len(rows)), np.arange(1, _POINTS + 1)
     for _ in range(rounds):
         points = lo[:, None] + (hi - lo)[:, None] * index / (_POINTS + 1)
-        below = counts(lead, e2, points.reshape(-1)).reshape(len(rows), _POINTS)
+        below = _sturm_counts(lead, e2, points.reshape(-1)).reshape(len(rows), _POINTS)
         # eigenvalue j lies between the last point with count <= j and the next
         at = (below <= rows[:, None]).sum(axis=1)
         grid = np.concatenate([lo[:, None], points, hi[:, None]], axis=1)

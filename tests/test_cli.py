@@ -461,6 +461,23 @@ class TestRejections:
         assert "--truncations" in res.stderr
         assert not (tmp_path / "out" / "norm_table.csv").exists()
 
+    @pytest.mark.parametrize("command", ["norm", "bound"])
+    @pytest.mark.parametrize("piece", [
+        {"disc": {"center": [0, 0], "radius": 1e200}},
+        {"sector": {"r": [0, 1e200], "theta": [0, 1]}},
+        {"disc": {"center": [0, 0], "radius": 1e154}},
+    ])
+    def test_radius_past_limit(self, run_cli, tmp_path, command, piece):
+        # these once ended in an OverflowError traceback with exit 1, the
+        # code of a failed check, or in "matrix entries must be finite"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"pieces": [{**piece, "coeff": 1}]}))
+        flags = ["--truncation", "8"] if command == "norm" else []
+        res = run_cli(command, "--symbol", str(path), *flags, "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and "7.565e+153" in res.stderr
+        assert "=" not in res.stdout
+
     def test_ambiguous_symbol_file(self, run_cli, tmp_path):
         path = tmp_path / "both.json"
         path.write_text(json.dumps({"radial": {"profile": "gaussian"}, "pieces": []}))

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,20 @@ class TestShapes:
             AnnularSector(0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             AnnularSector(0.0, 1.0, 0.0, 7.0)
+
+    def test_radius_limit(self):
+        # pi r^2 must be finite: r = 1e154 once gave NaN matrix entries, and
+        # r = 1e200 an OverflowError
+        limit = re.escape(f"{regions.R_MAX:.4g}")
+        for r in (1e154, 1e200):
+            with pytest.raises(ValueError, match=limit):
+                Disc(0.0, r)
+            with pytest.raises(ValueError, match=limit):
+                Disc(complex(0.0, -r), 1.0)
+            with pytest.raises(ValueError, match=limit):
+                AnnularSector(0.0, r, 0.0, 1.0)
+        assert math.isfinite(Disc(0.0, 7.5e153).area)
+        assert math.isfinite(AnnularSector(7e153, 7.5e153, 0.0, TWO_PI).area)
 
     def test_area_type_error(self):
         with pytest.raises(TypeError):

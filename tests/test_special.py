@@ -9,7 +9,6 @@ from focklab.special import (
     gammainc_lower,
     gammainc_lower_int_prefix,
     log_factorial,
-    poisson_tail,
 )
 
 
@@ -55,9 +54,9 @@ def test_gammainc_int_monotone_in_x():
 
 
 def test_gammainc_matches_scipy():
-    for a in (1.0, 1.5, 2.0, 3.5, 7.0, 12.5):
-        for x in (0.0, 0.4, 2.0, 9.3):
-            assert abs(gammainc_lower(a, x) - float(scipy_gammainc(a, x))) < 2e-14
+    a = np.arange(0.5, 12.75, 0.5)
+    for x in (0.0, 0.4, 2.0, 9.3):
+        assert np.max(np.abs(gammainc_lower(12.5, x) - scipy_gammainc(a, x))) < 2e-14
 
 
 def test_gammainc_prefix_matches_scalar():
@@ -85,12 +84,11 @@ def test_gammainc_prefix_edge_cases():
 
 
 def test_poisson_tail():
-    assert poisson_tail(0, 5.0) == 1.0
-    assert poisson_tail(-2, 5.0) == 1.0
+    # Pr[Poisson(mu) >= n] = P(n, mu), the last entry of gammainc_lower(n, mu);
     # Pr[Poisson(mu) >= 1] = 1 - e^{-mu}
-    assert abs(poisson_tail(1, 2.0) - (1.0 - math.exp(-2.0))) < 1e-15
+    assert abs(gammainc_lower(1, 2.0)[-1] - (1.0 - math.exp(-2.0))) < 1e-15
     # far tail is tiny
-    assert poisson_tail(80, 3.0) < 1e-60
+    assert gammainc_lower(80, 3.0)[-1] < 1e-60
 
 
 # A 40-digit oracle for P(a, x) at every half-integer a: the Poisson weights
@@ -120,10 +118,10 @@ def _decimal_gammainc(a_max: float, x: float) -> dict:
 
 
 def test_gammainc_lower_against_40_digits_and_scipy():
-    a = np.arange(1.0, 240.5, 0.5)
+    a = np.arange(0.5, 240.5, 0.5)
     radii = np.linspace(0.0, 16.0, 161)
     x = math.pi * radii**2
-    got = gammainc_lower(a[:, None], x)
+    got = gammainc_lower(240, x).T
     assert got.shape == (len(a), len(x))
     ref = np.array([[column[v] for v in a]
                     for column in map(lambda v: _decimal_gammainc(240.0, v), x)]).T
@@ -132,37 +130,30 @@ def test_gammainc_lower_against_40_digits_and_scipy():
     # last-place roundings alone reach 3e-14 relative; 1.3e-13 is measured
     big = ref >= 1e-200
     assert np.max(np.abs(got - ref)[big] / ref[big]) <= 2e-13
-    # scipy as the oracle, on a grid five times finer
+    # scipy as the oracle, on a grid five times finer, from a = 1: at a = 1/2
+    # scipy itself is 4.2e-15 off the 40-digit value (x = 1.057)
     x = math.pi * np.linspace(0.0, 16.0, 801) ** 2
-    assert np.max(np.abs(gammainc_lower(a[:, None], x) - scipy_gammainc(a[:, None], x))) <= 4e-15
+    got = gammainc_lower(240, x)[:, 1:].T
+    assert np.max(np.abs(got - scipy_gammainc(a[1:, None], x))) <= 4e-15
 
 
 def test_gammainc_lower_shapes_and_edges():
-    # scalars, x = 0 exactly, broadcasting both ways, a = 1/2, huge x
-    assert gammainc_lower(1.0, 0.0) == 0.0
-    assert math.isclose(float(gammainc_lower(0.5, 2.0)), math.erf(math.sqrt(2.0)), rel_tol=1e-15)
-    a, x = np.array([1.0, 2.5, 7.0]), np.array([[0.3], [4.0]])
-    assert np.array_equal(gammainc_lower(a, x), gammainc_lower(a[None, :], x))
-    assert np.allclose(gammainc_lower(a, x), scipy_gammainc(a, x), rtol=0, atol=4e-15)
-    assert np.array_equal(gammainc_lower(a[:, None], x.ravel()), gammainc_lower(a, x).T)
-    assert np.all(gammainc_lower(a, 1e300) == 1.0)
-    assert gammainc_lower(np.zeros((0, 3)) + 1.0, 2.0).shape == (0, 3)
+    # column i holds a = (i + 1)/2: shape x.shape + (2 a_max,) for a scalar
+    # or 1-d x, with x = 0 exactly, a = 1/2 and huge x
+    a = np.arange(0.5, 3.75, 0.5)
+    x = np.array([0.0, 0.3, 4.0, 1e300])
+    grid = gammainc_lower(3.5, x)
+    assert grid.shape == (4, 7)
+    assert np.allclose(grid, scipy_gammainc(a, x[:, None]), rtol=0, atol=4e-15)
+    assert np.all(grid[0] == 0.0) and np.all(1.0 - grid[-1] <= 2.5e-16)
+    assert np.all(gammainc_lower(7, 1e300) == 1.0)
+    assert gammainc_lower(3, x).shape == (4, 6)
+    assert gammainc_lower(3.5, 4.0).shape == (7,)
+    assert np.allclose(gammainc_lower(3.5, 4.0), scipy_gammainc(a, 4.0), rtol=0, atol=4e-15)
+    assert math.isclose(gammainc_lower(1, 2.0)[0], math.erf(math.sqrt(2.0)), rel_tol=1e-15)
 
 
-@pytest.mark.parametrize("start, stop, step", [(1.0, 64.5, 0.5), (0.5, 3.0, 0.5), (1.0, 101.0, 1.0),
-                                               (2.5, 40.0, 1.0), (7.0, 7.5, 0.5)])
-def test_gammainc_lower_runs_match_the_gather(start, stop, step):
-    # a run of a down a column (1-d x) or along a row (scalar x) is one slice
-    # of the table; reversed, the same a goes through the general gather
-    a = np.arange(start, stop, step)
-    x = math.pi * np.linspace(0.0, 6.0, 7) ** 2
-    column = gammainc_lower(a[:, None], x)
-    assert np.array_equal(column, gammainc_lower(a[::-1, None], x)[::-1])
-    for v in x:
-        assert np.array_equal(gammainc_lower(a, v), column[:, list(x).index(v)])
-        assert np.array_equal(gammainc_lower(a, v), gammainc_lower(a[::-1], v)[::-1])
-
-
+# a_max must be one half-integer >= 1
 @pytest.mark.parametrize("a", [0.25, 1.3, 0.0, -1.0, math.nan, math.inf, [1.0, 2.75],
                                np.array([1.0, 2.75]), np.array([[1.0], [1.25]]),
                                np.array([0.0, 0.5]), np.array([math.nan, 1.0])])
@@ -172,7 +163,7 @@ def test_gammainc_lower_rejects_other_shapes(a):
 
 
 def test_gammainc_lower_rejects_negative_x():
-    for x in (-1e-300, math.nan):
+    for x in (-1e-300, math.nan, np.array([0.0, 2.0, -1e-300]), np.array([1.0, math.nan])):
         with pytest.raises(ValueError, match="x must be >= 0"):
             gammainc_lower(1.5, x)
 
@@ -180,7 +171,7 @@ def test_gammainc_lower_rejects_negative_x():
 def test_poisson_tail_against_40_digits():
     for n, mu in ((1, 0.3), (26, 4.3), (40, 15.7), (96, 2.4), (120, 130.0), (300, 80.0)):
         ref = _decimal_gammainc(n, mu)[float(n)]
-        assert abs(poisson_tail(n, mu) - ref) <= 1e-13 * ref
+        assert abs(gammainc_lower(n, mu)[-1] - ref) <= 1e-13 * ref
 
 
 def test_log_factorial_against_exact_logs():

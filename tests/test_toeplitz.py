@@ -36,7 +36,7 @@ from focklab import (
     verify_norm_bound,
 )
 from focklab.experiments import NORM_SLACK
-from focklab import toeplitz
+from focklab import toeplitz, tridiagonal
 from focklab.fock import weighted_basis_matrix
 from focklab.quadrature import gauss_legendre
 from focklab.symbols import discretize
@@ -769,15 +769,15 @@ def _random_hermitian(rng, n):
 
 def _bisected_sizes(monkeypatch):
     """The sizes of the lead blocks Jacobi bisects, one entry per round,
-    collected from toeplitz._sturm_counts."""
+    collected from tridiagonal._sturm_counts."""
     sizes = []
-    counts = toeplitz._sturm_counts
+    counts = tridiagonal._sturm_counts
 
     def spy(d, e2, x):
         sizes.append(len(d))
         return counts(d, e2, x)
 
-    monkeypatch.setattr(toeplitz, "_sturm_counts", spy)
+    monkeypatch.setattr(tridiagonal, "_sturm_counts", spy)
     return sizes
 
 
@@ -823,7 +823,7 @@ def _reference_tridiagonal(a):
 
 def _reference_sturm_counts(d, e2, x):
     """The Sturm count one row at a time over all points, with a running
-    count, the reference toeplitz._sturm_counts must match exactly."""
+    count, the reference tridiagonal._sturm_counts must match exactly."""
     count = np.zeros(x.shape, dtype=np.intp)
     q = np.ones_like(x)
     for d_i, e2_i in zip(d, np.r_[0.0, e2]):
@@ -979,13 +979,13 @@ class TestSpectra:
         # the zero-pivot guard runs, and nothing divides by zero
         a = np.array([[0.0, 8.0, 0.0], [8.0, 0.5, 0.5], [0.0, 0.5, 0.0]])
         points = []
-        counts = toeplitz._sturm_counts
+        counts = tridiagonal._sturm_counts
 
         def spy(d, e2, x):
             points.append(x)
             return counts(d, e2, x)
 
-        monkeypatch.setattr(toeplitz, "_sturm_counts", spy)
+        monkeypatch.setattr(tridiagonal, "_sturm_counts", spy)
         with np.errstate(divide="raise", invalid="raise"):
             got = jacobi_eigenvalues(a)
         assert 0.0 in points[0]
@@ -1059,7 +1059,7 @@ class TestSpectra:
         sizes = _bisected_sizes(monkeypatch)
         jacobi_eigenvalues(a)
         rounds = len(sizes)
-        monkeypatch.setattr(toeplitz, "_sturm_counts", lambda d, e2, x: np.zeros(x.shape, int))
+        monkeypatch.setattr(tridiagonal, "_sturm_counts", lambda d, e2, x: np.zeros(x.shape, int))
         sizes = _bisected_sizes(monkeypatch)
         assert jacobi_eigenvalues(a).shape == (2,)
         assert 0 < len(sizes) == rounds
@@ -1100,13 +1100,13 @@ class TestJacobiNorm:
         # the norm sends 2 x 16 points per round, for as many rounds as the
         # all-brackets call, which sends 16 per lead-block row
         calls = []
-        counts = toeplitz._sturm_counts
+        counts = tridiagonal._sturm_counts
 
         def spy(d, e2, x):
             calls.append((len(d), len(x)))
             return counts(d, e2, x)
 
-        monkeypatch.setattr(toeplitz, "_sturm_counts", spy)
+        monkeypatch.setattr(tridiagonal, "_sturm_counts", spy)
         for a in self._matrices()[::10]:
             calls.clear()
             jacobi_eigenvalues(a)
@@ -1167,8 +1167,8 @@ class TestJacobiNorm:
             cases.append((np.ones(40), e2, x))
         for d, e2, x in cases:
             with np.errstate(divide="raise", invalid="raise"):
-                assert np.array_equal(toeplitz._sturm_counts(d, e2, x),
-                                      _reference_sturm_counts(d, e2, x))
+                assert np.array_equal(tridiagonal._sturm_counts(d, e2, x),
+                                         _reference_sturm_counts(d, e2, x))
 
 
 def _grid_rayleigh_radial(symbol, f):
