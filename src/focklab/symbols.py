@@ -46,6 +46,10 @@ GAUSSIAN_SUPPORT = 4.8
 # RadialSymbol.panels: Gauss-Legendre order and the widest panel in r.
 _PANEL_ORDER = 64
 _PANEL_WIDTH = 5.0
+# The largest support radius of a RadialSymbol. panels() splits the support
+# into ceil(R / _PANEL_WIDTH) panels, so time and memory grow with R: this
+# cap is 2,000 panels.
+_MAX_SUPPORT_RADIUS = 1e4
 
 # discretize refuses a symbol whose L1 mass beyond its support exceeds this.
 _TAIL_TOL = 1e-6
@@ -166,6 +170,22 @@ class PolarGrid:
         return float(np.max(np.abs(self.values)))
 
 
+def _undeclared_turn(r: np.ndarray, vals: np.ndarray, breakpoints, flat: float):
+    """The sample radius at which the profile samples vals at increasing
+    radii r first turn (change between rising and falling) with no
+    breakpoint between the two steps, or None. A step of at most flat is
+    ignored, and so is every step whose closed interval [r_k, r_k+1] holds
+    a breakpoint, where the profile may jump or turn."""
+    b = np.sort(np.asarray(breakpoints, dtype=float))
+    piece = np.searchsorted(b, r[:-1], side="left")  # breakpoints below r_k
+    inside = piece == np.searchsorted(b, r[1:], side="right")
+    step = np.diff(vals)
+    k = np.flatnonzero(inside & (np.abs(step) > flat))
+    sign = np.sign(step[k])
+    turns = np.flatnonzero((piece[k[1:]] == piece[k[:-1]]) & (sign[1:] != sign[:-1]))
+    return float(r[k[turns[0] + 1]]) if turns.size else None
+
+
 @dataclass(frozen=True, eq=False)
 class RadialSymbol:
     """phi(z) = profile(|z|) with declared sup bound and support data.
@@ -174,7 +194,11 @@ class RadialSymbol:
     is not smooth or turns (changes between increasing and decreasing);
     quadrature and discretization split there so no rule ever straddles a
     jump or kink, and discretize's error estimate sees every profile piece
-    as smooth and monotone. A turn that is not declared is not found.
+    as smooth and monotone. Construction samples the profile at 513 evenly
+    spaced radii to spot-check linf, and raises ValueError where those
+    samples turn between two declared breakpoints (_undeclared_turn); a turn
+    that falls between two samples is not found. The support radius is at
+    most _MAX_SUPPORT_RADIUS (1e4).
     """
 
     kind: str
@@ -189,11 +213,19 @@ class RadialSymbol:
             raise ValueError("linf bound must be finite and >= 0")
         if not (math.isfinite(self.support_radius) and self.support_radius > 0.0):
             raise ValueError("support radius must be positive and finite")
-        # Spot-check the declared bound on a sample grid.
+        if self.support_radius > _MAX_SUPPORT_RADIUS:
+            raise ValueError(f"support radius must be at most {_MAX_SUPPORT_RADIUS:g} "
+                             f"({_MAX_SUPPORT_RADIUS / _PANEL_WIDTH:,.0f} quadrature panels), "
+                             f"got {self.support_radius:g}")
+        # Spot-check the declared bound and breakpoints on a sample grid.
         r = np.linspace(0.0, self.support_radius, 513)
-        vals = self.profile(r)
+        vals = np.broadcast_to(self.profile(r), r.shape)
         if np.max(np.abs(vals)) > self.linf * (1.0 + 1e-12) + 1e-300:
             raise ValueError("profile exceeds its declared sup bound")
+        turn = _undeclared_turn(r, vals, self.breakpoints, 1e-12 * self.linf)
+        if turn is not None:
+            raise ValueError(f"profile turns near r = {turn:.6g}, where no breakpoint is "
+                             f"declared; declare that radius as a breakpoint")
 
     def profile(self, r):
         """Profile values at radii r (vectorized)."""
@@ -367,10 +399,15 @@ class SampledSymbol:
         return float(np.dot(self.rule.radial.scaled_weights, row_means))
 
     def value_at(self, t, theta):
-        """Bilinear interpolation on the (t, theta) grid (vectorized)."""
+        """Bilinear interpolation on the (t, theta) grid at t and theta
+        broadcast against each other. The radial bracket and weight are
+        computed in t's own shape and the angular ones in theta's, so an
+        outer product of the two axes does its index work once per axis;
+        only the four value gathers and the blend take the broadcast shape,
+        with the same per-point arithmetic as on broadcast inputs."""
         t = np.asarray(t, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        t, theta = np.broadcast_arrays(t, theta)
+        np.broadcast_shapes(t.shape, theta.shape)  # shapes that do not broadcast raise ValueError
         nodes = self.rule.radial.nodes
         m = self.rule.angular.count
         step = TWO_PI / m
@@ -470,8 +507,11 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
     segment is smooth and of one sign. The estimate is accurate to
     quadrature precision only if every turn of the profile is a declared
     breakpoint: a piece that turns inside a cell can cross the cell value
-    twice in one segment, unseen. For sampled symbols it is a midpoint
-    estimate inflated by 10 percent to stay on the conservative side. A
+    twice in one segment, unseen here, which is why RadialSymbol refuses a
+    profile whose construction samples turn between breakpoints. For
+    sampled symbols it is a midpoint estimate inflated by 10 percent to
+    stay on the conservative side, from 16 x 8 subsamples per cell that
+    value_at interpolates with its index work done once per axis. A
     radial symbol whose L1 mass beyond its support exceeds 1e-6 raises
     ValueError.
     """

@@ -22,7 +22,9 @@ moments from one log-domain routine (special.poisson_weight).
 rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() takes the largest eigenvalue modulus from LAPACK
-(numpy.linalg.eigvalsh); method="jacobi" uses the solver of
+(numpy.linalg.eigvalsh), or reads it off as max |d| where the matrix is
+its diagonal d, as radial_assemble's sections and ring grids' are, and
+LAPACK would return d itself; method="jacobi" uses the solver of
 jacobi_eigenvalues instead, which makes no LAPACK call, and neither does
 any assembly, so the whole Jacobi path is LAPACK-free. _lead_block reduces
 the matrix to a real symmetric tridiagonal form by Householder reflections
@@ -554,10 +556,23 @@ def _extreme_eigenvalues(matrix):
     return float(np.ldexp(np.min(eigs), -shift)), float(np.ldexp(np.max(eigs), -shift))
 
 
+# LAPACK's zheevd, behind numpy.linalg.eigvalsh, scales a matrix whose
+# largest entry lies outside [sqrt(safmin / eps), sqrt(eps / safmin)] =
+# [2^-485, 2^485] by a factor that is not a power of two, and its
+# eigenvalues back, which can move their last bit
+_EIGVALSH_UNSCALED = (math.sqrt(np.finfo(float).tiny / np.finfo(float).eps),
+                      math.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
+
+
 def operator_norm(matrix, *, method: str = "auto") -> float:
     """Spectral norm of a Hermitian matrix: the largest eigenvalue modulus.
 
     method="auto" takes the spectrum from LAPACK (numpy.linalg.eigvalsh).
+    A matrix with no nonzero entry off its diagonal d is its own spectrum,
+    so where LAPACK does not rescale it (the largest |d| is 0 or inside
+    _EIGVALSH_UNSCALED), "auto" returns max |d| with no solver call: on such
+    a matrix zheevd makes no reflection and dsterf splits it into 1 x 1
+    blocks, so LAPACK returns d itself, and the two agree bit for bit.
     "jacobi" uses the solver of jacobi_eigenvalues, which makes no LAPACK
     call, but bisects only the two extreme brackets of its lead block: the
     norm is max(-lambda_min, lambda_max), equal to max |jacobi_eigenvalues|.
@@ -566,6 +581,12 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
     """
     h = _hermitian(matrix)
     if method == "auto":
+        d = h.data.diagonal()
+        if np.count_nonzero(h.data) == np.count_nonzero(d):
+            norm = float(np.max(np.abs(d.real)))
+            low, high = _EIGVALSH_UNSCALED
+            if norm == 0.0 or low <= norm <= high:
+                return norm
         return float(np.max(np.abs(np.linalg.eigvalsh(h.data))))
     if method == "jacobi":
         lo, hi = _extreme_eigenvalues(h)

@@ -478,6 +478,23 @@ class TestRejections:
         assert res.stderr.startswith("error: ") and "7.565e+153" in res.stderr
         assert "=" not in res.stdout
 
+    @pytest.mark.parametrize("command", ["norm", "bound"])
+    @pytest.mark.parametrize("radial", [
+        {"profile": "disc", "radius": 1e200},
+        {"profile": "annulus", "r_inner": 0.5, "r_outer": 1e200},
+    ])
+    def test_radial_support_past_cap(self, run_cli, tmp_path, command, radial):
+        # these once ended in numpy's "Maximum allowed size exceeded", after
+        # time and memory that grew with the radius
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"radial": radial}))
+        flags = ["--truncation", "8"] if command == "norm" else []
+        res = run_cli(command, "--symbol", str(path), *flags, "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: bad symbol description")
+        assert "support radius must be at most 10000" in res.stderr
+        assert "=" not in res.stdout
+
     def test_ambiguous_symbol_file(self, run_cli, tmp_path):
         path = tmp_path / "both.json"
         path.write_text(json.dumps({"radial": {"profile": "gaussian"}, "pieces": []}))

@@ -180,6 +180,60 @@ class TestRadialSymbol:
         with pytest.raises(ValueError, match="unknown radial profile"):
             RadialSymbol.from_json_dict({"radial": {"profile": "mystery"}})
 
+    @pytest.mark.parametrize("make", [
+        lambda r: RadialSymbol.disc(r),
+        lambda r: RadialSymbol.annulus(0.5, r, -1.0),
+        lambda r: RadialSymbol.table([0.0, 1.0, r], [1.0, 0.5, 0.0]),
+    ])
+    def test_support_radius_cap(self, make):
+        cap = symbols._MAX_SUPPORT_RADIUS
+        assert make(cap).support_radius == cap
+        for radius in (math.nextafter(cap, math.inf), 1e200):
+            with pytest.raises(ValueError, match="support radius must be at most 10000"):
+                make(radius)
+
+    def test_undeclared_turn_raises(self):
+        # the peak of exp(-(r - 0.7)^2), undeclared: discretize's estimate
+        # at 12 cells would be 3.7e-7 relative low
+        with pytest.raises(ValueError, match=r"turns near r = 0\.699219.*declare that radius"):
+            dataclasses.replace(_bump(), breakpoints=())
+        # a turn just past the declared breakpoint is still inside a piece
+        with pytest.raises(ValueError, match="declare that radius as a breakpoint"):
+            dataclasses.replace(_bump(), breakpoints=(0.6,))
+
+    def test_declared_turns_construct(self):
+        assert _bump().breakpoints == (0.7,)
+        # a profile that returns one scalar for every radius is flat
+        flat = RadialSymbol(kind="flat", linf=0.5, support_radius=1.0, breakpoints=(),
+                            params={}, profile_fn=lambda r: 0.5)
+        assert flat.linf_norm() == 0.5
+        for sym in (RadialSymbol.gaussian(), RadialSymbol.disc(1.3, -0.4),
+                    RadialSymbol.annulus(0.4, 1.1, 2.0), _EDGE_TABLE):
+            dataclasses.replace(sym)
+        # seeded tables whose values alternate in sign: a crossing breakpoint
+        # between every two knots
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            radii = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.8, size=6))])
+            values = rng.uniform(0.1, 1.0, size=radii.size) * (-1.0) ** np.arange(radii.size)
+            assert len(RadialSymbol.table(radii, values).breakpoints) == 11
+
+    @pytest.mark.parametrize("wobble, turns", [(4e-13, False), (1e-12, True)])
+    def test_flat_steps_ignored(self, wobble, turns):
+        # cos(512 pi r) is (-1)^k at the k-th of the 513 sample radii on
+        # [0, 1], so the steps between samples are 2 wobble: at most 1e-12
+        # linf is flat
+        def make():
+            return RadialSymbol(
+                kind="wobble", linf=1.0, support_radius=1.0, breakpoints=(), params={},
+                profile_fn=lambda r: 0.5 + wobble * np.cos(512.0 * math.pi * r))
+
+        if turns:
+            with pytest.raises(ValueError, match="turns near r = 0.00195312"):
+                make()
+        else:
+            assert make().support_radius == 1.0
+
 
 def _smooth_sampled(radial_count=40, angular_count=64):
     rule = ProductRule(
@@ -188,6 +242,26 @@ def _smooth_sampled(radial_count=40, angular_count=64):
     z = rule.grid()
     values = np.exp(-np.abs(z) ** 2) * (1.0 + 0.3 * np.cos(np.angle(z)))
     return SampledSymbol(rule, values, float(np.max(np.abs(values))))
+
+
+def _value_at_broadcast_first(sym, t, theta):
+    """SampledSymbol.value_at as it read with t and theta broadcast to their
+    common shape before any index work: the bit-for-bit oracle."""
+    t, theta = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(theta, dtype=float))
+    nodes = sym.rule.radial.nodes
+    m = sym.rule.angular.count
+    pos = (theta % TWO_PI) / (TWO_PI / m)
+    i0 = np.floor(pos).astype(int) % m
+    i1 = (i0 + 1) % m
+    fa = pos - np.floor(pos)
+    j = np.searchsorted(nodes, t)
+    j0 = np.clip(j - 1, 0, nodes.size - 1)
+    j1 = np.clip(j, 0, nodes.size - 1)
+    denom = np.where(j1 == j0, 1.0, nodes[j1] - nodes[j0])
+    ft = np.where(j1 == j0, 0.0, (t - nodes[j0]) / denom)
+    v = ((1 - ft) * ((1 - fa) * sym.values[j0, i0] + fa * sym.values[j0, i1])
+         + ft * ((1 - fa) * sym.values[j1, i0] + fa * sym.values[j1, i1]))
+    return np.where(t > nodes[-1], 0.0, v)
 
 
 class TestSampledSymbol:
@@ -238,6 +312,32 @@ class TestSampledSymbol:
         hi = float(sym.value_at(nodes[4], 0.0))
         mid = float(sym.value_at(tm, 0.0))
         assert math.isclose(mid, 0.5 * (lo + hi), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["scalar-row", "row-scalar", "column-row",
+                                        "discretize", "outside"])
+    def test_value_at_matches_broadcast_first(self, layout):
+        sym = _smooth_sampled(12, 16)
+        last = float(sym.rule.radial.nodes[-1])
+        rng = np.random.default_rng(3)
+        t = rng.uniform(0.0, 1.1 * last, size=23)
+        theta = rng.uniform(-3.0 * TWO_PI, 3.0 * TWO_PI, size=17)
+        t[:3] = last, np.nextafter(last, np.inf), 0.0
+        theta[:4] = 0.0, -1e-300, TWO_PI, -TWO_PI
+        args = {
+            "scalar-row": (1.7, theta),
+            "row-scalar": (t, -0.4),
+            "column-row": (t[:, None], theta[None, :]),
+            "discretize": (t[:6].reshape(2, 1, 3, 1), theta[:8].reshape(1, 2, 1, 4)),
+            "outside": (np.array([1.5 * last, last, 2.0]), np.array([-7.0, 13.0, 4 * TWO_PI])),
+        }[layout]
+        got = sym.value_at(*args)
+        expect = _value_at_broadcast_first(sym, *args)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+    def test_value_at_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            _smooth_sampled(12, 16).value_at(np.zeros(3), np.zeros(4))
 
 
 def _radial_estimate_reference(sym, radial_cells):

@@ -1080,6 +1080,87 @@ class TestSpectra:
         assert abs(abs(v[0]) - 1.0) < 1e-10
 
 
+def _seeded_radials():
+    """The gaussian, 40 seeded tables (knots 0 and four steps of 0.2-0.6,
+    values in [-1, 1]) and 40 seeded annuli."""
+    rng = np.random.default_rng(2024)
+    tables = []
+    for _ in range(40):
+        radii = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 0.6, size=4))])
+        tables.append(RadialSymbol.table(radii, rng.uniform(-1.0, 1.0, size=radii.size)))
+    annuli = []
+    for _ in range(40):
+        r_in = float(rng.uniform(0.0, 1.0))
+        annuli.append(RadialSymbol.annulus(r_in, r_in + float(rng.uniform(0.3, 1.2)),
+                                           float(rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.0))))
+    return [RadialSymbol.gaussian()] + tables + annuli
+
+
+_DIAGONAL_SIZES = (1, 7, 32, 48, 120)
+
+
+def _lapack_norm(a) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+
+
+class TestDiagonalNorm:
+    """operator_norm reads a diagonal matrix's norm off its diagonal, with
+    the bits LAPACK's eigvalsh gives."""
+
+    @pytest.mark.parametrize("n", _DIAGONAL_SIZES)
+    def test_radial_sections(self, n):
+        for symbol in _seeded_radials():
+            a = radial_assemble(symbol, n)
+            assert operator_norm(a) == _lapack_norm(a.data)
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_ring_grids(self, m):
+        for symbol in _seeded_radials():
+            grid, _ = discretize(symbol, m * m, 1)
+            for n in _DIAGONAL_SIZES:
+                a = assemble(grid, n)
+                assert np.count_nonzero(a.data - np.diag(np.diag(a.data))) == 0
+                assert operator_norm(a) == _lapack_norm(a.data)
+
+    def test_centred_disc_and_full_annulus(self):
+        sym = SimpleSymbol(((Disc(0.0, 0.8), 1.5), (AnnularSector(1.0, 1.7, 0.0, TWO_PI), -0.6)))
+        for n in _DIAGONAL_SIZES:
+            a = assemble(sym, n)
+            assert np.count_nonzero(a.data - np.diag(np.diag(a.data))) == 0
+            assert operator_norm(a) == _lapack_norm(a.data)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-146, 1.0, 1e146, 1e300])
+    def test_scaled_random_diagonals(self, scale):
+        # 1e+-146 lie just inside the range LAPACK leaves unscaled, 1e+-300
+        # outside it
+        rng = np.random.default_rng(17)
+        for n in _DIAGONAL_SIZES:
+            for _ in range(20):
+                a = np.diag(rng.uniform(-1.0, 1.0, size=n) * scale).astype(complex)
+                assert operator_norm(a) == _lapack_norm(a)
+
+    def test_diagonal_makes_no_solver_call(self, monkeypatch):
+        calls = []
+        solve = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        a = radial_assemble(RadialSymbol.gaussian(), 32).data.copy()
+        expect = float(np.max(np.abs(np.diag(a).real)))
+        assert operator_norm(a) == expect
+        assert calls == []
+        a[3, 5] = a[5, 3] = 1e-300
+        assert operator_norm(a) == expect
+        assert calls == [(32, 32)]
+        # a diagonal that LAPACK would rescale goes to the solver
+        tiny = np.diag([1e-300, -2e-300]).astype(complex)
+        assert operator_norm(tiny) == float(np.max(np.abs(solve(tiny))))
+        assert len(calls) == 2
+
+
 class TestJacobiNorm:
     """operator_norm(method="jacobi") bisects only the two extreme brackets
     of the lead block; the kernels it runs on match row-at-a-time references
