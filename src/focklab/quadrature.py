@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .regions import TWO_PI, AnnularSector, Disc, Region
-from .tridiagonal import _multisection
+from .tridiagonal import _multisection, _polynomial_rows
 
 MAX_RADIAL_ORDER = 256
 MAX_LEGENDRE_ORDER = 1024
@@ -47,28 +47,13 @@ __all__ = [
 ]
 
 
-def _scaled_laguerre(t: np.ndarray, count: int) -> np.ndarray:
-    """q_k(t) = L_k(t) e^{-t/2} for k < count, by the three-term recurrence.
-
-    The classical Laguerre polynomials are orthonormal for e^{-t} dt, and the
-    e^{-t/2} damping keeps every value in [-1, 1]-ish range for any t, so the
-    recurrence neither overflows nor underflows prematurely.
-    """
-    q = np.zeros((count, t.size), dtype=t.dtype)
-    q[0] = np.exp(-0.5 * t)
-    if count > 1:
-        q[1] = (1.0 - t) * q[0]
-    for k in range(1, count - 1):
-        q[k + 1] = ((2.0 * k + 1.0 - t) * q[k] - k * q[k - 1]) / (k + 1.0)
-    return q
-
-
 @dataclass(frozen=True, eq=False)
 class RadialRule:
     """Gauss-Laguerre rule in t = pi r^2 for the weight e^{-t} dt.
 
     scaled_weights holds w_j e^{t_j} (computed overflow-free through the
-    Christoffel identity w_j e^{t_j} = 1 / sum_k q_k(t_j)^2), which turns the
+    Christoffel identity w_j e^{t_j} = 1 / sum_k p_k(t_j)^2 for the damped
+    orthonormal p_k = (-1)^k L_k e^{-t/2}), which turns the
     same nodes into a rule for plain Lebesgue dt integrals of decaying
     integrands. gauss_laguerre builds each rule once per node count; its
     arrays are read-only, since the cache hands the same rule to every caller.
@@ -89,25 +74,26 @@ class RadialRule:
         # the nodes are the eigenvalues of the Jacobi matrix of L_K, diagonal
         # 2k + 1 and couplings k, bracketed by multisection
         diag = 2.0 * np.arange(count) + 1.0
-        off = np.arange(1.0, count)
+        off = np.arange(1.0, count + 1.0)
         nodes = _multisection(diag, off, count, np.arange(count))
 
         # The K-term recurrences below lose about K ulps in float64 (3e-14 of
         # the weights at K = 252), so they run in np.longdouble, which has a
         # 64-bit mantissa on x86-64 (and is plain float64 where the platform
-        # has nothing wider).
-        # One Newton polish through the scaled recurrence. t L_K' = K (L_K - L_{K-1})
-        # gives the step t q_K / (K (q_K - q_{K-1})) in overflow-free form; the
+        # has nothing wider). The rows are the matrix's orthonormal
+        # polynomials p_k = (-1)^k L_k e^{-t/2}, damped into [-1, 1]-ish range
+        # for any t. One Newton polish: t L_K' = K (L_K - L_{K-1}) gives the
+        # step t p_K / (K (p_K + p_{K-1})) in overflow-free form; the
         # denominator cannot vanish at a simple root of L_K.
         t = nodes.astype(np.longdouble)
-        q = _scaled_laguerre(t, count + 1)
-        denom = count * (q[count] - q[count - 1])
+        p = _polynomial_rows(t, np.exp(-0.5 * t), diag, off, count + 1)
+        denom = count * (p[count] + p[count - 1])
         safe = np.where(denom == 0.0, 1.0, denom)
-        t = np.sort(t - np.where(denom == 0.0, 0.0, t * q[count] / safe))
+        t = np.sort(t - np.where(denom == 0.0, 0.0, t * p[count] / safe))
 
-        q = _scaled_laguerre(t, count)
+        p = _polynomial_rows(t, np.exp(-0.5 * t), diag, off, count)
         nodes = t.astype(np.float64)
-        scaled = (1.0 / np.sum(q * q, axis=0)).astype(np.float64)
+        scaled = (1.0 / np.sum(p * p, axis=0)).astype(np.float64)
         # The weights integrate 1 exactly: dividing by their sum removes what
         # rounding error they still share.
         scaled /= np.sum(scaled * np.exp(-nodes))

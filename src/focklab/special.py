@@ -78,17 +78,6 @@ def lgamma_halves(k_max: int) -> np.ndarray:
     return _lgamma_halves
 
 
-def _halves(a):
-    """(2a as an intp array, its largest entry) for a in {0, 1/2, 1, ...};
-    any other a raises ValueError."""
-    twice = np.asarray(a, dtype=float) * 2.0
-    lo, hi = float(twice.min()), float(twice.max())
-    k = twice.astype(np.intp) if 0.0 <= lo and hi < 2.0**62 else None
-    if k is None or np.count_nonzero(k != twice):
-        raise ValueError(f"a must be a half-integer >= 0, got {a!r}")
-    return k, int(hi)
-
-
 def log_factorial(n):
     """ln(n!) for an int or integer array n >= 0, read from lgamma_halves."""
     n = np.asarray(n)
@@ -97,15 +86,16 @@ def log_factorial(n):
     return lgamma_halves(2 * int(n.max(initial=0)))[2 * n]
 
 
-def poisson_weight(a, x, log_w=0.0) -> np.ndarray:
-    """w x^a e^{-x} / Gamma(a + 1) elementwise (numpy broadcasting) for a in
-    {0, 1/2, 1, ...}, with log_w = ln w, formed in the log domain so that
-    neither the power nor the gamma function overflows. ln x is taken at
-    max(x, tiny): at x = 0 every weight with a > 0 underflows to 0 and a = 0
-    gives w."""
-    k, k_max = _halves(a)
-    lgam = lgamma_halves(k_max)[k]
-    return np.exp(a * np.log(np.maximum(x, _TINY)) - x + log_w - lgam)
+def poisson_weight(k, x, log_w=0.0) -> np.ndarray:
+    """w x^a e^{-x} / Gamma(a + 1) elementwise (numpy broadcasting) for the
+    half-integers a = k / 2 of a non-negative integer array k, with log_w =
+    ln w, formed in the log domain so that neither the power nor the gamma
+    function overflows; Gamma(a + 1) is read from lgamma_halves. ln x is
+    taken at max(x, tiny): at x = 0 every weight with a > 0 underflows to 0
+    and a = 0 gives w."""
+    k = np.asarray(k)
+    lgam = lgamma_halves(int(k.max()))[k]
+    return np.exp(k / 2 * np.log(np.maximum(x, _TINY)) - x + log_w - lgam)
 
 
 def _stirling_series(b):
@@ -234,4 +224,4 @@ def gammainc_lower_int_prefix(a_max: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size and not x.min() >= 0.0:
         raise ValueError("x must be >= 0")
-    return 1.0 - poisson_weight(np.arange(a_max), x[..., None]).cumsum(axis=-1)
+    return 1.0 - poisson_weight(2 * np.arange(a_max), x[..., None]).cumsum(axis=-1)

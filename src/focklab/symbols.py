@@ -322,6 +322,12 @@ class RadialSymbol:
             raise ValueError("knot radii must be nonnegative and strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("knot values must be finite")
+        with np.errstate(over="ignore"):
+            slopes = np.diff(values) / np.diff(radii)
+        bad = np.flatnonzero(~np.isfinite(slopes))
+        if bad.size:
+            r0, r1 = float(radii[bad[0]]), float(radii[bad[0] + 1])
+            raise ValueError(f"knot slope between radii {r0} and {r1} overflows float64")
         support = float(radii[-1])
 
         def prof(r):
@@ -332,7 +338,7 @@ class RadialSymbol:
         # crossing radii so |phi| stays smooth between breakpoints.
         breaks = set(float(b) for b in radii[:-1] if 0.0 < b < support)
         for (r0, r1, v0, v1) in zip(radii[:-1], radii[1:], values[:-1], values[1:]):
-            if v0 * v1 < 0.0:
+            if np.sign(v0) * np.sign(v1) < 0.0:  # v0 * v1 can overflow
                 breaks.add(float(r0 + (r1 - r0) * (0.0 - v0) / (v1 - v0)))
         return cls(
             kind="table",

@@ -12,9 +12,9 @@ its (region, coefficient) pieces have: each off-center disc D(c, r) as the
 Weyl translate W_c T_{1_D(0, r)} W_c^* of the centered disc, in real
 arithmetic from the positive half-spectrum of a section of a + a^*
 (_displaced_disc; _hermite_eigh takes it from multisection, a Newton step
-and the Hermite recurrence, with no LAPACK call), then one matrix for the
-origin-centered rest. A SimpleSymbol is its pieces, and
-region_compression() is the one-piece symbol ((region, 1),).
+and the Hermite recurrence of tridiagonal._polynomial_rows, with no LAPACK
+call), then one matrix for the origin-centered rest. A SimpleSymbol is its
+pieces, and region_compression() is the one-piece symbol ((region, 1),).
 radial_assemble() gives radial symbols' diagonal compressions, the
 gaussian's in closed form and compact profiles' on RadialSymbol.panels(), a
 fixed rule for every N; those panels and sampled grids take their radial
@@ -26,7 +26,9 @@ operator_norm() takes the largest eigenvalue modulus from LAPACK
 its diagonal d, as radial_assemble's sections and ring grids' are, and
 LAPACK would return d itself; method="jacobi" uses the solver of
 jacobi_eigenvalues instead, which makes no LAPACK call, and neither does
-any assembly, so the whole Jacobi path is LAPACK-free. _lead_block reduces
+any assembly but a compact radial profile's, whose Gauss-Legendre panels
+come from numpy's leggauss (one eigvalsh call per order per process), so
+the Jacobi path is LAPACK-free for every other symbol. _lead_block reduces
 the matrix to a real symmetric tridiagonal form by Householder reflections
 (_tridiagonal) and splits off the trailing block whose couplings are
 negligible, its diagonal taken as eigenvalues; tridiagonal._multisection
@@ -49,7 +51,7 @@ from .regions import TWO_PI, AnnularSector, Disc, Region
 from .special import (gammainc_lower, gammainc_lower_int_prefix, lgamma_halves, log_factorial,
                       poisson_weight)
 from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol
-from .tridiagonal import _multisection
+from .tridiagonal import _multisection, _polynomial_rows
 
 __all__ = [
     "HermitianMatrix",
@@ -222,22 +224,6 @@ def _grid_compression(grid: PolarGrid, truncation: int) -> np.ndarray:
     return _sector_compression(truncation, x, w @ arcs / TWO_PI)
 
 
-def _hermite_rows(x: np.ndarray, count: int) -> np.ndarray:
-    """p_m(x) e^{-x^2/8} for m = 0 .. count-1, one row per m, where p_m are
-    the orthonormal polynomials of a + a^*: sqrt(m+1) p_{m+1} = x p_m -
-    sqrt(m) p_{m-1}, p_0 = 1, in the precision of x. |p_m(x)| grows to about
-    e^{x^2/4} inside the spectrum, so the start e^{-x^2/8} keeps every row
-    within e^{+-x^2/8} of one."""
-    root = np.sqrt(np.arange(count + 1, dtype=x.dtype))
-    rows = np.empty((count, len(x)), dtype=x.dtype)
-    rows[0] = np.exp(-x * x / 8)
-    prev = np.zeros_like(x)
-    for m in range(count - 1):
-        rows[m + 1] = (x * rows[m] - root[m] * prev) / root[m + 1]
-        prev = rows[m]
-    return rows
-
-
 def _unit_columns(v: np.ndarray) -> np.ndarray:
     """v with each column scaled to unit 2-norm: first by the power of two
     that takes its largest entry into [1/2, 1), exactly, so that no sum of
@@ -258,25 +244,27 @@ def _hermite_eigh(size: int):
     even): the Jacobi matrix with zero diagonal and off-diagonals sqrt(1),
     ..., sqrt(size-1), in numpy alone, with no LAPACK call. Returns its
     positive eigenvalues mu (ascending) and the even and odd rows of their
-    eigenvectors. mu are the roots of p_size, the orthonormal polynomial of
-    _hermite_rows: _multisection brackets them, and one Newton step on p_size
-    (p_m' = sqrt(m) p_{m-1}) in np.longdouble polishes them. The eigenvector
-    of mu is (p_0(mu), ..., p_{size-1}(mu)), run in np.longdouble (64-bit
-    mantissa on x86-64) and normalized by _unit_columns, whose squares
-    cannot overflow. Every node lies below 2 sqrt(size - 1), so the rows stay
-    within e^{+-(size-1)/2} of one: a size whose rows would leave long
-    double's exponent range (above _HERMITE_MAX_SIZE: 22,679 with x86-64's
-    80-bit long double, 1,385 where long double is float64) raises
-    ValueError. Read-only, since the cache hands the same arrays to every
-    caller."""
+    eigenvectors. mu are the roots of p_size, where p_m are its orthonormal
+    polynomials, damped by p_0 = e^{-x^2/8} (tridiagonal._polynomial_rows;
+    |p_m(x)| grows to about e^{x^2/4} inside the spectrum): _multisection
+    brackets them, and one Newton step on p_size (p_m' = sqrt(m) p_{m-1}) in
+    np.longdouble polishes them. The eigenvector of mu is (p_0(mu), ...,
+    p_{size-1}(mu)), run in np.longdouble (64-bit mantissa on x86-64) and
+    normalized by _unit_columns, whose squares cannot overflow. Every node
+    lies below 2 sqrt(size - 1), so the rows stay within e^{+-(size-1)/2}
+    of one: a size whose rows would leave long double's exponent range
+    (above _HERMITE_MAX_SIZE: 22,679 with x86-64's 80-bit long double, 1,385
+    where long double is float64) raises ValueError. Read-only, since the
+    cache hands the same arrays to every caller."""
     if size > _HERMITE_MAX_SIZE:
         raise ValueError(f"an a + a^* section of size {size} is beyond long double's exponent "
                          f"range here (at most {_HERMITE_MAX_SIZE})")
-    off = np.sqrt(np.arange(1.0, size))
-    x = _multisection(np.zeros(size), off, size, np.arange(size // 2, size)).astype(np.longdouble)
-    rows = _hermite_rows(x, size + 1)
-    x -= rows[size] / (np.sqrt(np.longdouble(size)) * rows[size - 1])
-    v = _unit_columns(_hermite_rows(x, size))
+    diag, root = np.zeros(size), np.sqrt(np.arange(size + 1, dtype=np.longdouble))
+    x = _multisection(diag, np.sqrt(np.arange(1.0, size)), size,
+                      np.arange(size // 2, size)).astype(np.longdouble)
+    rows = _polynomial_rows(x, np.exp(-x * x / 8), diag, root[1:], size + 1)
+    x -= rows[size] / (root[size] * rows[size - 1])
+    v = _unit_columns(_polynomial_rows(x, np.exp(-x * x / 8), diag, root[1:], size))
     tables = x.astype(np.float64), v[0::2].astype(np.float64), v[1::2].astype(np.float64)
     for table in tables:
         table.setflags(write=False)
@@ -413,7 +401,7 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
             )
         # radial[l, j] = w_j t_j^{l/2} e^{-t_j} / Gamma(l/2 + 1)
         rul = symbol.rule.radial
-        radial = poisson_weight(np.arange(2 * truncation - 1)[:, None] / 2.0, rul.nodes,
+        radial = poisson_weight(np.arange(2 * truncation - 1)[:, None], rul.nodes,
                                 np.log(rul.scaled_weights))
         # angular[j, k] = (1/M) sum_i v[j, i] e^{i k theta_i}
         theta = symbol.rule.angular.nodes
@@ -443,7 +431,7 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
     else:
         # every breakpoint panel in one product
         r, w = map(np.concatenate, zip(*symbol.panels()))
-        gamma = (poisson_weight(np.arange(truncation)[:, None], math.pi * r * r)
+        gamma = (poisson_weight(2 * np.arange(truncation)[:, None], math.pi * r * r)
                  @ (w * TWO_PI * r * symbol.profile(r)))
 
     return HermitianMatrix(np.diag(gamma.astype(np.complex128)))
@@ -577,7 +565,10 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
     call, but bisects only the two extreme brackets of its lead block: the
     norm is max(-lambda_min, lambda_max), equal to max |jacobi_eigenvalues|.
     Assembly makes no LAPACK call either (_hermite_eigh included), so
-    assemble followed by the Jacobi norm is LAPACK-free end to end.
+    assemble followed by the Jacobi norm is LAPACK-free end to end, except
+    for a compact radial profile (disc, annulus, table): its Gauss-Legendre
+    panels come from numpy's leggauss, which calls eigvalsh once per order
+    per process.
     """
     h = _hermitian(matrix)
     if method == "auto":

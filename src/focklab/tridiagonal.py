@@ -6,7 +6,10 @@ law of inertia; _multisection narrows one bracket per requested eigenvalue
 with it, a fixed number of rounds. toeplitz bisects the lead block of a
 Householder reduction with them (jacobi_eigenvalues, the Jacobi norm) and
 takes the nodes of a + a^* from them (_hermite_eigh); quadrature takes the
-Gauss-Laguerre nodes from them.
+Gauss-Laguerre nodes from them. _polynomial_rows runs the three-term
+recurrence of a Jacobi matrix's orthonormal polynomials, from which both
+Gauss builders take their Newton step and their eigenvectors or weights
+(Golub & Welsch, Math. Comp. 23, 1969).
 """
 from __future__ import annotations
 
@@ -69,3 +72,19 @@ def _multisection(d: np.ndarray, e: np.ndarray, k: int, rows: np.ndarray) -> np.
         grid = np.concatenate([lo[:, None], points, hi[:, None]], axis=1)
         lo, hi = grid[at_row, at], grid[at_row, at + 1]
     return 0.5 * (lo + hi)
+
+
+def _polynomial_rows(x: np.ndarray, first, diag: np.ndarray, off: np.ndarray,
+                     count: int) -> np.ndarray:
+    """p_k(x) for k = 0 .. count-1, one row per k, where p_k are the
+    orthonormal polynomials of the Jacobi matrix with diagonal diag and
+    couplings off: off[k] p_{k+1} = (x - diag[k]) p_k - off[k-1] p_{k-1},
+    from the caller's p_0 = first, in the precision of the 1-d x. A damped
+    first (e^{-x^2/8} for a + a^*, e^{-t/2} for Laguerre) keeps every row
+    near one; diag and off need count - 1 entries."""
+    rows = np.empty((count, len(x)), dtype=x.dtype)
+    rows[0], prev, below = first, 0.0, 0.0
+    for k in range(count - 1):
+        rows[k + 1] = ((x - diag[k]) * rows[k] - below * prev) / off[k]
+        prev, below = rows[k], off[k]
+    return rows

@@ -495,6 +495,27 @@ class TestRejections:
         assert "support radius must be at most 10000" in res.stderr
         assert "=" not in res.stdout
 
+    def test_table_huge_values_without_warning(self, tmp_path):
+        # in a fresh interpreter, where a RuntimeWarning is printed rather than
+        # raised: v0 * v1 overflowed here once
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"radial": {"profile": "table", "radii": [0, 1, 2],
+                                               "values": [1e200, -1e200, 0]}}))
+        res = run_process("bound", "--symbol", str(path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 0
+        assert "bound=" in res.stdout
+        assert "warning:" not in res.stderr
+
+    def test_table_overflowing_slope(self, run_cli, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"radial": {"profile": "table", "radii": [0, 1, 2],
+                                               "values": [1e308, -1e308, 0]}}))
+        res = run_cli("bound", "--symbol", str(path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: bad symbol description")
+        assert "knot slope between radii 0.0 and 1.0 overflows" in res.stderr
+        assert "=" not in res.stdout
+
     def test_ambiguous_symbol_file(self, run_cli, tmp_path):
         path = tmp_path / "both.json"
         path.write_text(json.dumps({"radial": {"profile": "gaussian"}, "pieces": []}))

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from focklab.quadrature import (
-    _scaled_laguerre,
     AngularRule,
     ProductRule,
     RadialRule,
@@ -15,6 +14,7 @@ from focklab.quadrature import (
     integrate_region,
 )
 from focklab.regions import AnnularSector, Disc
+from focklab.tridiagonal import _multisection
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,11 +74,23 @@ class TestRadialRule:
             RadialRule.gauss_laguerre(100000)
 
 
-def _lapack_seeded_laguerre(count):
+def _scaled_laguerre(t, count):
+    """q_k(t) = L_k(t) e^{-t/2} for k < count, by the Laguerre recurrence
+    written out: the construction RadialRule.gauss_laguerre used before it
+    took its rows from tridiagonal._polynomial_rows, kept as an oracle."""
+    q = np.zeros((count, t.size), dtype=t.dtype)
+    q[0] = np.exp(-0.5 * t)
+    if count > 1:
+        q[1] = (1.0 - t) * q[0]
+    for k in range(1, count - 1):
+        q[k + 1] = ((2.0 * k + 1.0 - t) * q[k] - k * q[k - 1]) / (k + 1.0)
+    return q
+
+
+def _polished_laguerre(nodes, count):
     """(nodes, weights, scaled weights) of the rule RadialRule.gauss_laguerre
-    built when LAPACK (scipy.linalg.eigh_tridiagonal) gave the nodes that its
-    Newton polish starts from; the polish and the weights are its own."""
-    nodes, _ = scipy.linalg.eigh_tridiagonal(2.0 * np.arange(count) + 1.0, np.arange(1.0, count))
+    gives from these starting nodes, by the oracle's Newton step
+    t q_K / (K (q_K - q_{K-1})) and Christoffel sums."""
     t = nodes.astype(np.longdouble)
     q = _scaled_laguerre(t, count + 1)
     denom = count * (q[count] - q[count - 1])
@@ -89,6 +101,26 @@ def _lapack_seeded_laguerre(count):
     scaled = (1.0 / np.sum(q * q, axis=0)).astype(np.float64)
     scaled /= np.sum(scaled * np.exp(-nodes))
     return nodes, scaled * np.exp(-nodes), scaled
+
+
+def _lapack_seeded_laguerre(count):
+    """(nodes, weights, scaled weights) of the rule RadialRule.gauss_laguerre
+    built when LAPACK (scipy.linalg.eigh_tridiagonal) gave the nodes that its
+    Newton polish starts from; the polish and the weights are its own."""
+    nodes, _ = scipy.linalg.eigh_tridiagonal(2.0 * np.arange(count) + 1.0, np.arange(1.0, count))
+    return _polished_laguerre(nodes, count)
+
+
+def test_rules_match_scaled_laguerre_oracle():
+    # the rows (-1)^k L_k e^{-t/2} of the shared recurrence differ from the
+    # oracle's L_k e^{-t/2} in sign alone, so every rule keeps its bits
+    RadialRule.gauss_laguerre.cache_clear()
+    for count in [*range(1, 81), 128, 200, 256]:
+        rule = RadialRule.gauss_laguerre(count)
+        diag, off = 2.0 * np.arange(count) + 1.0, np.arange(1.0, count)
+        oracle = _polished_laguerre(_multisection(diag, off, count, np.arange(count)), count)
+        for got, old in zip((rule.nodes, rule.weights, rule.scaled_weights), oracle):
+            assert np.array_equal(got, old)
 
 
 class TestLaguerreWithoutLapack:

@@ -1,6 +1,7 @@
 """Symbol containers and polar-grid discretization."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,23 @@ class TestRadialSymbol:
             RadialSymbol.table([-0.5, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             RadialSymbol.table([0.0, 1.0], [1.0, math.nan])
+
+    def test_table_huge_values_cross_without_overflow(self):
+        # v0 * v1 overflowed here once, with a RuntimeWarning; the signs alone
+        # say the same
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sym = RadialSymbol.table([0.0, 1.0, 2.0], [1e200, -1e200, 0.0])
+        assert sym.breakpoints == (0.5, 1.0)
+        assert sym.linf == 1e200
+
+    def test_table_overflowing_slope_raises(self):
+        # once "profile exceeds its declared sup bound", after np.interp's
+        # knot slope overflowed
+        with pytest.raises(ValueError, match="knot slope between radii 0.0 and 1.0"):
+            RadialSymbol.table([0.0, 1.0, 2.0], [1e308, -1e308, 0.0])
+        with pytest.raises(ValueError, match="knot slope"):
+            RadialSymbol.table([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0])
 
     def test_declared_bound_spot_check(self):
         with pytest.raises(ValueError, match="sup bound"):

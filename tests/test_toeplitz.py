@@ -514,6 +514,14 @@ class TestDisplacedDisc:
         v *= np.sign(np.sum(v * ref_v, axis=0))
         assert np.max(np.abs(v - ref_v)) <= 3e-15
 
+    @pytest.mark.parametrize("size", [64, 128, 192, 320])
+    def test_half_spectrum_matches_hermite_rows_oracle(self, size):
+        # built afresh on the shared recurrence, the table has the bits of
+        # the construction on the oracle
+        toeplitz._hermite_eigh.cache_clear()
+        for got, old in zip(toeplitz._hermite_eigh(size), _hermite_eigh_oracle(size)):
+            assert np.array_equal(got, old)
+
     @pytest.mark.parametrize("size", [64, 192, 320])
     def test_half_spectrum_is_an_eigendecomposition(self, size):
         # the positive nodes with their even and odd rows, and the mirror
@@ -539,7 +547,8 @@ class TestDisplacedDisc:
         # still gives the long-double table's vectors
         size = 768
         mu, even, odd = toeplitz._hermite_eigh(size)
-        rows = toeplitz._hermite_rows(mu.copy(), size)
+        rows = tridiagonal._polynomial_rows(mu, np.exp(-mu * mu / 8), np.zeros(size),
+                                            np.sqrt(np.arange(1.0, size + 1.0)), size)
         with np.errstate(over="ignore"):
             assert np.isinf(np.sum(rows * rows, axis=0)).any()
         v = toeplitz._unit_columns(rows)
@@ -552,6 +561,32 @@ class TestDisplacedDisc:
         assert toeplitz._HERMITE_MAX_SIZE >= 1385
         with pytest.raises(ValueError, match="exponent range"):
             toeplitz._hermite_eigh(toeplitz._HERMITE_MAX_SIZE + 1)
+
+
+def _hermite_rows(x, count):
+    """p_m(x) e^{-x^2/8} for m = 0 .. count-1 by sqrt(m+1) p_{m+1} = x p_m -
+    sqrt(m) p_{m-1}, p_0 = 1, written out: the recurrence _hermite_eigh used
+    before it took its rows from tridiagonal._polynomial_rows, kept as an
+    oracle."""
+    root = np.sqrt(np.arange(count + 1, dtype=x.dtype))
+    rows = np.empty((count, len(x)), dtype=x.dtype)
+    rows[0] = np.exp(-x * x / 8)
+    prev = np.zeros_like(x)
+    for m in range(count - 1):
+        rows[m + 1] = (x * rows[m] - root[m] * prev) / root[m + 1]
+        prev = rows[m]
+    return rows
+
+
+def _hermite_eigh_oracle(size):
+    """_hermite_eigh(size) by the same steps on the _hermite_rows oracle."""
+    off = np.sqrt(np.arange(1.0, size))
+    x = tridiagonal._multisection(np.zeros(size), off, size,
+                                  np.arange(size // 2, size)).astype(np.longdouble)
+    rows = _hermite_rows(x, size + 1)
+    x -= rows[size] / (np.sqrt(np.longdouble(size)) * rows[size - 1])
+    v = toeplitz._unit_columns(_hermite_rows(x, size))
+    return x.astype(np.float64), v[0::2].astype(np.float64), v[1::2].astype(np.float64)
 
 
 def _gather_from_scratch(radial, angular, n):
@@ -1012,7 +1047,9 @@ class TestSpectra:
         # every LAPACK eigensolver or factorization numpy and scipy offer for
         # this, made to raise: the Jacobi path still solves a criterion-7
         # section and a random matrix of odd size, and assembles and norms an
-        # off-centre disc, whose Weyl translation is built afresh
+        # off-centre disc, whose Weyl translation is built afresh, the
+        # gaussian, and a sampled symbol on a Gauss-Laguerre rule built afresh
+        # and its discretized grid
         section = assemble(random_symbol(np.random.default_rng(2027)), 60)
         dense = _random_hermitian(np.random.default_rng(31), 61)
         disc = SimpleSymbol(((Disc(1 + 0.5j, 0.56), 1.0),))
@@ -1020,6 +1057,18 @@ class TestSpectra:
         cases = [(section, np.linalg.eigvalsh(section.data), 1e-14),
                  (dense, np.linalg.eigvalsh(dense), 1e-13 * np.linalg.norm(dense))]
         disc_norm = float(np.max(np.abs(np.linalg.eigvalsh(disc_section.data))))
+        values = np.random.default_rng(7).uniform(-1.0, 1.0, (24, 48))
+
+        def sampled():
+            rule = ProductRule(RadialRule.gauss_laguerre(24), AngularRule(48))
+            return SampledSymbol(rule, values, 1.0)
+
+        def grid():
+            return discretize(sampled(), 16, 8)[0]
+
+        built = [(RadialSymbol.gaussian, 40), (sampled, 24), (grid, 24)]
+        sections = [assemble(make(), n) for make, n in built]
+        norms = [float(np.max(np.abs(np.linalg.eigvalsh(a.data)))) for a in sections]
 
         def lapack(*args, **kwargs):
             raise AssertionError("LAPACK was called")
@@ -1037,6 +1086,12 @@ class TestSpectra:
         assert toeplitz._hermite_eigh.cache_info().misses == 1
         assert np.array_equal(rebuilt.data, disc_section.data)
         assert abs(operator_norm(rebuilt, method="jacobi") - disc_norm) <= 1e-14
+        RadialRule.gauss_laguerre.cache_clear()
+        for (make, n), expect, norm in zip(built, sections, norms):
+            got = assemble(make(), n)
+            assert np.array_equal(got.data, expect.data)
+            assert abs(operator_norm(got, method="jacobi") - norm) <= 1e-14
+        assert RadialRule.gauss_laguerre.cache_info().misses == 1
 
     @pytest.mark.parametrize("a", [
         [[0.0, 1e200], [1e200, 0.0]],     # ||A||_F overflows
