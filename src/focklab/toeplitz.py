@@ -7,9 +7,13 @@ arrays): partial annular sectors into one moment table D[l = m+n, k = n-m],
 which one sector pass turns into M (_sector_compression; its gather,
 _gather_moments, also serves sampled symbols, and reads its N-only scale
 and mask from _gather_tables, built once per size), full annuli and
-centered discs into one diagonal. _piece_compression builds only the parts
-its (region, coefficient) pieces have: each off-center disc D(c, r) as the
-Weyl translate W_c T_{1_D(0, r)} W_c^* of the centered disc, in real
+centered discs into one diagonal (_ring_diagonal: one table of Poisson
+weights, one matrix-vector product and one prefix sum). A section made of
+rings alone, like a radial one, stays a diagonal: a HermitianMatrix built
+by _of_diagonal, checked in O(N), that keeps it beside the dense data.
+_piece_compression builds only the parts its (region, coefficient) pieces
+have: each off-center disc D(c, r) as the Weyl translate
+W_c T_{1_D(0, r)} W_c^* of the centered disc, in real
 arithmetic from the positive half-spectrum of a section of a + a^*
 (_displaced_disc; _hermite_eigh takes it from multisection, a Newton step
 and the Hermite recurrence of tridiagonal._polynomial_rows, with no LAPACK
@@ -24,15 +28,17 @@ rayleigh() is the quadratic form Re(f^H M f) of assemble().
 operator_norm() takes the largest eigenvalue modulus from LAPACK
 (numpy.linalg.eigvalsh), or reads it off as max |d| where the matrix is
 its diagonal d, as radial_assemble's sections and ring grids' are, and
-LAPACK would return d itself; method="jacobi" uses the solver of
-jacobi_eigenvalues instead, which makes no LAPACK call, and neither does
-any assembly but a compact radial profile's, whose Gauss-Legendre panels
-come from numpy's leggauss (one eigvalsh call per order per process), so
-the Jacobi path is LAPACK-free for every other symbol. _lead_block reduces
-the matrix to a real symmetric tridiagonal form by Householder reflections
-(_tridiagonal) and splits off the trailing block whose couplings are
-negligible, its diagonal taken as eigenvalues; tridiagonal._multisection
-finds the lead block's eigenvalues by Sturm-count multisection.
+LAPACK would return d itself: in O(N) from a kept diagonal, after one
+O(N^2) count of nonzero entries for any other matrix; method="jacobi" uses
+the solver of jacobi_eigenvalues instead, which makes no LAPACK call, and
+neither does any assembly but a compact radial profile's, whose
+Gauss-Legendre panels come from numpy's leggauss (one eigvalsh call per
+order per process), so the Jacobi path is LAPACK-free for every other
+symbol. _lead_block reduces the matrix to a real symmetric tridiagonal form
+by Householder reflections (_tridiagonal) and splits off the trailing block
+whose couplings are negligible, its diagonal taken as eigenvalues;
+tridiagonal._multisection finds the lead block's eigenvalues by
+Sturm-count multisection.
 jacobi_eigenvalues bisects every bracket of the lead block, the norm only
 its two extreme ones (_extreme_eigenvalues), with the same results there.
 """
@@ -48,8 +54,7 @@ import numpy as np
 
 from .fock import FockFunction
 from .regions import TWO_PI, AnnularSector, Disc, Region
-from .special import (gammainc_lower, gammainc_lower_int_prefix, lgamma_halves, log_factorial,
-                      poisson_weight)
+from .special import gammainc_lower, lgamma_halves, log_factorial, poisson_weight
 from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol
 from .tridiagonal import _multisection, _polynomial_rows
 
@@ -70,9 +75,16 @@ class HermitianMatrix:
     """A square complex matrix with JSON/CSV serialization, Hermitian by
     construction: finite entries with max |A - A^H| <= 1e-10 max |A_ij|, a
     test relative to the largest entry so that it holds at every scale, are
-    stored, read-only, as (A + A^H) / 2; anything else raises ValueError."""
+    stored, read-only, as (A + A^H) / 2; anything else raises ValueError.
+
+    A section that assembly builds as a diagonal (_of_diagonal: radial
+    sections, ring grids, centered discs and full annuli) is checked in O(N)
+    instead and keeps that diagonal, so operator_norm reads it in O(N);
+    data is still the dense matrix."""
 
     data: np.ndarray
+    # the real diagonal d of data = diag(d), recorded by _of_diagonal
+    _diagonal = None
 
     def __post_init__(self):
         a = np.asarray(self.data, dtype=np.complex128)
@@ -89,6 +101,26 @@ class HermitianMatrix:
         h = 0.5 * (a + a.conj().T)
         h.setflags(write=False)
         object.__setattr__(self, "data", h)
+
+    @classmethod
+    def _of_diagonal(cls, d) -> "HermitianMatrix":
+        """diag(d) for a real, finite, nonempty 1-d d, with d recorded: the
+        checks and the record are O(N), and the data holds d's bits."""
+        d = np.array(d)
+        if d.ndim != 1 or d.shape[0] < 1:
+            raise ValueError("a diagonal must be 1-d and nonempty")
+        if not np.isrealobj(d):
+            raise ValueError("a diagonal section's entries must be real")
+        d = d.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(d)):
+            raise ValueError("matrix entries must be finite")
+        data = np.diag(d.astype(np.complex128))
+        for table in (d, data):
+            table.setflags(write=False)
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "data", data)
+        object.__setattr__(matrix, "_diagonal", d)
+        return matrix
 
     @property
     def dimension(self) -> int:
@@ -202,23 +234,37 @@ def _sector_compression(truncation: int, x, rows) -> np.ndarray:
     it at its inner one: rows[j] is that sum at x[j], the moment table of
     _gather_moments once multiplied by P(l/2 + 1, x_j). Each incomplete
     gamma is evaluated once per radius. A full span kills every k != 0, so
-    full rings are the diagonal w @ P(n + 1, x) of their summed weights w.
+    full rings are a diagonal (_ring_diagonal).
     """
     radial = gammainc_lower(truncation, x)[:, 1:].T  # a = 1, 3/2, ..., N down a column
     return _gather_moments(radial, rows, truncation)
+
+
+def _ring_diagonal(x, w, truncation: int) -> np.ndarray:
+    """gamma_n = sum_j w_j P(n + 1, x_j), n < truncation: the diagonal of
+    the rings with summed weights w at the radii x = pi r^2.
+
+    P(n + 1, x) = 1 - sum_{i <= n} e^{-x} x^i / i!, so gamma_n is sum_j w_j
+    minus the prefix sum over i <= n of S_i = sum_j w_j poisson_weight(2i,
+    x_j): one exp table, one matrix-vector product and one length-N cumsum.
+    Real; a -0.0 entry becomes 0.0.
+    """
+    s = poisson_weight(2 * np.arange(truncation)[:, None], x) @ w
+    return (np.sum(w) - np.cumsum(s)) + 0.0
 
 
 def _grid_compression(grid: PolarGrid, truncation: int) -> np.ndarray:
     """The compression of a PolarGrid. Radius j is the outer edge of cell
     j-1 and the inner edge of cell j, so its weights are values[j-1] -
     values[j], with zero rows beyond both ends. A one-column full-span grid
-    is rings, a diagonal; any other grid is one _sector_compression, its
-    rows at radius j its weights times the angular cells' arc moments / 2pi."""
+    is rings, returned as its diagonal (1-d, _ring_diagonal); any other
+    grid is one _sector_compression, its rows at radius j its weights times
+    the angular cells' arc moments / 2pi."""
     x = math.pi * grid.radii**2
-    w = -np.diff(np.pad(grid.values, ((1, 1), (0, 0))), axis=0)
+    v = grid.values
+    w = np.concatenate([-v[:1], v[:-1] - v[1:], v[-1:]])
     if grid.full_span and w.shape[1] == 1:
-        # + 0j: complex, and a -0.0 entry becomes 0.0
-        return np.diag(w[:, 0] @ gammainc_lower_int_prefix(truncation, x) + 0j)
+        return _ring_diagonal(x, w[:, 0], truncation)
     theta = grid.theta_edges[:, None]
     arcs = _arc_moments(theta[:-1], theta[1:], truncation)
     return _sector_compression(truncation, x, w @ arcs / TWO_PI)
@@ -319,7 +365,9 @@ def _piece_compression(pieces, truncation: int) -> np.ndarray:
     in this order: c G for each off-center disc (_displaced_disc), in piece
     order, then, if any piece is origin-centered, one matrix: the partial
     sectors' pass (_sector_compression) or zeros, plus the diagonal of the
-    centered discs and full annuli. No pieces give zeros."""
+    centered discs and full annuli (_ring_diagonal). Where those rings are
+    every piece, the result is that diagonal alone (1-d); no pieces give a
+    zero diagonal."""
     n = truncation
     parts, rings, sectors = [], [], []
     for region, c in pieces:
@@ -333,6 +381,12 @@ def _piece_compression(pieces, truncation: int) -> np.ndarray:
         else:
             sectors.append((region, c))
 
+    diagonal = np.zeros(n)
+    if rings:
+        x, w = _per_radius([ring[:2] for ring in rings], np.array([ring[2] for ring in rings]))
+        diagonal = _ring_diagonal(x, w, n)
+    if not (parts or sectors):  # rings alone, or no piece at all
+        return diagonal
     if sectors:
         t1, t2, coeffs = np.array([(s.theta_start, s.theta_end, c) for s, c in sectors]).T[:, :, None]
         angular = _arc_moments(t1, t2, n) * (coeffs / TWO_PI)
@@ -341,10 +395,9 @@ def _piece_compression(pieces, truncation: int) -> np.ndarray:
     elif rings:
         parts.append(np.zeros((n, n), dtype=np.complex128))
     if rings:  # onto the centered matrix, the last part
-        x, w = _per_radius([ring[:2] for ring in rings], np.array([ring[2] for ring in rings]))
-        parts[-1].reshape(-1)[::n + 1] += w @ gammainc_lower_int_prefix(n, x)
+        parts[-1].reshape(-1)[::n + 1] += diagonal
     # sum starts from 0, so a -0.0 entry becomes 0.0
-    return sum(parts) if parts else np.zeros((n, n), dtype=np.complex128)
+    return sum(parts)
 
 
 def region_compression(region: Region, truncation: int) -> np.ndarray:
@@ -359,7 +412,8 @@ def region_compression(region: Region, truncation: int) -> np.ndarray:
         raise ValueError("truncation must be >= 1")
     if not isinstance(region, (Disc, AnnularSector)):
         raise TypeError(f"unsupported region type: {type(region).__name__}")
-    return _piece_compression(((region, 1.0),), truncation)
+    g = _piece_compression(((region, 1.0),), truncation)
+    return np.diag(g.astype(np.complex128)) if g.ndim == 1 else g
 
 
 def assemble(symbol, truncation: int) -> HermitianMatrix:
@@ -381,11 +435,15 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
     if isinstance(symbol, RadialSymbol):
         return radial_assemble(symbol, truncation)
 
-    if isinstance(symbol, SimpleSymbol):
-        return HermitianMatrix(_piece_compression(symbol.pieces, truncation))
-
-    if isinstance(symbol, PolarGrid):
-        return HermitianMatrix(_grid_compression(symbol, truncation))
+    if isinstance(symbol, (SimpleSymbol, PolarGrid)):
+        if isinstance(symbol, SimpleSymbol):
+            section = _piece_compression(symbol.pieces, truncation)
+        else:
+            section = _grid_compression(symbol, truncation)
+        # rings alone come back as their diagonal, which stays one
+        if section.ndim == 1:
+            return HermitianMatrix._of_diagonal(section)
+        return HermitianMatrix(section)
 
     if isinstance(symbol, SampledSymbol):
         k_rad = symbol.rule.radial.count
@@ -434,7 +492,7 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
         gamma = (poisson_weight(2 * np.arange(truncation)[:, None], math.pi * r * r)
                  @ (w * TWO_PI * r * symbol.profile(r)))
 
-    return HermitianMatrix(np.diag(gamma.astype(np.complex128)))
+    return HermitianMatrix._of_diagonal(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +616,11 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
     method="auto" takes the spectrum from LAPACK (numpy.linalg.eigvalsh).
     A matrix with no nonzero entry off its diagonal d is its own spectrum,
     so where LAPACK does not rescale it (the largest |d| is 0 or inside
-    _EIGVALSH_UNSCALED), "auto" returns max |d| with no solver call: on such
-    a matrix zheevd makes no reflection and dsterf splits it into 1 x 1
-    blocks, so LAPACK returns d itself, and the two agree bit for bit.
+    _EIGVALSH_UNSCALED), "auto" returns max |d| with no solver call. A
+    section assembled as a diagonal has d recorded and is read in O(N);
+    any other matrix is found diagonal by one count of its nonzero entries.
+    On such a matrix zheevd makes no reflection and dsterf splits it into
+    1 x 1 blocks, so LAPACK returns d itself, and the two agree bit for bit.
     "jacobi" uses the solver of jacobi_eigenvalues, which makes no LAPACK
     call, but bisects only the two extreme brackets of its lead block: the
     norm is max(-lambda_min, lambda_max), equal to max |jacobi_eigenvalues|.
@@ -572,9 +632,11 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
     """
     h = _hermitian(matrix)
     if method == "auto":
-        d = h.data.diagonal()
-        if np.count_nonzero(h.data) == np.count_nonzero(d):
-            norm = float(np.max(np.abs(d.real)))
+        d = h._diagonal
+        if d is None and np.count_nonzero(h.data) == np.count_nonzero(h.data.diagonal()):
+            d = h.data.diagonal().real
+        if d is not None:
+            norm = float(np.max(np.abs(d)))
             low, high = _EIGVALSH_UNSCALED
             if norm == 0.0 or low <= norm <= high:
                 return norm

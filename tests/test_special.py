@@ -71,6 +71,18 @@ def test_gammainc_prefix_matches_scalar():
     assert np.max(np.abs(prefix - scipy_gammainc(a, xs[..., None]))) < 1e-13
 
 
+def test_gammainc_prefix_is_a_probability():
+    # 1 - cumsum rounds below zero where P is tiny: P(39..41, pi 1.5^2) are
+    # 6.7e-17 .. 2.0e-18, once returned as -2.2e-16
+    x = math.pi * 1.5**2
+    got = gammainc_lower_int_prefix(41, x)[38:]
+    assert np.all(got >= 0.0)
+    assert np.max(np.abs(got - gammainc_lower(41, x)[[77, 79, 81]])) < 1e-16
+    xs = np.array([0.0, 0.3, x, 25.0, 200.0])
+    prefix = gammainc_lower_int_prefix(400, xs)
+    assert np.all((prefix >= 0.0) & (prefix <= 1.0))
+
+
 def test_gammainc_prefix_edge_cases():
     assert np.all(gammainc_lower_int_prefix(5, 0.0) == 0.0)
     with pytest.raises(ValueError):

@@ -1216,6 +1216,103 @@ class TestDiagonalNorm:
         assert len(calls) == 2
 
 
+def _ring_reference(radii, values, n):
+    """sum_j v_j (P(k+1, x_{j+1}) - P(k+1, x_j)), k < n, x = pi r^2: the
+    diagonal of rings with values v between consecutive radii, from
+    scipy.special.gammainc."""
+    p = gammainc(np.arange(1, n + 1)[None, :], math.pi * np.asarray(radii)[:, None] ** 2)
+    return np.asarray(values) @ (p[1:] - p[:-1])
+
+
+class TestRingDiagonal:
+    """Ring diagonals (centered discs, full annuli, one-column full-span
+    grids) from one product of Poisson weights, against gammainc."""
+
+    @pytest.mark.parametrize("rings", [1, 16, 256, 4096])
+    def test_ring_grids_against_gammainc(self, rings):
+        for symbol in _seeded_radials():
+            grid, _ = discretize(symbol, rings, 1)
+            ref = _ring_reference(grid.radii, grid.values[:, 0], 120)
+            for n in (1, 17, 48, 120):
+                got = assemble(grid, n).data
+                assert np.max(np.abs(got.diagonal() - ref[:n])) < 1e-14
+
+    def test_disc_and_annulus_against_gammainc(self):
+        sym = SimpleSymbol(((Disc(0.0, 0.8), 1.5), (AnnularSector(1.0, 1.7, 0.0, TWO_PI), -0.6)))
+        ref = _ring_reference([0.0, 0.8, 1.0, 1.7], [1.5, 0.0, -0.6], 120)
+        for n in (1, 17, 48, 120):
+            got = assemble(sym, n).data.diagonal()
+            assert np.max(np.abs(got - ref[:n])) < 1e-15
+
+
+def _diagonal_symbols():
+    """The three kinds of symbol whose sections assembly keeps as a
+    diagonal: the gaussian, a 4,096-ring grid of it and a centered disc."""
+    gaussian = RadialSymbol.gaussian()
+    return [gaussian, discretize(gaussian, 4096, 1)[0], SimpleSymbol(((Disc(0.0, 0.8), 1.5),))]
+
+
+class TestDiagonalSections:
+    """Sections born diagonal keep their diagonal: the norm is read from it
+    in O(N), with no solver call and no scan of the dense data."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        for module, name in ((np.linalg, "eigvalsh"), (np, "count_nonzero")):
+            def spy(*args, _name=name, _call=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_norm_makes_no_solver_call_and_no_scan(self, monkeypatch):
+        sections = [radial_assemble(RadialSymbol.gaussian(), 2000)]
+        sections += [assemble(symbol, 120) for symbol in _diagonal_symbols()]
+        calls = self._spy(monkeypatch)
+        norms = [operator_norm(a) for a in sections]
+        assert calls == []
+        for a, norm in zip(sections, norms):
+            assert norm == float(np.max(np.abs(a.data.diagonal().real)))
+
+    @pytest.mark.parametrize("n", _DIAGONAL_SIZES)
+    def test_norm_is_lapacks(self, n):
+        for symbol in _diagonal_symbols():
+            a = assemble(symbol, n)
+            assert operator_norm(a) == _lapack_norm(a.data)
+
+    def test_gaussian_diagonal_in_closed_form(self):
+        a = radial_assemble(RadialSymbol.gaussian(), 2000)
+        expect = (math.pi / (math.pi + 1.0)) ** np.arange(1.0, 2001.0)
+        assert np.array_equal(a.data.diagonal().real, expect)
+        assert np.array_equal(a.data, np.diag(expect.astype(complex)))
+
+    @pytest.mark.parametrize("n", _DIAGONAL_SIZES)
+    def test_rayleigh_is_the_quadratic_form(self, n):
+        rng = np.random.default_rng(n)
+        for symbol in _diagonal_symbols():
+            a = assemble(symbol, n)
+            for _ in range(10):
+                f = FockFunction(rng.normal(size=n) + 1j * rng.normal(size=n))
+                direct = float(np.real(np.vdot(f.coeffs, a.data @ f.coeffs)))
+                assert math.isclose(rayleigh(symbol, f), direct, rel_tol=1e-15)
+
+    def test_scaled_diagonal_goes_to_the_solver(self, monkeypatch):
+        # outside [2^-485, 2^485] LAPACK rescales, so the norm is its answer
+        tiny = HermitianMatrix._of_diagonal([1e-300, -2e-300])
+        expect = _lapack_norm(tiny.data)
+        calls = self._spy(monkeypatch)
+        assert operator_norm(tiny) == expect
+        assert calls == ["eigvalsh"]
+
+    def test_diagonal_validation(self):
+        for bad in ([], [[1.0]], [1.0, math.nan], [1.0, math.inf], [1.0 + 1e-3j]):
+            with pytest.raises(ValueError):
+                HermitianMatrix._of_diagonal(bad)
+        a = HermitianMatrix._of_diagonal([-0.0, 2.5])
+        assert not a.data.flags.writeable
+        assert np.signbit(a.data[0, 0].real) and not np.signbit(a.data[0, 0].imag)
+
+
 class TestJacobiNorm:
     """operator_norm(method="jacobi") bisects only the two extreme brackets
     of the lead block; the kernels it runs on match row-at-a-time references
