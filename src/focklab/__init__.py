@@ -20,16 +20,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     _os.environ.setdefault(_var, "1")
 del _os, _var
 
-from .fock import (
-    FockFunction,
-    basis_eval,
-    coherent,
-    inner,
-    kernel,
-    pointwise_bound_check,
-    random_unit,
-    weighted_basis_eval,
-)
+from .fock import FockFunction, coherent, random_unit
 from .regions import AnnularSector, Disc, Region, area, disjoint
 from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol, discretize
 from .quadrature import (
@@ -37,7 +28,6 @@ from .quadrature import (
     ProductRule,
     RadialRule,
     gauss_legendre,
-    integrate_plane,
     integrate_region,
 )
 from .toeplitz import (
@@ -85,19 +75,14 @@ __all__ = [
     "approximation_experiment",
     "area",
     "assemble",
-    "basis_eval",
     "coherent",
     "discretize",
     "disjoint",
     "gauss_legendre",
-    "inner",
-    "integrate_plane",
     "integrate_region",
     "jacobi_eigenvalues",
-    "kernel",
     "make_report",
     "operator_norm",
-    "pointwise_bound_check",
     "radial_assemble",
     "top_eigenpair",
     "random_partition",
@@ -111,6 +96,5 @@ __all__ = [
     "verify_concentration",
     "verify_norm_bound",
     "verify_weighted_partition",
-    "weighted_basis_eval",
     "__version__",
 ]

@@ -1,11 +1,13 @@
 """Truncated elements of the Gaussian-weighted space of entire functions.
 
 The orthonormal basis is e_n(z) = sqrt(pi^n / n!) z^n for the inner product
-<f, g> = int f conj(g) e^{-pi|z|^2} dA(z). Every evaluation routine works
-through the weighted form f(z) e^{-pi|z|^2/2}: each weighted basis term has
-modulus at most one everywhere (the peak of |e_n| e^{-pi|z|^2/2} sits at
-pi|z|^2 = n), so sums stay well scaled at any point of the plane and for any
-truncation order.
+<f, g> = int f conj(g) e^{-pi|z|^2} dA(z). A function is its coefficient
+vector: compressions and Rayleigh quotients read the coefficients alone, and
+the package evaluates no function at a point. weighted_basis_matrix gives
+the weighted values e_n(z) e^{-pi|z|^2/2} at sample points for checks by
+quadrature: each has modulus at most one everywhere (the peak of |e_n|
+e^{-pi|z|^2/2} sits at pi|z|^2 = n), so sums of them stay well scaled at any
+point of the plane and for any truncation order.
 """
 from __future__ import annotations
 
@@ -25,39 +27,10 @@ TAIL_WARN_THRESHOLD = 1e-12
 __all__ = [
     "DEFAULT_TRUNCATION",
     "FockFunction",
-    "basis_eval",
-    "weighted_basis_eval",
     "weighted_basis_matrix",
-    "kernel",
     "coherent",
-    "inner",
-    "pointwise_bound_check",
     "random_unit",
 ]
-
-
-def _as_complex_array(z):
-    return np.asarray(z, dtype=np.complex128)
-
-
-def basis_eval(n: int, z):
-    """e_n(z) = sqrt(pi^n / n!) z^n.
-
-    The modulus is formed in the log domain, n ln|z| together with the
-    prefactor, as weighted_basis_matrix does: pi^n / n! underflows and z^n
-    overflows at large n where their product is finite. So the value
-    overflows or underflows only where the function genuinely does.
-    """
-    if n < 0:
-        raise ValueError(f"basis index must be >= 0, got {n}")
-    zz = _as_complex_array(z)
-    az = np.abs(zz)
-    zero = az == 0.0
-    log_mod = 0.5 * (n * LN_PI - float(log_factorial(n))) + n * np.log(np.where(zero, 1.0, az))
-    out = np.where(zero, float(n == 0), np.exp(log_mod + 1j * n * np.angle(zz)))
-    if np.ndim(z) == 0:
-        return complex(out)
-    return out
 
 
 def weighted_basis_matrix(truncation: int, z) -> np.ndarray:
@@ -66,7 +39,7 @@ def weighted_basis_matrix(truncation: int, z) -> np.ndarray:
     Shape (truncation, *shape(z)). |w_n| <= 1 pointwise, so the matrix is
     safe to build for any sample points, including far-out quadrature nodes.
     """
-    zz = np.atleast_1d(_as_complex_array(z))
+    zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     ns = np.arange(truncation)
     az = np.abs(zz)
     zero = az == 0.0
@@ -81,16 +54,6 @@ def weighted_basis_matrix(truncation: int, z) -> np.ndarray:
         w[:, zero] = 0.0
         w[0, zero] = 1.0
     return w
-
-
-def weighted_basis_eval(n: int, z):
-    """w_n(z) = e_n(z) e^{-pi|z|^2/2}, bounded by 1 in modulus."""
-    if n < 0:
-        raise ValueError(f"basis index must be >= 0, got {n}")
-    out = weighted_basis_matrix(n + 1, z)[n]
-    if np.ndim(z) == 0:
-        return complex(out[0])
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,22 +95,6 @@ class FockFunction:
         out[:k] = self.coeffs[:k]
         return FockFunction(out)
 
-    def eval_weighted(self, z):
-        """f(z) e^{-pi|z|^2/2}; safe at every point of the plane."""
-        w = weighted_basis_matrix(self.truncation, z)
-        out = np.tensordot(self.coeffs, w, axes=1)
-        if np.ndim(z) == 0:
-            return complex(out[0])
-        return out
-
-    def eval(self, z):
-        """Plain value f(z); may overflow where the function itself does."""
-        zz = _as_complex_array(z)
-        out = self.eval_weighted(z) * np.exp(0.5 * math.pi * np.abs(zz) ** 2)
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -163,22 +110,6 @@ class FockFunction:
         if int(data["truncation"]) != coeffs.size:
             raise ValueError("truncation field disagrees with coefficient count")
         return cls(coeffs)
-
-
-def inner(f: FockFunction, g: FockFunction) -> complex:
-    """<f, g> = sum a_n conj(b_n) (shorter expansion zero-padded)."""
-    k = min(f.truncation, g.truncation)
-    return complex(np.sum(f.coeffs[:k] * np.conj(g.coeffs[:k])))
-
-
-def kernel(z, w):
-    """Reproducing kernel K(z, w) = e^{pi conj(w) z}."""
-    zz = _as_complex_array(z)
-    ww = _as_complex_array(w)
-    out = np.exp(math.pi * np.conj(ww) * zz)
-    if np.ndim(z) == 0 and np.ndim(w) == 0:
-        return complex(out)
-    return out
 
 
 def coherent(w0: complex, truncation: int = DEFAULT_TRUNCATION) -> FockFunction:
@@ -211,16 +142,6 @@ def coherent(w0: complex, truncation: int = DEFAULT_TRUNCATION) -> FockFunction:
             stacklevel=2,
         )
     return FockFunction(coeffs)
-
-
-def pointwise_bound_check(f: FockFunction, points) -> float:
-    """max over the samples of |f(z)|^2 e^{-pi|z|^2}.
-
-    For a unit function the reproducing property caps this at 1; the contract
-    is max <= 1 + 1e-12 and callers assert it.
-    """
-    vals = np.abs(f.eval_weighted(np.asarray(points, dtype=np.complex128))) ** 2
-    return float(np.max(vals))
 
 
 def random_unit(

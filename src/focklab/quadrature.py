@@ -1,23 +1,19 @@
-"""Quadrature against the plane Gaussian measure dlam = e^{-pi|z|^2} dA(z).
+"""Quadrature rules and region integrals against dlam = e^{-pi|z|^2} dA(z).
 
 The substitution t = pi r^2 maps the radial part of dlam onto the Laguerre
-weight e^{-t} dt on [0, inf):
+weight e^{-t} dt on [0, inf). RadialRule is the Gauss-Laguerre rule in t and
+AngularRule the uniform (periodic trapezoid) rule in theta. A ProductRule of
+the two holds a sampled symbol's nodes; it integrates e_n conj(e_m) dlam
+exactly whenever n + m <= 2K - 1 and |n - m| < M.
 
-    int_C g dlam = (1/2pi) int_0^inf e^{-t} int_0^{2pi} g(sqrt(t/pi) e^{i th}) dth dt
-
-so the full-plane rule is a Gauss-Laguerre rule in t crossed with a uniform
-angular rule (periodic trapezoid), exact for e_n conj(e_m) whenever
-n + m <= 2K - 1 and |n - m| < M.
-
-Bounded regions are integrated in polar coordinates with the Gaussian weight
-written out explicitly; a discontinuous indicator is never sampled. Discs use
-polar coordinates about their own center (Gauss-Legendre radially, the
-periodic angular rule); annular sectors use Gauss-Legendre on [r1, r2]
-crossed with Gauss-Legendre on the arc (the periodic rule for a full turn),
-so integrands polynomial in r and smooth in theta converge spectrally with
-no endpoint singularity at r = 0.
-
-Integrand callables must be vectorized: they receive a complex ndarray of
+integrate_region integrates over a bounded region in polar coordinates with
+the Gaussian weight written out explicitly; a discontinuous indicator is
+never sampled. Discs use polar coordinates about their own center
+(Gauss-Legendre radially, the periodic angular rule); annular sectors use
+Gauss-Legendre on [r1, r2] crossed with Gauss-Legendre on the arc (the
+periodic rule for a full turn), so integrands polynomial in r and smooth in
+theta converge spectrally with no endpoint singularity at r = 0. Its
+integrand callables must be vectorized: they receive a complex ndarray of
 sample points and return an array of the same shape (scalars broadcast).
 """
 from __future__ import annotations
@@ -41,9 +37,7 @@ __all__ = [
     "AngularRule",
     "ProductRule",
     "gauss_legendre",
-    "integrate_plane",
     "integrate_region",
-    "default_plane_rule",
 ]
 
 
@@ -104,11 +98,6 @@ class RadialRule:
             array.setflags(write=False)
         return cls(count=count, nodes=nodes, weights=weights, scaled_weights=scaled)
 
-    @property
-    def radii(self) -> np.ndarray:
-        """Physical radii r_j = sqrt(t_j / pi)."""
-        return np.sqrt(self.nodes / math.pi)
-
 
 @dataclass(frozen=True)
 class AngularRule:
@@ -130,42 +119,10 @@ class AngularRule:
 
 @dataclass(frozen=True, eq=False)
 class ProductRule:
-    """Radial x angular rule for full-plane dlam integrals."""
+    """Radial x angular rule: the nodes a SampledSymbol's values sit on."""
 
     radial: RadialRule
     angular: AngularRule
-
-    def grid(self) -> np.ndarray:
-        """Complex nodes z_ji = r_j e^{i theta_i}, shape (K, M)."""
-        return self.radial.radii[:, None] * np.exp(1j * self.angular.nodes[None, :])
-
-    def integrate(self, values: np.ndarray) -> float | complex:
-        """Contract integrand values on the grid: sum_j (w_j / M) sum_i G[j, i].
-
-        Angular reduction runs first (fixed pairwise order), then radial.
-        Real-valued arrays produce a float, complex arrays a complex.
-        """
-        values = np.asarray(values)
-        if values.shape != (self.radial.count, self.angular.count):
-            values = np.broadcast_to(values, (self.radial.count, self.angular.count))
-        angular_means = np.sum(values, axis=1) / self.angular.count
-        total = np.dot(self.radial.weights, angular_means)
-        if np.iscomplexobj(total):
-            return complex(total)
-        return float(total)
-
-
-@functools.cache
-def default_plane_rule() -> ProductRule:
-    """The shared K=80 x M=128 rule (built once)."""
-    return ProductRule(RadialRule.gauss_laguerre(80), AngularRule(128))
-
-
-def integrate_plane(g: Callable, rule: ProductRule | None = None) -> float | complex:
-    """int_C g dlam with the product rule (default K=80, M=128)."""
-    if rule is None:
-        rule = default_plane_rule()
-    return rule.integrate(g(rule.grid()))
 
 
 @functools.lru_cache(maxsize=64)

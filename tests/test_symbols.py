@@ -21,6 +21,7 @@ from focklab import (
     discretize,
     radial_assemble,
 )
+from plane_oracles import grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -257,7 +258,7 @@ def _smooth_sampled(radial_count=40, angular_count=64):
     rule = ProductRule(
         RadialRule.gauss_laguerre(radial_count), AngularRule(angular_count)
     )
-    z = rule.grid()
+    z = grid(rule)
     values = np.exp(-np.abs(z) ** 2) * (1.0 + 0.3 * np.cos(np.angle(z)))
     return SampledSymbol(rule, values, float(np.max(np.abs(values))))
 

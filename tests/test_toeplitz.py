@@ -40,6 +40,7 @@ from focklab import toeplitz, tridiagonal
 from focklab.fock import weighted_basis_matrix
 from focklab.quadrature import gauss_legendre
 from focklab.symbols import discretize
+from plane_oracles import eval_weighted, grid, radii
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,7 +156,7 @@ def _sampled(fn, radial_count=40, angular_count=64):
     rule = ProductRule(
         RadialRule.gauss_laguerre(radial_count), AngularRule(angular_count)
     )
-    values = fn(rule.grid())
+    values = fn(grid(rule))
     return SampledSymbol(rule, values, float(np.max(np.abs(values))))
 
 
@@ -170,7 +171,7 @@ class TestAssembleSampled:
         trunc = 6
         mat = assemble(sym, trunc).data
 
-        z = sym.rule.grid()
+        z = grid(sym.rule)
         w_bare = sym.rule.radial.weights
         m_ang = sym.rule.angular.count
         ref = np.zeros((trunc, trunc), dtype=np.complex128)
@@ -201,7 +202,7 @@ def _laguerre_diagonal(symbol, truncation):
     n = np.arange(truncation)[:, None]
     t = rul.nodes[None, :]
     moments = np.exp(n * np.log(t) - t - gammaln(n + 1.0) + np.log(rul.scaled_weights))
-    return moments @ symbol.profile(rul.radii)
+    return moments @ symbol.profile(radii(rul))
 
 
 def _interval_quad_diagonal(radii, values, n):
@@ -1203,17 +1204,20 @@ class TestDiagonalNorm:
             return solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        a = radial_assemble(RadialSymbol.gaussian(), 32).data.copy()
-        expect = float(np.max(np.abs(np.diag(a).real)))
-        assert operator_norm(a) == expect
+        section = radial_assemble(RadialSymbol.gaussian(), 32)
+        expect = float(np.max(np.abs(np.diag(section.data).real)))
+        assert operator_norm(section) == expect
         assert calls == []
-        a[3, 5] = a[5, 3] = 1e-300
+        # a dense array keeps no diagonal: one solver call, with the same bits
+        a = section.data.copy()
         assert operator_norm(a) == expect
         assert calls == [(32, 32)]
-        # a diagonal that LAPACK would rescale goes to the solver
+        a[3, 5] = a[5, 3] = 1e-300
+        assert operator_norm(a) == expect
+        assert calls == [(32, 32)] * 2
         tiny = np.diag([1e-300, -2e-300]).astype(complex)
         assert operator_norm(tiny) == float(np.max(np.abs(solve(tiny))))
-        assert len(calls) == 2
+        assert len(calls) == 3
 
 
 def _ring_reference(radii, values, n):
@@ -1296,13 +1300,20 @@ class TestDiagonalSections:
                 direct = float(np.real(np.vdot(f.coeffs, a.data @ f.coeffs)))
                 assert math.isclose(rayleigh(symbol, f), direct, rel_tol=1e-15)
 
-    def test_scaled_diagonal_goes_to_the_solver(self, monkeypatch):
-        # outside [2^-485, 2^485] LAPACK rescales, so the norm is its answer
+    def test_scaled_diagonal_is_read_exactly(self, monkeypatch):
+        # outside [2^-485, 2^485] LAPACK rescales by a factor that is not a
+        # power of two: it read this norm as 1.9999999999999997e-300
         tiny = HermitianMatrix._of_diagonal([1e-300, -2e-300])
-        expect = _lapack_norm(tiny.data)
         calls = self._spy(monkeypatch)
-        assert operator_norm(tiny) == expect
-        assert calls == ["eigvalsh"]
+        assert operator_norm(tiny) == 2e-300
+        assert calls == []
+        assert operator_norm(tiny, method="jacobi") == 2e-300
+        rng = np.random.default_rng(23)
+        for scale in (1e-300, 1e-150, 5e-314, 1e150, 1e300):
+            for _ in range(50):
+                d = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 40))) * scale
+                assert operator_norm(HermitianMatrix._of_diagonal(d)) == np.max(np.abs(d))
+        assert calls == []
 
     def test_diagonal_validation(self):
         for bad in ([], [[1.0]], [1.0, math.nan], [1.0, math.inf], [1.0 + 1e-3j]):
@@ -1413,11 +1424,11 @@ def _grid_rayleigh_radial(symbol, f):
     ring = np.exp(1j * TWO_PI * np.arange(a_ord) / a_ord)
 
     def ring_mean(r):
-        return np.mean(np.abs(f.eval_weighted(r[:, None] * ring[None, :])) ** 2, axis=1)
+        return np.mean(np.abs(eval_weighted(f, r[:, None] * ring[None, :])) ** 2, axis=1)
 
     if symbol.kind == "gaussian":
         rul = RadialRule.gauss_laguerre(max(80, n + 16))
-        return float(np.dot(rul.scaled_weights, symbol.profile(rul.radii) * ring_mean(rul.radii)))
+        return float(np.dot(rul.scaled_weights, symbol.profile(radii(rul)) * ring_mean(radii(rul))))
     edges = [0.0, *symbol.breakpoints, symbol.support_radius]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
@@ -1428,7 +1439,7 @@ def _grid_rayleigh_radial(symbol, f):
 
 def _grid_rayleigh_sampled(symbol, f):
     """Sum of phi |f|^2 over the sampled symbol's own product grid."""
-    sq = np.abs(f.eval_weighted(symbol.rule.grid())) ** 2
+    sq = np.abs(eval_weighted(f, grid(symbol.rule))) ** 2
     row = np.sum(symbol.values * sq, axis=1) / symbol.rule.angular.count
     return float(np.dot(symbol.rule.radial.scaled_weights, row))
 
@@ -1511,7 +1522,7 @@ class TestRayleigh:
             region = random_region(rng)
             f = random_unit(rng, int(rng.integers(0, 26)), truncation=48)
             quad = integrate_region(
-                lambda z: np.abs(f.eval_weighted(z)) ** 2, region,
+                lambda z: np.abs(eval_weighted(f, z)) ** 2, region,
                 radial_order=112, angular_order=224, include_weight=False,
             )
             assert abs(rayleigh(SimpleSymbol(((region, -0.7),)), f) + 0.7 * quad) < 1e-12
