@@ -23,13 +23,7 @@ del _os, _var
 from .fock import FockFunction, coherent, random_unit
 from .regions import AnnularSector, Disc, Region, area, disjoint
 from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol, discretize
-from .quadrature import (
-    AngularRule,
-    ProductRule,
-    RadialRule,
-    gauss_legendre,
-    integrate_region,
-)
+from .quadrature import RadialRule, gauss_legendre, integrate_region
 from .toeplitz import (
     HermitianMatrix,
     assemble,
@@ -58,13 +52,11 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularRule",
     "AnnularSector",
     "Disc",
     "FockFunction",
     "HermitianMatrix",
     "PolarGrid",
-    "ProductRule",
     "RadialRule",
     "RadialSymbol",
     "Region",

@@ -15,8 +15,8 @@ flag name with dashes replaced by underscores, each value read as the text of
 its flag, so it passes the same checks), else from its default in `_COMMANDS`;
 --output-dir then falls back to $FOCKLAB_OUTPUT_DIR and the working directory.
 A config key that is no flag, a negative --cases, an empty integer list and a
-symbol file without exactly one of 'pieces', 'radial' and 'sampled' are
-configuration errors.
+symbol file without exactly one of 'pieces', 'radial' and 'sampled', or with
+a malformed entry, are configuration errors.
 
 Exit codes: 0 all checks hold, 1 at least one violation (reports are still
 written), 2 configuration errors. Errors and warnings go to stderr as
@@ -46,7 +46,6 @@ from .experiments import (
     WeightedPartition,
 )
 from .fock import coherent, random_unit
-from .quadrature import AngularRule, ProductRule, RadialRule
 from .regions import AnnularSector, Disc
 from .reports import format_line, write_jsonl, write_summary_csv
 from .symbols import RadialSymbol, SampledSymbol, SimpleSymbol
@@ -59,7 +58,8 @@ class ConfigError(Exception):
 
 def load_symbol(path) -> object:
     """Read a symbol description: {"pieces": ...}, {"radial": ...} or
-    {"sampled": {"radial_count", "angular_count", "linf", "values"}}."""
+    {"sampled": {"radial_count", "angular_count", "linf", "values"}}, whose
+    counts are JSON integers equal to the shape of its values table."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -78,12 +78,14 @@ def load_symbol(path) -> object:
         if kinds == ["radial"]:
             return RadialSymbol.from_json_dict(data)
         spec = data["sampled"]
-        rule = ProductRule(
-            RadialRule.gauss_laguerre(int(spec["radial_count"])),
-            AngularRule(int(spec["angular_count"])),
-        )
-        return SampledSymbol(rule, np.array(spec["values"], dtype=float),
-                             float(spec["linf"]))
+        counts = (spec["radial_count"], spec["angular_count"])
+        if not all(type(count) is int for count in counts):
+            raise ValueError(f"radial_count and angular_count must be integers, got {counts}")
+        values = np.array(spec["values"], dtype=float)
+        if values.shape != counts:
+            raise ValueError(f"values have shape {values.shape}, but radial_count x "
+                             f"angular_count is {counts}")
+        return SampledSymbol(values, float(spec["linf"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad symbol description in {path}: {exc}") from exc
 

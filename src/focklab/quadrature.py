@@ -1,10 +1,8 @@
 """Quadrature rules and region integrals against dlam = e^{-pi|z|^2} dA(z).
 
 The substitution t = pi r^2 maps the radial part of dlam onto the Laguerre
-weight e^{-t} dt on [0, inf). RadialRule is the Gauss-Laguerre rule in t and
-AngularRule the uniform (periodic trapezoid) rule in theta. A ProductRule of
-the two holds a sampled symbol's nodes; it integrates e_n conj(e_m) dlam
-exactly whenever n + m <= 2K - 1 and |n - m| < M.
+weight e^{-t} dt on [0, inf). RadialRule is the Gauss-Laguerre rule in t, and it
+also places a SampledSymbol's radial nodes.
 
 integrate_region integrates over a bounded region in polar coordinates with
 the Gaussian weight written out explicitly; a discontinuous indicator is
@@ -34,8 +32,6 @@ MAX_LEGENDRE_ORDER = 1024
 
 __all__ = [
     "RadialRule",
-    "AngularRule",
-    "ProductRule",
     "gauss_legendre",
     "integrate_region",
 ]
@@ -53,7 +49,6 @@ class RadialRule:
     arrays are read-only, since the cache hands the same rule to every caller.
     """
 
-    count: int
     nodes: np.ndarray
     weights: np.ndarray
     scaled_weights: np.ndarray
@@ -96,33 +91,7 @@ class RadialRule:
             raise RuntimeError("Laguerre nodes failed to come out positive and increasing")
         for array in (nodes, weights, scaled):
             array.setflags(write=False)
-        return cls(count=count, nodes=nodes, weights=weights, scaled_weights=scaled)
-
-
-@dataclass(frozen=True)
-class AngularRule:
-    """Uniform angular rule: M nodes 2pi i / M, each of weight 2pi / M.
-
-    Integrates e^{ik theta} over the full circle exactly for 0 < |k| < M.
-    """
-
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"angular node count must be >= 1, got {self.count}")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.count) / self.count
-
-
-@dataclass(frozen=True, eq=False)
-class ProductRule:
-    """Radial x angular rule: the nodes a SampledSymbol's values sit on."""
-
-    radial: RadialRule
-    angular: AngularRule
+        return cls(nodes=nodes, weights=weights, scaled_weights=scaled)
 
 
 @functools.lru_cache(maxsize=64)

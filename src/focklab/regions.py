@@ -166,13 +166,23 @@ def region_to_json(region: Region) -> dict:
                        "theta": [region.theta_start, region.theta_end]}}
 
 
+def _pair(spec: dict, key: str) -> tuple[float, float]:
+    """spec[key] as two floats; a value that is not a list of exactly two
+    entries raises ValueError naming the key."""
+    value = spec[key]
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{key!r} must be a list of exactly two numbers, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
 def region_from_json(data: dict) -> Region:
-    """The region of a region_to_json dict; other keys are ignored."""
-    if "disc" in data:
-        spec = data["disc"]
-        return Disc(complex(spec["center"][0], spec["center"][1]), float(spec["radius"]))
-    if "sector" in data:
-        spec = data["sector"]
-        return AnnularSector(float(spec["r"][0]), float(spec["r"][1]),
-                             float(spec["theta"][0]), float(spec["theta"][1]))
-    raise ValueError("piece must have a 'disc' or 'sector' entry")
+    """The region of a region_to_json dict, which must hold exactly one of
+    'disc' and 'sector'; other keys are ignored."""
+    kinds = [key for key in ("disc", "sector") if key in data]
+    if len(kinds) != 1:
+        raise ValueError(f"piece must have exactly one 'disc' or 'sector' entry, "
+                         f"found {kinds or 'none'}")
+    spec = data[kinds[0]]
+    if kinds == ["disc"]:
+        return Disc(complex(*_pair(spec, "center")), float(spec["radius"]))
+    return AnnularSector(*_pair(spec, "r"), *_pair(spec, "theta"))

@@ -10,8 +10,9 @@ Four classes cover the lab's needs:
   explicit integrability witness: compactly supported profiles carry their
   support radius, the gaussian carries an effective support plus an analytic
   tail formula.
-- SampledSymbol: real values tabulated on a product-rule grid, read off by
-  bilinear interpolation in (t, theta) with t = pi r^2.
+- SampledSymbol: a table of real values on Gauss-Laguerre nodes in
+  t = pi r^2 times uniform angles, read off by bilinear interpolation in
+  (t, theta).
 
 L1 norms are plain Lebesgue integrals int |phi| dA. In the t coordinate a
 radial profile integrates as int |phi(sqrt(t/pi))| dt, which is how all the
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import ProductRule, gauss_legendre
+from .quadrature import RadialRule, gauss_legendre
 from .regions import (
     _TOL,
     TWO_PI,
@@ -50,6 +51,15 @@ _PANEL_WIDTH = 5.0
 # into ceil(R / _PANEL_WIDTH) panels, so time and memory grow with R: this
 # cap is 2,000 panels.
 _MAX_SUPPORT_RADIUS = 1e4
+
+# The keys of each builtin profile's JSON form besides "profile": the
+# arguments of its RadialSymbol classmethod.
+_PROFILE_KEYS = {
+    "disc": ("radius", "height"),
+    "annulus": ("r_inner", "r_outer", "height"),
+    "gaussian": (),
+    "table": ("radii", "values"),
+}
 
 # discretize refuses a symbol whose L1 mass beyond its support exceeds this.
 _TAIL_TOL = 1e-6
@@ -354,46 +364,50 @@ class RadialSymbol:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RadialSymbol":
+        """The builtin named by data["radial"]["profile"], called with the
+        other keys of data["radial"]; a key the builtin does not take raises
+        ValueError."""
         spec = dict(data["radial"])
         kind = spec.pop("profile")
-        if kind == "disc":
-            return cls.disc(spec["radius"], spec.get("height", 1.0))
-        if kind == "annulus":
-            return cls.annulus(spec["r_inner"], spec["r_outer"], spec.get("height", 1.0))
-        if kind == "gaussian":
-            return cls.gaussian()
-        if kind == "table":
-            return cls.table(spec["radii"], spec["values"])
-        raise ValueError(f"unknown radial profile: {kind!r}")
+        if kind not in _PROFILE_KEYS:
+            raise ValueError(f"unknown radial profile: {kind!r}")
+        unknown = sorted(set(spec) - set(_PROFILE_KEYS[kind]))
+        if unknown:
+            raise ValueError(f"radial profile {kind!r} takes no key {', '.join(unknown)}; "
+                             f"it accepts {', '.join(_PROFILE_KEYS[kind]) or 'no other key'}")
+        return getattr(cls, kind)(**spec)
 
 
 @dataclass(frozen=True, eq=False)
 class SampledSymbol:
-    """Real symbol values on a product-rule grid (radial Laguerre nodes in t,
-    uniform angular nodes), with a declared sup bound.
+    """Real symbol values on a K x M table, with a declared sup bound: row j
+    sits at the j-th node t_j of the K-node Gauss-Laguerre rule in t (the
+    radial field, built from the table's shape), column i at the angle
+    2pi i / M.
 
     Between radial nodes the symbol is read by linear interpolation in t
     (flat from t = 0 to the first node, zero beyond the last node); the
     angular direction interpolates periodically.
     """
 
-    rule: ProductRule
     values: np.ndarray
     linf: float
+    radial: RadialRule = field(init=False, repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
-        expected = (self.rule.radial.count, self.rule.angular.count)
-        if vals.shape != expected:
-            raise ValueError(f"values must have shape {expected}, got {vals.shape}")
+        if vals.ndim != 2 or 0 in vals.shape:
+            raise ValueError(f"sample values must be a 2-d table with at least one row "
+                             f"and one column, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("sample values must be finite")
         if not (math.isfinite(self.linf) and self.linf >= 0.0):
             raise ValueError("linf bound must be finite and >= 0")
-        if vals.size and np.max(np.abs(vals)) > self.linf * (1.0 + 1e-12) + 1e-300:
+        if np.max(np.abs(vals)) > self.linf * (1.0 + 1e-12) + 1e-300:
             raise ValueError("samples exceed the declared sup bound")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "radial", RadialRule.gauss_laguerre(vals.shape[0]))
 
     def linf_norm(self) -> float:
         return self.linf
@@ -401,8 +415,8 @@ class SampledSymbol:
     def l1_norm(self) -> float:
         """int |phi| dA by the grid's own rule, using the Lebesgue-scaled
         radial weights w_j e^{t_j}."""
-        row_means = np.sum(np.abs(self.values), axis=1) / self.rule.angular.count
-        return float(np.dot(self.rule.radial.scaled_weights, row_means))
+        row_means = np.sum(np.abs(self.values), axis=1) / self.values.shape[1]
+        return float(np.dot(self.radial.scaled_weights, row_means))
 
     def value_at(self, t, theta):
         """Bilinear interpolation on the (t, theta) grid at t and theta
@@ -414,8 +428,8 @@ class SampledSymbol:
         t = np.asarray(t, dtype=float)
         theta = np.asarray(theta, dtype=float)
         np.broadcast_shapes(t.shape, theta.shape)  # shapes that do not broadcast raise ValueError
-        nodes = self.rule.radial.nodes
-        m = self.rule.angular.count
+        nodes = self.radial.nodes
+        m = self.values.shape[1]
         step = TWO_PI / m
         pos = (theta % TWO_PI) / step
         i0 = np.floor(pos).astype(int) % m
@@ -558,7 +572,7 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
         return approx, err + tail
 
     if isinstance(symbol, SampledSymbol):
-        t_max = float(symbol.rule.radial.nodes[-1])
+        t_max = float(symbol.radial.nodes[-1])
         t_edges = np.linspace(0.0, t_max, radial_cells + 1)
         theta_edges = np.linspace(0.0, TWO_PI, angular_cells + 1)
         t_centers = 0.5 * (t_edges[:-1] + t_edges[1:])

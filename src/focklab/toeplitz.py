@@ -445,8 +445,7 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
         return HermitianMatrix(section)
 
     if isinstance(symbol, SampledSymbol):
-        k_rad = symbol.rule.radial.count
-        m_ang = symbol.rule.angular.count
+        k_rad, m_ang = symbol.values.shape
         if truncation > k_rad:
             raise ValueError(
                 f"truncation {truncation} exceeds the radial node count {k_rad}"
@@ -457,11 +456,11 @@ def assemble(symbol, truncation: int) -> HermitianMatrix:
                 f"(need >= {2 * truncation - 1})"
             )
         # radial[l, j] = w_j t_j^{l/2} e^{-t_j} / Gamma(l/2 + 1)
-        rul = symbol.rule.radial
+        rul = symbol.radial
         radial = poisson_weight(np.arange(2 * truncation - 1)[:, None], rul.nodes,
                                 np.log(rul.scaled_weights))
-        # angular[j, k] = (1/M) sum_i v[j, i] e^{i k theta_i}
-        theta = symbol.rule.angular.nodes
+        # angular[j, k] = (1/M) sum_i v[j, i] e^{i k theta_i}, theta_i = 2pi i / M
+        theta = TWO_PI * np.arange(m_ang) / m_ang
         angular = symbol.values @ np.exp(1j * np.outer(theta, np.arange(truncation))) / m_ang
         return HermitianMatrix(_gather_moments(radial, angular, truncation))
 

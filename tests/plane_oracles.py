@@ -1,5 +1,5 @@
 """Test-side oracles: pointwise values of Fock functions and the full-plane
-Gauss-Laguerre x uniform rule.
+Gauss-Laguerre x uniform rule, a (RadialRule, M) pair.
 
 focklab computes every compression in closed form; these routines evaluate
 functions point by point and integrate them against dlam = e^{-pi|z|^2} dA(z)
@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from focklab.fock import weighted_basis_matrix
-from focklab.quadrature import AngularRule, ProductRule, RadialRule
+from focklab.quadrature import RadialRule
+from focklab.regions import TWO_PI
 
 
 def basis_eval(n: int, z: complex) -> complex:
@@ -55,26 +56,29 @@ def radii(rule: RadialRule) -> np.ndarray:
     return np.sqrt(rule.nodes / math.pi)
 
 
-def grid(rule: ProductRule) -> np.ndarray:
-    """Complex nodes z_ji = r_j e^{i theta_i}, shape (K, M)."""
-    return radii(rule.radial)[:, None] * np.exp(1j * rule.angular.nodes[None, :])
+def grid(rule) -> np.ndarray:
+    """Complex nodes z_ji = r_j e^{i theta_i}, theta_i = 2pi i / M, of a
+    (RadialRule, M) plane rule; shape (K, M)."""
+    radial, m = rule
+    return radii(radial)[:, None] * np.exp(1j * (TWO_PI * np.arange(m) / m)[None, :])
 
 
-def integrate(rule: ProductRule, values) -> float | complex:
+def integrate(rule, values) -> float | complex:
     """sum_j w_j (1/M) sum_i values[j, i]: int g dlam from g on grid(rule)."""
-    values = np.broadcast_to(values, (rule.radial.count, rule.angular.count))
-    total = np.dot(rule.radial.weights, np.sum(values, axis=1) / rule.angular.count)
+    radial, m = rule
+    values = np.broadcast_to(values, (radial.nodes.size, m))
+    total = np.dot(radial.weights, np.sum(values, axis=1) / m)
     return complex(total) if np.iscomplexobj(total) else float(total)
 
 
 @functools.cache
-def default_plane_rule() -> ProductRule:
+def default_plane_rule() -> tuple:
     """The K = 80 x M = 128 rule, built once."""
-    return ProductRule(RadialRule.gauss_laguerre(80), AngularRule(128))
+    return RadialRule.gauss_laguerre(80), 128
 
 
-def integrate_plane(g, rule: ProductRule | None = None) -> float | complex:
-    """int_C g dlam on the product rule (default 80 x 128)."""
+def integrate_plane(g, rule: tuple | None = None) -> float | complex:
+    """int_C g dlam on the (RadialRule, M) plane rule (default 80 x 128)."""
     if rule is None:
         rule = default_plane_rule()
     return integrate(rule, g(grid(rule)))

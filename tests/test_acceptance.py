@@ -95,8 +95,8 @@ def test_04_orthonormality():
     start = time.perf_counter()
     rule = default_plane_rule()
     w = weighted_basis_matrix(31, grid(rule).reshape(-1))
-    omega = np.repeat(rule.radial.scaled_weights / rule.angular.count,
-                      rule.angular.count)
+    radial, m = rule
+    omega = np.repeat(radial.scaled_weights / m, m)
     gram = (w * omega) @ w.conj().T
     err = float(np.max(np.abs(gram - np.eye(31))))
     elapsed = time.perf_counter() - start

@@ -516,6 +516,62 @@ class TestRejections:
         assert "knot slope between radii 0.0 and 1.0 overflows" in res.stderr
         assert "=" not in res.stdout
 
+    @pytest.mark.parametrize("piece, message", [
+        ({"disc": {"center": [1.0], "radius": 1.0}}, "'center' must be a list of exactly two"),
+        ({"disc": {"center": [1.0, 0.0, 5.0], "radius": 1.0}}, "'center' must be a list"),
+        ({"disc": {"center": 1.0, "radius": 1.0}}, "'center' must be a list"),
+        ({"sector": {"r": [1.0], "theta": [0.0, 1.0]}}, "'r' must be a list of exactly two"),
+        ({"sector": {"r": [0.5, 1.0], "theta": [0.0]}}, "'theta' must be a list"),
+        ({"disc": {"center": [0.0, 0.0], "radius": 0.5},
+          "sector": {"r": [1.0, 2.0], "theta": [0.0, 1.0]}},
+         "exactly one 'disc' or 'sector' entry, found ['disc', 'sector']"),
+    ])
+    def test_malformed_piece(self, run_cli, tmp_path, piece, message):
+        # a one-number center or r once ended in an IndexError traceback, a
+        # three-number one was cut to two, and a disc and a sector in one
+        # piece were read as the disc alone, with exit 0
+        path = tmp_path / "piece.json"
+        path.write_text(json.dumps({"pieces": [{**piece, "coeff": 1.0}]}))
+        res = run_cli("bound", "--symbol", str(path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: bad symbol description") and message in res.stderr
+        assert "Traceback" not in res.stderr and "bound=" not in res.stdout
+
+    @pytest.mark.parametrize("radial, message", [
+        ({"profile": "disc", "radius": 1, "hieght": 0.5},
+         "radial profile 'disc' takes no key hieght; it accepts radius, height"),
+        ({"profile": "gaussian", "scale": 3},
+         "radial profile 'gaussian' takes no key scale; it accepts no other key"),
+    ])
+    def test_unknown_radial_key(self, run_cli, tmp_path, radial, message):
+        # the misspelt height once assembled with height 1.0, and the
+        # gaussian ignored its scale, both with exit 0
+        path = tmp_path / "radial.json"
+        path.write_text(json.dumps({"radial": radial}))
+        res = run_cli("norm", "--symbol", str(path), "--truncation", "8",
+                      "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: bad symbol description") and message in res.stderr
+        assert "norm=" not in res.stdout
+
+    @pytest.mark.parametrize("counts, rows, message", [
+        ((3.9, 16), 3, "must be integers, got (3.9, 16)"),
+        ((True, 16), 1, "must be integers, got (True, 16)"),
+        ((8, 16.0), 8, "must be integers, got (8, 16.0)"),
+        ((7, 16), 8, "values have shape (8, 16), but radial_count x angular_count is (7, 16)"),
+        ((8, 15), 8, "values have shape (8, 16), but radial_count x angular_count is (8, 15)"),
+    ])
+    def test_sampled_counts(self, run_cli, tmp_path, counts, rows, message):
+        # 3.9 was once read as 3 and true as 1 through int(), with exit 0
+        path = tmp_path / "sampled.json"
+        path.write_text(json.dumps({"sampled": {
+            "radial_count": counts[0], "angular_count": counts[1], "linf": 1.0,
+            "values": np.full((rows, 16), 0.5).tolist()}}))
+        res = run_cli("bound", "--symbol", str(path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: bad symbol description") and message in res.stderr
+        assert "bound=" not in res.stdout
+
     def test_ambiguous_symbol_file(self, run_cli, tmp_path):
         path = tmp_path / "both.json"
         path.write_text(json.dumps({"radial": {"profile": "gaussian"}, "pieces": []}))

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from focklab import experiments, toeplitz
 from focklab import (
-    AngularRule,
     AnnularSector,
     Disc,
     FockFunction,
-    ProductRule,
     RadialRule,
     RadialSymbol,
     SampledSymbol,
@@ -220,10 +218,9 @@ class TestVerifyNormBound:
         assert abs(rep.lhs - rep.rhs) < 1e-10
 
     def test_sampled_symbol(self):
-        rule = ProductRule(RadialRule.gauss_laguerre(50), AngularRule(80))
-        z = grid(rule)
+        z = grid((RadialRule.gauss_laguerre(50), 80))
         values = np.exp(-np.abs(z) ** 2) * (1.0 + 0.4 * np.cos(np.angle(z)))
-        sym = SampledSymbol(rule, values, float(np.max(np.abs(values))))
+        sym = SampledSymbol(values, float(np.max(np.abs(values))))
         rep = verify_norm_bound(sym, 20)
         assert rep.holds
         assert rep.metadata["l1"] > 0.0

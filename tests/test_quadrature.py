@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from focklab.quadrature import (
-    AngularRule,
-    ProductRule,
-    RadialRule,
-    gauss_legendre,
-    integrate_region,
-)
+from focklab.quadrature import RadialRule, gauss_legendre, integrate_region
 from focklab.regions import AnnularSector, Disc
+from focklab.symbols import SampledSymbol
+from focklab.toeplitz import assemble
 from focklab.tridiagonal import _multisection
 from plane_oracles import default_plane_rule, grid, integrate, integrate_plane, radii
 
@@ -148,20 +144,27 @@ class TestLaguerreWithoutLapack:
 
 
 class TestAngularRule:
+    """The uniform angles 2pi i / M of a sampled symbol's columns."""
+
     def test_uniform_nodes(self):
-        rule = AngularRule(8)
-        assert np.allclose(rule.nodes, TWO_PI * np.arange(8) / 8.0, atol=0.0)
+        # column i is read back at 2pi i / M, and midway at the half-step
+        sym = SampledSymbol(np.arange(8.0)[None, :], 7.0)
+        t = sym.radial.nodes[0]
+        theta = TWO_PI * np.arange(8) / 8.0
+        np.testing.assert_allclose(sym.value_at(t, theta), np.arange(8.0), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sym.value_at(t, theta + TWO_PI / 16.0),
+                                   [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 3.5], rtol=0, atol=1e-14)
 
     def test_kills_low_harmonics(self):
-        # sum_i e^{ik theta_i} = 0 for 0 < |k| < M
-        rule = AngularRule(16)
-        for k in (1, 5, 15):
-            total = np.sum(np.exp(1j * k * rule.nodes))
-            assert abs(total) < 1e-12
+        # sum_i e^{ik theta_i} = 0 for 0 < |k| < M: a constant table on
+        # M = 16 angles compresses to the identity at N = 8, every
+        # off-diagonal entry one such sum (|k| <= 7)
+        sym = SampledSymbol(np.ones((8, 16)), 1.0)
+        assert np.max(np.abs(assemble(sym, 8).data - np.eye(8))) < 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AngularRule(0)
+        with pytest.raises(ValueError, match="one column"):
+            SampledSymbol(np.zeros((5, 0)), 1.0)
 
 
 class TestPlaneIntegration:

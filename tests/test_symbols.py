@@ -9,11 +9,9 @@ from scipy.integrate import quad
 
 from focklab import symbols
 from focklab import (
-    AngularRule,
     AnnularSector,
     Disc,
     PolarGrid,
-    ProductRule,
     RadialRule,
     RadialSymbol,
     SampledSymbol,
@@ -199,6 +197,19 @@ class TestRadialSymbol:
         with pytest.raises(ValueError, match="unknown radial profile"):
             RadialSymbol.from_json_dict({"radial": {"profile": "mystery"}})
 
+    @pytest.mark.parametrize("spec, accepts", [
+        ({"profile": "disc", "radius": 1, "hieght": 0.5}, "radius, height"),
+        ({"profile": "annulus", "r_inner": 0.5, "r_outer": 1.0, "radius": 2}, "r_inner, r_outer, height"),
+        ({"profile": "gaussian", "scale": 3}, "no other key"),
+        ({"profile": "table", "radii": [0, 1], "values": [1, 0], "height": 2}, "radii, values"),
+    ])
+    def test_unknown_profile_key_raises(self, spec, accepts):
+        # a misspelt or foreign key was once dropped: the disc above read
+        # height 1.0 and the gaussian ignored its scale
+        unknown = (set(spec) - {"profile"} - set(accepts.split(", "))).pop()
+        with pytest.raises(ValueError, match=f"takes no key {unknown}; it accepts {accepts}$"):
+            RadialSymbol.from_json_dict({"radial": spec})
+
     @pytest.mark.parametrize("make", [
         lambda r: RadialSymbol.disc(r),
         lambda r: RadialSymbol.annulus(0.5, r, -1.0),
@@ -255,20 +266,17 @@ class TestRadialSymbol:
 
 
 def _smooth_sampled(radial_count=40, angular_count=64):
-    rule = ProductRule(
-        RadialRule.gauss_laguerre(radial_count), AngularRule(angular_count)
-    )
-    z = grid(rule)
+    z = grid((RadialRule.gauss_laguerre(radial_count), angular_count))
     values = np.exp(-np.abs(z) ** 2) * (1.0 + 0.3 * np.cos(np.angle(z)))
-    return SampledSymbol(rule, values, float(np.max(np.abs(values))))
+    return SampledSymbol(values, float(np.max(np.abs(values))))
 
 
 def _value_at_broadcast_first(sym, t, theta):
     """SampledSymbol.value_at as it read with t and theta broadcast to their
     common shape before any index work: the bit-for-bit oracle."""
     t, theta = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(theta, dtype=float))
-    nodes = sym.rule.radial.nodes
-    m = sym.rule.angular.count
+    nodes = sym.radial.nodes
+    m = sym.values.shape[1]
     pos = (theta % TWO_PI) / (TWO_PI / m)
     i0 = np.floor(pos).astype(int) % m
     i1 = (i0 + 1) % m
@@ -285,35 +293,36 @@ def _value_at_broadcast_first(sym, t, theta):
 
 class TestSampledSymbol:
     def test_shape_validation(self):
-        rule = ProductRule(RadialRule.gauss_laguerre(5), AngularRule(8))
-        with pytest.raises(ValueError, match="shape"):
-            SampledSymbol(rule, np.zeros((5, 7)), 1.0)
+        # the table must be 2-d with a row and a column, and K at most 256
+        for shape in ((5,), (5, 8, 1), (0, 8), (257, 1)):
+            with pytest.raises(ValueError, match="shape|radial node count"):
+                SampledSymbol(np.zeros(shape), 1.0)
 
     def test_bound_validation(self):
-        rule = ProductRule(RadialRule.gauss_laguerre(5), AngularRule(8))
         with pytest.raises(ValueError, match="sup bound"):
-            SampledSymbol(rule, np.full((5, 8), 2.0), 1.0)
+            SampledSymbol(np.full((5, 8), 2.0), 1.0)
         with pytest.raises(ValueError, match="finite"):
-            SampledSymbol(rule, np.full((5, 8), math.inf), 1.0)
+            SampledSymbol(np.full((5, 8), math.inf), 1.0)
 
     def test_l1_oracle(self):
         # phi = e^{-t} on its own grid: l1 = sum of the bare Laguerre weights = 1
-        rule = ProductRule(RadialRule.gauss_laguerre(30), AngularRule(16))
-        values = np.tile(np.exp(-rule.radial.nodes)[:, None], (1, 16))
-        sym = SampledSymbol(rule, values, 1.0)
+        rule = RadialRule.gauss_laguerre(30)
+        values = np.tile(np.exp(-rule.nodes)[:, None], (1, 16))
+        sym = SampledSymbol(values, 1.0)
+        assert sym.radial is rule
         assert abs(sym.l1_norm() - 1.0) < 1e-13
 
     def test_value_at_nodes(self):
         sym = _smooth_sampled(12, 16)
-        t = sym.rule.radial.nodes
-        theta = sym.rule.angular.nodes
+        t = sym.radial.nodes
+        theta = TWO_PI * np.arange(16) / 16
         got = sym.value_at(t[:, None], theta[None, :])
         np.testing.assert_allclose(got, sym.values, rtol=0, atol=1e-12)
 
     def test_value_at_properties(self):
         sym = _smooth_sampled(12, 16)
         # flat left of the first node
-        assert sym.value_at(0.0, 0.3) == sym.value_at(sym.rule.radial.nodes[0], 0.3)
+        assert sym.value_at(0.0, 0.3) == sym.value_at(sym.radial.nodes[0], 0.3)
         # periodic in theta
         assert math.isclose(
             float(sym.value_at(1.0, 0.7)),
@@ -321,11 +330,11 @@ class TestSampledSymbol:
             rel_tol=1e-12,
         )
         # zero beyond the last node
-        assert sym.value_at(sym.rule.radial.nodes[-1] * 1.01, 0.0) == 0.0
+        assert sym.value_at(sym.radial.nodes[-1] * 1.01, 0.0) == 0.0
 
     def test_interpolation_between_nodes(self):
         sym = _smooth_sampled(12, 16)
-        nodes = sym.rule.radial.nodes
+        nodes = sym.radial.nodes
         tm = 0.5 * (nodes[3] + nodes[4])
         lo = float(sym.value_at(nodes[3], 0.0))
         hi = float(sym.value_at(nodes[4], 0.0))
@@ -336,7 +345,7 @@ class TestSampledSymbol:
                                         "discretize", "outside"])
     def test_value_at_matches_broadcast_first(self, layout):
         sym = _smooth_sampled(12, 16)
-        last = float(sym.rule.radial.nodes[-1])
+        last = float(sym.radial.nodes[-1])
         rng = np.random.default_rng(3)
         t = rng.uniform(0.0, 1.1 * last, size=23)
         theta = rng.uniform(-3.0 * TWO_PI, 3.0 * TWO_PI, size=17)
@@ -512,7 +521,7 @@ class TestDiscretize:
         approx, est = discretize(sym, 6, 4)
         assert approx.values.shape == (6, 4)
         # dense midpoint reference on the same cells
-        t_max = float(sym.rule.radial.nodes[-1])
+        t_max = float(sym.radial.nodes[-1])
         t_edges = np.linspace(0.0, t_max, 7)
         a_edges = np.linspace(0.0, TWO_PI, 5)
         cvals = sym.value_at(

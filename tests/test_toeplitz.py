@@ -9,13 +9,11 @@ from scipy.integrate import dblquad, quad
 from scipy.special import gammainc, gammaln
 
 from focklab import (
-    AngularRule,
     AnnularSector,
     Disc,
     FockFunction,
     HermitianMatrix,
     PolarGrid,
-    ProductRule,
     RadialRule,
     RadialSymbol,
     SampledSymbol,
@@ -153,11 +151,8 @@ class TestAssembleSimple:
 
 
 def _sampled(fn, radial_count=40, angular_count=64):
-    rule = ProductRule(
-        RadialRule.gauss_laguerre(radial_count), AngularRule(angular_count)
-    )
-    values = fn(grid(rule))
-    return SampledSymbol(rule, values, float(np.max(np.abs(values))))
+    values = fn(grid((RadialRule.gauss_laguerre(radial_count), angular_count)))
+    return SampledSymbol(values, float(np.max(np.abs(values))))
 
 
 class TestAssembleSampled:
@@ -171,9 +166,9 @@ class TestAssembleSampled:
         trunc = 6
         mat = assemble(sym, trunc).data
 
-        z = grid(sym.rule)
-        w_bare = sym.rule.radial.weights
-        m_ang = sym.rule.angular.count
+        m_ang = sym.values.shape[1]
+        z = grid((sym.radial, m_ang))
+        w_bare = sym.radial.weights
         ref = np.zeros((trunc, trunc), dtype=np.complex128)
         for n in range(trunc):
             en = math.exp(0.5 * (n * math.log(math.pi) - math.lgamma(n + 1))) * z**n
@@ -1061,8 +1056,7 @@ class TestSpectra:
         values = np.random.default_rng(7).uniform(-1.0, 1.0, (24, 48))
 
         def sampled():
-            rule = ProductRule(RadialRule.gauss_laguerre(24), AngularRule(48))
-            return SampledSymbol(rule, values, 1.0)
+            return SampledSymbol(values, 1.0)
 
         def grid():
             return discretize(sampled(), 16, 8)[0]
@@ -1439,9 +1433,10 @@ def _grid_rayleigh_radial(symbol, f):
 
 def _grid_rayleigh_sampled(symbol, f):
     """Sum of phi |f|^2 over the sampled symbol's own product grid."""
-    sq = np.abs(eval_weighted(f, grid(symbol.rule))) ** 2
-    row = np.sum(symbol.values * sq, axis=1) / symbol.rule.angular.count
-    return float(np.dot(symbol.rule.radial.scaled_weights, row))
+    m = symbol.values.shape[1]
+    sq = np.abs(eval_weighted(f, grid((symbol.radial, m)))) ** 2
+    row = np.sum(symbol.values * sq, axis=1) / m
+    return float(np.dot(symbol.radial.scaled_weights, row))
 
 
 class TestRayleigh:
@@ -1541,7 +1536,6 @@ class TestTruncationSweep:
 
     @staticmethod
     def _symbols():
-        grid = ProductRule(RadialRule.gauss_laguerre(256), AngularRule(512))
         return {
             "sectors": SimpleSymbol((
                 (AnnularSector(0.3, 1.0, 0.2, 2.1), 0.8),
@@ -1554,7 +1548,7 @@ class TestTruncationSweep:
             "radial annulus": RadialSymbol.annulus(0.4, 1.3, -0.5),
             "radial table": RadialSymbol.table([0.0, 0.5, 0.9, 1.4, 2.0],
                                                [0.7, -0.4, 0.9, -0.2, 0.0]),
-            "sampled": SampledSymbol(grid, np.ones((256, 512)), 1.0),
+            "sampled": SampledSymbol(np.ones((256, 512)), 1.0),
         }
 
     def test_sweep(self):
