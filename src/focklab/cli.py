@@ -15,8 +15,8 @@ flag name with dashes replaced by underscores, each value read as the text of
 its flag, so it passes the same checks), else from its default in `_COMMANDS`;
 --output-dir then falls back to $FOCKLAB_OUTPUT_DIR and the working directory.
 A config key that is no flag, a negative --cases, an empty integer list and a
-symbol file without exactly one of 'pieces', 'radial' and 'sampled', or with
-a malformed entry, are configuration errors.
+symbol file that load_symbol does not read (a missing or extra key, or a
+number written as a string or a boolean) are configuration errors.
 
 Exit codes: 0 all checks hold, 1 at least one violation (reports are still
 written), 2 configuration errors. Errors and warnings go to stderr as
@@ -56,10 +56,110 @@ class ConfigError(Exception):
     pass
 
 
+_NUMBER_TYPES = frozenset((int, float))  # what json.load gives a number; a bool's type is neither
+
+
+def _numbers(value, where: str, depth: int = 0):
+    """value as read, once it is a JSON number (depth 0) or a list of them
+    nested depth deep, not a bool, string or null; where names it in errors."""
+    if depth == 0:
+        if type(value) not in _NUMBER_TYPES:
+            raise ValueError(f"{where} must be a number, got {json.dumps(value)}")
+    elif type(value) is not list:
+        raise ValueError(f"{where} must be a list, got {json.dumps(value)}")
+    elif depth > 1 or not _NUMBER_TYPES.issuperset(map(type, value)):
+        for i, item in enumerate(value):
+            _numbers(item, f"{where}[{i}]", depth - 1)
+    return value
+
+
+def _fields(spec, where: str, required, optional=()) -> dict:
+    """spec, once it is a JSON object with every key of required and no key
+    outside required and optional; where names it in errors."""
+    if type(spec) is not dict:
+        raise ValueError(f"{where} must be an object, got {json.dumps(spec)}")
+    accepted = (*required, *optional)
+    unknown = sorted(key for key in spec if key not in accepted)
+    if unknown:
+        raise ValueError(f"{where} takes no key {', '.join(unknown)}; "
+                         f"it accepts {', '.join(accepted) or 'no other key'}")
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError(f"{where} needs key {', '.join(missing)}")
+    return spec
+
+
+def _pair(spec: dict, where: str, key: str) -> tuple:
+    value = spec[key]
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"{where}: {key!r} must be a list of exactly two numbers, "
+                         f"got {json.dumps(value)}")
+    first, second = _numbers(value, f"{where}.{key}", 1)
+    return float(first), float(second)
+
+
+def _piece(entry, where: str) -> tuple:
+    _fields(entry, where, ("coeff",), ("disc", "sector"))
+    kinds = [key for key in ("disc", "sector") if key in entry]
+    if len(kinds) != 1:
+        raise ValueError(f"{where} must have exactly one 'disc' or 'sector' entry, "
+                         f"found {kinds or 'none'}")
+    coeff = float(_numbers(entry["coeff"], f"{where}.coeff"))
+    where += "." + kinds[0]
+    if kinds == ["disc"]:
+        spec = _fields(entry["disc"], where, ("center", "radius"))
+        return Disc(complex(*_pair(spec, where, "center")),
+                    float(_numbers(spec["radius"], f"{where}.radius"))), coeff
+    spec = _fields(entry["sector"], where, ("r", "theta"))
+    return AnnularSector(*_pair(spec, where, "r"), *_pair(spec, where, "theta")), coeff
+
+
+# Each radial profile: the RadialSymbol builtin called with its other keys,
+# their required and optional names, and their depth for _numbers (1: lists).
+_RADIAL_PROFILES = {
+    "disc": (RadialSymbol.disc, ("radius",), ("height",), 0),
+    "annulus": (RadialSymbol.annulus, ("r_inner", "r_outer"), ("height",), 0),
+    "gaussian": (RadialSymbol.gaussian, (), (), 0),
+    "table": (RadialSymbol.table, ("radii", "values"), (), 1),
+}
+
+
+def _radial(spec) -> RadialSymbol:
+    # any key passes here: the profile's own keys are checked below
+    args = dict(_fields(spec, "radial", ("profile",), spec))
+    kind = args.pop("profile")
+    if type(kind) is not str or kind not in _RADIAL_PROFILES:
+        raise ValueError(f"unknown radial profile: {kind!r}")
+    builtin, required, optional, depth = _RADIAL_PROFILES[kind]
+    _fields(args, f"radial profile {kind!r}", required, optional)
+    return builtin(**{key: _numbers(value, f"radial.{key}", depth)
+                      for key, value in args.items()})
+
+
+def _sampled(spec) -> SampledSymbol:
+    _fields(spec, "sampled", ("radial_count", "angular_count", "linf", "values"))
+    counts = (spec["radial_count"], spec["angular_count"])
+    if not all(type(count) is int for count in counts):
+        raise ValueError(f"radial_count and angular_count must be integers, got {counts}")
+    rows = _numbers(spec["values"], "sampled.values", 2)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("sampled.values rows must all have the same length")
+    values = np.array(rows, dtype=float)
+    if values.shape != counts:
+        raise ValueError(f"values have shape {values.shape}, but radial_count x "
+                         f"angular_count is {counts}")
+    return SampledSymbol(values, float(_numbers(spec["linf"], "sampled.linf")))
+
+
 def load_symbol(path) -> object:
-    """Read a symbol description: {"pieces": ...}, {"radial": ...} or
-    {"sampled": {"radial_count", "angular_count", "linf", "values"}}, whose
-    counts are JSON integers equal to the shape of its values table."""
+    """The one reader of a symbol file, a JSON object with one key of:
+    "pieces": [{"disc": {"center": [x, y], "radius"} or "sector": {"r":
+    [r0, r1], "theta": [t0, t1]}, "coeff"}, ...]; "radial": {"profile", ...}
+    with the profile's keys in _RADIAL_PROFILES; "sampled": {"radial_count",
+    "angular_count", "linf", "values"}, the counts JSON integers equal to
+    the table's shape. Objects take exactly these keys (_fields) and numbers
+    are JSON numbers (_numbers); any other file is a ConfigError naming the
+    entry at fault."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -73,20 +173,15 @@ def load_symbol(path) -> object:
             f"or 'sampled', found {kinds or 'none'}"
         )
     try:
-        if kinds == ["pieces"]:
-            return SimpleSymbol.from_json_dict(data)
+        spec = _fields(data, "the file", kinds)[kinds[0]]
         if kinds == ["radial"]:
-            return RadialSymbol.from_json_dict(data)
-        spec = data["sampled"]
-        counts = (spec["radial_count"], spec["angular_count"])
-        if not all(type(count) is int for count in counts):
-            raise ValueError(f"radial_count and angular_count must be integers, got {counts}")
-        values = np.array(spec["values"], dtype=float)
-        if values.shape != counts:
-            raise ValueError(f"values have shape {values.shape}, but radial_count x "
-                             f"angular_count is {counts}")
-        return SampledSymbol(values, float(spec["linf"]))
-    except (KeyError, ValueError, TypeError) as exc:
+            return _radial(spec)
+        if kinds == ["sampled"]:
+            return _sampled(spec)
+        if type(spec) is not list:
+            raise ValueError(f"pieces must be a list, got {json.dumps(spec)}")
+        return SimpleSymbol(tuple(_piece(entry, f"pieces[{i}]") for i, entry in enumerate(spec)))
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad symbol description in {path}: {exc}") from exc
 
 
@@ -357,13 +452,8 @@ def _read_config(path) -> dict:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
     # keys of other subcommands stay allowed, so that one file serves several
-    unknown = sorted(set(config) - set(_FLAGS))
-    if unknown:
-        raise ConfigError(f"config {path} has keys that are no flag: {', '.join(unknown)}")
-    return config
+    return _fields(config, f"config {path}", (), _FLAGS)
 
 
 def _config_text(value) -> str:

@@ -12,7 +12,6 @@ point of the plane and for any truncation order.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -94,22 +93,6 @@ class FockFunction:
         k = min(truncation, self.truncation)
         out[:k] = self.coeffs[:k]
         return FockFunction(out)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "truncation": self.truncation,
-                "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FockFunction":
-        data = json.loads(text)
-        coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-        if int(data["truncation"]) != coeffs.size:
-            raise ValueError("truncation field disagrees with coefficient count")
-        return cls(coeffs)
 
 
 def coherent(w0: complex, truncation: int = DEFAULT_TRUNCATION) -> FockFunction:

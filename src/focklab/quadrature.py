@@ -43,14 +43,14 @@ class RadialRule:
 
     scaled_weights holds w_j e^{t_j} (computed overflow-free through the
     Christoffel identity w_j e^{t_j} = 1 / sum_k p_k(t_j)^2 for the damped
-    orthonormal p_k = (-1)^k L_k e^{-t/2}), which turns the
-    same nodes into a rule for plain Lebesgue dt integrals of decaying
-    integrands. gauss_laguerre builds each rule once per node count; its
-    arrays are read-only, since the cache hands the same rule to every caller.
+    orthonormal p_k = (-1)^k L_k e^{-t/2}), which turns the same nodes into
+    a rule for plain Lebesgue dt integrals of decaying integrands; the
+    weights w_j are scaled_weights e^{-t_j}. gauss_laguerre builds each rule
+    once per node count; its arrays are read-only, since the cache hands the
+    same rule to every caller.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     scaled_weights: np.ndarray
 
     @classmethod
@@ -86,12 +86,11 @@ class RadialRule:
         # The weights integrate 1 exactly: dividing by their sum removes what
         # rounding error they still share.
         scaled /= np.sum(scaled * np.exp(-nodes))
-        weights = scaled * np.exp(-nodes)
         if np.any(np.diff(nodes) <= 0.0) or nodes[0] <= 0.0:
             raise RuntimeError("Laguerre nodes failed to come out positive and increasing")
-        for array in (nodes, weights, scaled):
+        for array in (nodes, scaled):
             array.setflags(write=False)
-        return cls(nodes=nodes, weights=weights, scaled_weights=scaled)
+        return cls(nodes=nodes, scaled_weights=scaled)
 
 
 @functools.lru_cache(maxsize=64)

@@ -7,7 +7,7 @@ handful of regions; polar grids check their own edges and never call it);
 between a disc and a sector it decides conservatively through the disc's
 polar bounding box, so a True answer is trustworthy while a False may only
 mean "could not certify".
-region_to_json() and region_from_json() are the one JSON form of a region.
+region_to_json() writes a region's JSON form; cli.load_symbol reads it.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ class Disc:
     def __post_init__(self):
         c = complex(self.center)
         object.__setattr__(self, "center", c)
+        object.__setattr__(self, "radius", float(self.radius))
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("disc center must be finite")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
@@ -52,7 +53,8 @@ class AnnularSector:
     """{r e^{i theta} : r_inner <= r <= r_outer, theta_start <= theta <= theta_end}.
 
     The angular span must be positive and at most 2pi; a full span makes the
-    region an annulus (or a disc when r_inner = 0).
+    region an annulus (or a disc when r_inner = 0). The radii and angles
+    are stored as float, as a disc's radius is.
     """
 
     r_inner: float
@@ -61,6 +63,8 @@ class AnnularSector:
     theta_end: float
 
     def __post_init__(self):
+        for name in ("r_inner", "r_outer", "theta_start", "theta_end"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.r_inner) and math.isfinite(self.r_outer)):
             raise ValueError("sector radii must be finite")
         if not (0.0 <= self.r_inner < self.r_outer):
@@ -165,24 +169,3 @@ def region_to_json(region: Region) -> dict:
     return {"sector": {"r": [region.r_inner, region.r_outer],
                        "theta": [region.theta_start, region.theta_end]}}
 
-
-def _pair(spec: dict, key: str) -> tuple[float, float]:
-    """spec[key] as two floats; a value that is not a list of exactly two
-    entries raises ValueError naming the key."""
-    value = spec[key]
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{key!r} must be a list of exactly two numbers, got {value!r}")
-    return float(value[0]), float(value[1])
-
-
-def region_from_json(data: dict) -> Region:
-    """The region of a region_to_json dict, which must hold exactly one of
-    'disc' and 'sector'; other keys are ignored."""
-    kinds = [key for key in ("disc", "sector") if key in data]
-    if len(kinds) != 1:
-        raise ValueError(f"piece must have exactly one 'disc' or 'sector' entry, "
-                         f"found {kinds or 'none'}")
-    spec = data[kinds[0]]
-    if kinds == ["disc"]:
-        return Disc(complex(*_pair(spec, "center")), float(spec["radius"]))
-    return AnnularSector(*_pair(spec, "r"), *_pair(spec, "theta"))

@@ -16,11 +16,10 @@ Four classes cover the lab's needs:
 
 L1 norms are plain Lebesgue integrals int |phi| dA. In the t coordinate a
 radial profile integrates as int |phi(sqrt(t/pi))| dt, which is how all the
-radial quadrature below is written.
+radial quadrature below is written. cli.load_symbol reads symbol files.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -35,8 +34,6 @@ from .regions import (
     Disc,
     area,
     disjoint,
-    region_from_json,
-    region_to_json,
 )
 
 # Effective support of the gaussian builtin: the analytic tail pi e^{-r^2}
@@ -51,15 +48,6 @@ _PANEL_WIDTH = 5.0
 # into ceil(R / _PANEL_WIDTH) panels, so time and memory grow with R: this
 # cap is 2,000 panels.
 _MAX_SUPPORT_RADIUS = 1e4
-
-# The keys of each builtin profile's JSON form besides "profile": the
-# arguments of its RadialSymbol classmethod.
-_PROFILE_KEYS = {
-    "disc": ("radius", "height"),
-    "annulus": ("r_inner", "r_outer", "height"),
-    "gaussian": (),
-    "table": ("radii", "values"),
-}
 
 # discretize refuses a symbol whose L1 mass beyond its support exceeds this.
 _TAIL_TOL = 1e-6
@@ -100,28 +88,6 @@ class SimpleSymbol:
 
     def linf_norm(self) -> float:
         return float(max((abs(c) for _, c in self.pieces), default=0.0))
-
-    def scaled(self, factor: float) -> "SimpleSymbol":
-        return SimpleSymbol(tuple((r, c * factor) for r, c in self.pieces))
-
-    def to_json_dict(self) -> dict:
-        return {"pieces": [{**region_to_json(region), "coeff": coeff}
-                           for region, coeff in self.pieces]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SimpleSymbol":
-        pieces = []
-        for entry in data["pieces"]:
-            coeff = float(entry["coeff"])
-            pieces.append((region_from_json(entry), coeff))
-        return cls(tuple(pieces))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimpleSymbol":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +181,6 @@ class RadialSymbol:
     linf: float
     support_radius: float
     breakpoints: tuple
-    params: dict = field(repr=False)
     profile_fn: Callable = field(repr=False)
 
     def __post_init__(self):
@@ -277,13 +242,10 @@ class RadialSymbol:
 
     @classmethod
     def disc(cls, radius: float, height: float = 1.0) -> "RadialSymbol":
-        """annulus(0, radius, height) under kind "disc" and its own params."""
-        radius = float(radius)
-        height = float(height)
-        if radius <= 0:
+        """annulus(0, radius, height) under kind "disc"."""
+        if float(radius) <= 0:
             raise ValueError("disc radius must be positive")
-        return replace(cls.annulus(0.0, radius, height), kind="disc",
-                       params={"radius": radius, "height": height})
+        return replace(cls.annulus(0.0, radius, height), kind="disc")
 
     @classmethod
     def annulus(cls, r_inner: float, r_outer: float, height: float = 1.0) -> "RadialSymbol":
@@ -302,7 +264,6 @@ class RadialSymbol:
             linf=abs(height),
             support_radius=r_outer,
             breakpoints=breaks,
-            params={"r_inner": r_inner, "r_outer": r_outer, "height": height},
             profile_fn=prof,
         )
 
@@ -316,7 +277,6 @@ class RadialSymbol:
             linf=1.0,
             support_radius=GAUSSIAN_SUPPORT,
             breakpoints=(),
-            params={},
             profile_fn=prof,
         )
 
@@ -355,27 +315,8 @@ class RadialSymbol:
             linf=float(np.max(np.abs(values))),
             support_radius=support,
             breakpoints=tuple(sorted(breaks)),
-            params={"radii": radii.tolist(), "values": values.tolist()},
             profile_fn=prof,
         )
-
-    def to_json_dict(self) -> dict:
-        return {"radial": {"profile": self.kind, **self.params}}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RadialSymbol":
-        """The builtin named by data["radial"]["profile"], called with the
-        other keys of data["radial"]; a key the builtin does not take raises
-        ValueError."""
-        spec = dict(data["radial"])
-        kind = spec.pop("profile")
-        if kind not in _PROFILE_KEYS:
-            raise ValueError(f"unknown radial profile: {kind!r}")
-        unknown = sorted(set(spec) - set(_PROFILE_KEYS[kind]))
-        if unknown:
-            raise ValueError(f"radial profile {kind!r} takes no key {', '.join(unknown)}; "
-                             f"it accepts {', '.join(_PROFILE_KEYS[kind]) or 'no other key'}")
-        return getattr(cls, kind)(**spec)
 
 
 @dataclass(frozen=True, eq=False)

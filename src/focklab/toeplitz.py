@@ -125,25 +125,9 @@ class HermitianMatrix:
     def dimension(self) -> int:
         return self.data.shape[0]
 
-    def to_json_dict(self) -> dict:
-        entries = [[z.real, z.imag] for z in self.data.reshape(-1)]
-        return {"dimension": self.dimension, "entries": entries}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HermitianMatrix":
-        n = int(data["dimension"])
-        entries = data["entries"]
-        if len(entries) != n * n:
-            raise ValueError("entry count does not match dimension")
-        flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-        return cls(flat.reshape(n, n))
-
-    @classmethod
-    def from_json(cls, text: str) -> "HermitianMatrix":
-        return cls.from_json_dict(json.loads(text))
+        entries = [[z.real, z.imag] for z in self.data.reshape(-1)]
+        return json.dumps({"dimension": self.dimension, "entries": entries})
 
     def write_csv(self, real_path, imag_path) -> None:
         np.savetxt(real_path, self.data.real, fmt="%.17g", delimiter=",")

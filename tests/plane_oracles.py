@@ -56,6 +56,12 @@ def radii(rule: RadialRule) -> np.ndarray:
     return np.sqrt(rule.nodes / math.pi)
 
 
+def weights(rule: RadialRule) -> np.ndarray:
+    """The weights w_j of the e^{-t} dt rule: scaled_weights * e^{-t_j}, the
+    expression RadialRule.gauss_laguerre once stored."""
+    return rule.scaled_weights * np.exp(-rule.nodes)
+
+
 def grid(rule) -> np.ndarray:
     """Complex nodes z_ji = r_j e^{i theta_i}, theta_i = 2pi i / M, of a
     (RadialRule, M) plane rule; shape (K, M)."""
@@ -67,7 +73,7 @@ def integrate(rule, values) -> float | complex:
     """sum_j w_j (1/M) sum_i values[j, i]: int g dlam from g on grid(rule)."""
     radial, m = rule
     values = np.broadcast_to(values, (radial.nodes.size, m))
-    total = np.dot(radial.weights, np.sum(values, axis=1) / m)
+    total = np.dot(weights(radial), np.sum(values, axis=1) / m)
     return complex(total) if np.iscomplexobj(total) else float(total)
 
 

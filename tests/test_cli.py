@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from focklab import HermitianMatrix, SimpleSymbol, Disc, assemble, cli, operator_norm
+from focklab import SimpleSymbol, Disc, assemble, cli, operator_norm
 
 ONE_MINUS_EXP_NEG_ONE = 0.6321205588285577
 ONE_MINUS_EXP_NEG_PI = 0.9567860817362276
@@ -72,9 +72,11 @@ class TestAssemble:
         res = run_cli("assemble", "--symbol", str(disc_symbol), "--truncation", "8",
                       "--output", "mat", "--output-dir", str(out))
         assert res.returncode == 0, res.stderr
-        mat = HermitianMatrix.from_json((out / "mat.json").read_text())
+        data = json.loads((out / "mat.json").read_text())
+        entries = np.array([complex(re, im) for re, im in data["entries"]])
         lib = assemble(SimpleSymbol(((Disc(0.0, 1.0), 1.0),)), 8)
-        assert np.array_equal(mat.data, lib.data)
+        assert data["dimension"] == 8
+        assert np.array_equal(entries.reshape(8, 8), lib.data)
 
     def test_csv_output(self, run_cli, tmp_path, disc_symbol):
         out = tmp_path / "out"
@@ -140,7 +142,7 @@ class TestNormAndBound:
         printed = float(res.stdout.split("norm=")[1].split()[0])
         assert abs(printed - 0.683246591459) < 1e-11
         jacobi = json.loads((tmp_path / "norm.json").read_text())["norm"]
-        auto = operator_norm(assemble(SimpleSymbol.from_json_dict(data), 60))
+        auto = operator_norm(assemble(cli.load_symbol(path), 60))
         assert abs(jacobi - auto) < 1e-12
 
     def test_bound_gaussian(self, run_cli, tmp_path, gaussian_symbol):
@@ -525,13 +527,26 @@ class TestRejections:
         ({"disc": {"center": [0.0, 0.0], "radius": 0.5},
           "sector": {"r": [1.0, 2.0], "theta": [0.0, 1.0]}},
          "exactly one 'disc' or 'sector' entry, found ['disc', 'sector']"),
+        ({"disc": {"center": [0.0, 0.0], "radius": 1.0}, "coeff": True},
+         "pieces[0].coeff must be a number, got true"),
+        ({"disc": {"center": ["1.0", 0], "radius": 1.0}},
+         'pieces[0].disc.center[0] must be a number, got "1.0"'),
+        ({"disc": {"center": [0, 0], "radius": 1, "radus": 2}},
+         "pieces[0].disc takes no key radus; it accepts center, radius"),
+        ({"disc": {"center": [0, 0], "radius": 1}, "cooef": 2},
+         "pieces[0] takes no key cooef; it accepts coeff, disc, sector"),
+        ({"sector": {"r": [0, 1], "theta": [0, False]}},
+         "pieces[0].sector.theta[1] must be a number, got false"),
+        ({"disc": {"center": [0, 0], "radius": 10**400}}, "int too large to convert to float"),
     ])
     def test_malformed_piece(self, run_cli, tmp_path, piece, message):
         # a one-number center or r once ended in an IndexError traceback, a
         # three-number one was cut to two, and a disc and a sector in one
-        # piece were read as the disc alone, with exit 0
+        # piece were read as the disc alone, with exit 0; a boolean or a
+        # numeric string was read as a number and an extra key was dropped,
+        # also with exit 0, and an integer past float range was a traceback
         path = tmp_path / "piece.json"
-        path.write_text(json.dumps({"pieces": [{**piece, "coeff": 1.0}]}))
+        path.write_text(json.dumps({"pieces": [{"coeff": 1.0, **piece}]}))
         res = run_cli("bound", "--symbol", str(path), "--output-dir", str(tmp_path / "out"))
         assert res.returncode == 2
         assert res.stderr.startswith("error: bad symbol description") and message in res.stderr
@@ -571,6 +586,38 @@ class TestRejections:
         assert res.returncode == 2
         assert res.stderr.startswith("error: bad symbol description") and message in res.stderr
         assert "bound=" not in res.stdout
+
+    @pytest.mark.parametrize("data, message", [
+        ({"radial": {"profile": "disc", "radius": True}},
+         "radial.radius must be a number, got true"),
+        ({"radial": {"profile": "table", "radii": [0, "1"], "values": [1, 0]}},
+         'radial.radii[1] must be a number, got "1"'),
+        ({"sampled": {"radial_count": 1, "angular_count": 2, "linf": 1.0,
+                      "values": [["0.5", True]]}},
+         'sampled.values[0][0] must be a number, got "0.5"'),
+        ({"sampled": {"radial_count": 1, "angular_count": 2, "linf": True,
+                      "values": [[0.5, 0.5]]}}, "sampled.linf must be a number, got true"),
+        ({"sampled": {"radial_count": 1, "angular_count": 2, "linf": 1.0,
+                      "values": [[0.5, 0.5]], "scale": 3}},
+         "sampled takes no key scale; it accepts radial_count, angular_count, linf, values"),
+        ({"radial": {"profile": "gaussian"}, "comment": "x"},
+         "the file takes no key comment; it accepts radial"),
+        ({"pieces": "disc"}, 'pieces must be a list, got "disc"'),
+        ({"sampled": {"radial_count": 2, "angular_count": 2, "linf": 1.0,
+                      "values": [[0.5, 0.5], [0.5]]}},
+         "sampled.values rows must all have the same length"),
+    ])
+    def test_malformed_symbol_file(self, run_cli, tmp_path, data, message):
+        # each of these once read as a symbol, with exit 0: a boolean as 1.0,
+        # a numeric string as its number, and an extra key dropped; a string
+        # of pieces ended in "string indices must be integers", and a ragged
+        # table in numpy's "inhomogeneous shape", naming no key
+        path = tmp_path / "symbol.json"
+        path.write_text(json.dumps(data))
+        res = run_cli("bound", "--symbol", str(path), "--output-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: bad symbol description") and message in res.stderr
+        assert "Traceback" not in res.stderr and "bound=" not in res.stdout
 
     def test_ambiguous_symbol_file(self, run_cli, tmp_path):
         path = tmp_path / "both.json"

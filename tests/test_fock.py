@@ -153,15 +153,6 @@ class TestFockFunction:
         rhs = evaluate(f, z) * np.exp(-math.pi * np.abs(z) ** 2 / 2.0)
         assert np.allclose(lhs, rhs, rtol=1e-13)
 
-    def test_json_round_trip(self):
-        f = FockFunction(np.array([0.125 + 0.5j, -3.0, 0.0, 1e-7j]))
-        g = FockFunction.from_json(f.to_json())
-        assert np.array_equal(f.coeffs, g.coeffs)
-
-    def test_from_json_validates(self):
-        with pytest.raises((ValueError, KeyError)):
-            FockFunction.from_json('{"coeffs": [[1.0, 0.0]]}')
-
 
 class TestPointwiseBound:
     @settings(derandomize=True, max_examples=30, deadline=None)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from focklab.quadrature import RadialRule, gauss_legendre, integrate_region
 from focklab.regions import AnnularSector, Disc
 from focklab.symbols import SampledSymbol
 from focklab.toeplitz import assemble
 from focklab.tridiagonal import _multisection
-from plane_oracles import default_plane_rule, grid, integrate, integrate_plane, radii
+from plane_oracles import default_plane_rule, grid, integrate, integrate_plane, radii, weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -18,31 +19,32 @@ class TestRadialRule:
     def test_one_point(self):
         rule = RadialRule.gauss_laguerre(1)
         assert np.allclose(rule.nodes, [1.0], atol=1e-14)
-        assert np.allclose(rule.weights, [1.0], atol=1e-14)
+        assert np.allclose(weights(rule), [1.0], atol=1e-14)
 
     def test_two_point_closed_form(self):
         # nodes 2 -+ sqrt(2), weights (2 +- sqrt(2))/4
         rule = RadialRule.gauss_laguerre(2)
         s = math.sqrt(2.0)
         assert np.allclose(rule.nodes, [2.0 - s, 2.0 + s], atol=1e-13)
-        assert np.allclose(rule.weights, [(2.0 + s) / 4.0, (2.0 - s) / 4.0], atol=1e-13)
+        assert np.allclose(weights(rule), [(2.0 + s) / 4.0, (2.0 - s) / 4.0], atol=1e-13)
 
     def test_moments_exact(self):
         # int t^k e^{-t} dt = k! for k <= 2K-1
         rule = RadialRule.gauss_laguerre(8)
         for k in range(16):
-            got = float(np.dot(rule.weights, rule.nodes**k))
+            got = float(np.dot(weights(rule), rule.nodes**k))
             assert math.isclose(got, math.factorial(k), rel_tol=5e-13)
 
     @pytest.mark.parametrize("count", [80, 240, 252, 256])
     def test_weights_sum_to_one(self, count):
         # int e^{-t} dt = 1; at K = 252 float64 Christoffel sums come out 3.1e-14 short
-        assert abs(float(np.sum(RadialRule.gauss_laguerre(count).weights)) - 1.0) <= 1e-15
+        assert abs(float(np.sum(weights(RadialRule.gauss_laguerre(count)))) - 1.0) <= 1e-15
 
     def test_scaled_weights_consistent(self):
-        # scaled weights are w_j e^{t_j}, computed without overflow
+        # scaled weights are w_j e^{t_j}, computed without overflow; w_j
+        # from scipy's Gauss-Laguerre rule
         rule = RadialRule.gauss_laguerre(20)
-        direct = rule.weights * np.exp(rule.nodes)
+        direct = scipy.special.roots_laguerre(20)[1] * np.exp(rule.nodes)
         assert np.allclose(rule.scaled_weights, direct, rtol=1e-10)
 
     def test_nodes_positive_increasing(self):
@@ -59,7 +61,7 @@ class TestRadialRule:
         rule = RadialRule.gauss_laguerre(80)
         assert RadialRule.gauss_laguerre(80) is rule
         assert RadialRule.gauss_laguerre(81) is not rule
-        for array in (rule.nodes, rule.weights, rule.scaled_weights):
+        for array in (rule.nodes, rule.scaled_weights):
             assert not array.flags.writeable
 
     def test_count_validation(self):
@@ -114,7 +116,7 @@ def test_rules_match_scaled_laguerre_oracle():
         rule = RadialRule.gauss_laguerre(count)
         diag, off = 2.0 * np.arange(count) + 1.0, np.arange(1.0, count)
         oracle = _polished_laguerre(_multisection(diag, off, count, np.arange(count)), count)
-        for got, old in zip((rule.nodes, rule.weights, rule.scaled_weights), oracle):
+        for got, old in zip((rule.nodes, weights(rule), rule.scaled_weights), oracle):
             assert np.array_equal(got, old)
 
 
@@ -126,7 +128,7 @@ class TestLaguerreWithoutLapack:
         moved = []
         for count in range(1, 81):
             rule = RadialRule.gauss_laguerre(count)
-            for got, old in zip((rule.nodes, rule.weights, rule.scaled_weights),
+            for got, old in zip((rule.nodes, weights(rule), rule.scaled_weights),
                                 _lapack_seeded_laguerre(count)):
                 assert np.all(np.abs(got - old) <= np.spacing(old))
                 moved += [count] * int(np.count_nonzero(got != old))
@@ -138,7 +140,7 @@ class TestLaguerreWithoutLapack:
     @pytest.mark.parametrize("count", [160, 256])
     def test_large_counts(self, count):
         rule = RadialRule.gauss_laguerre(count)
-        for got, old in zip((rule.nodes, rule.weights, rule.scaled_weights),
+        for got, old in zip((rule.nodes, weights(rule), rule.scaled_weights),
                             _lapack_seeded_laguerre(count)):
             assert np.all(np.abs(got - old) <= 1e-15 * old)
 

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 import re
 
@@ -13,6 +14,7 @@ from focklab.regions import (
     Disc,
     area,
     disjoint,
+    region_to_json,
 )
 
 _TOL = 1e-12
@@ -115,6 +117,19 @@ class TestShapes:
                 AnnularSector(0.0, r, 0.0, 1.0)
         assert math.isfinite(Disc(0.0, 7.5e153).area)
         assert math.isfinite(AnnularSector(7e153, 7.5e153, 0.0, TWO_PI).area)
+
+    def test_radii_and_angles_stored_as_float(self):
+        # Disc(0, True).radius was True, and AnnularSector(0, 1, 0, 3) wrote
+        # {"r": [0, 1], "theta": [0, 3]} into report metadata
+        disc = Disc(0, True)
+        assert type(disc.radius) is float and disc.radius == 1.0
+        sector = AnnularSector(0, 1, 0, 3)
+        fields = (sector.r_inner, sector.r_outer, sector.theta_start, sector.theta_end)
+        assert [type(x) for x in fields] == [float] * 4
+        assert (json.dumps(region_to_json(sector))
+                == '{"sector": {"r": [0.0, 1.0], "theta": [0.0, 3.0]}}')
+        assert (json.dumps(region_to_json(disc))
+                == '{"disc": {"center": [0.0, 0.0], "radius": 1.0}}')
 
     def test_area_type_error(self):
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 """Symbol containers and polar-grid discretization."""
 import dataclasses
+import json
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from focklab import symbols
+from focklab import cli, symbols
 from focklab import (
     AnnularSector,
     Disc,
@@ -19,9 +20,17 @@ from focklab import (
     discretize,
     radial_assemble,
 )
+from focklab.regions import region_to_json
 from plane_oracles import grid
 
 TWO_PI = 2.0 * math.pi
+
+
+def _read(tmp_path, data):
+    """The symbol cli.load_symbol reads from data written to a file."""
+    path = tmp_path / "symbol.json"
+    path.write_text(json.dumps(data))
+    return cli.load_symbol(path)
 
 
 class TestSimpleSymbol:
@@ -41,12 +50,6 @@ class TestSimpleSymbol:
         assert sym.l1_norm() == 0.0
         assert sym.linf_norm() == 0.0
 
-    def test_scaled(self):
-        sym = SimpleSymbol(((Disc(0.0, 1.0), 1.5),))
-        doubled = sym.scaled(2.0)
-        assert doubled.pieces[0][1] == 3.0
-        assert math.isclose(doubled.l1_norm(), 2.0 * sym.l1_norm(), rel_tol=1e-15)
-
     def test_overlapping_pieces_raise(self):
         with pytest.raises(ValueError, match="disjoint"):
             SimpleSymbol(((Disc(0.0, 1.0), 1.0), (Disc(0.5, 1.0), 1.0)))
@@ -57,16 +60,11 @@ class TestSimpleSymbol:
         with pytest.raises(TypeError):
             SimpleSymbol((("not a region", 1.0),))
 
-    def test_json_round_trip(self):
-        sym = SimpleSymbol(
-            (
-                (Disc(0.3 + 0.2j, 0.4), 1.25),
-                (AnnularSector(1.0, 2.0, 0.5, 1.5), -0.75),
-            )
-        )
-        assert [list(piece) for piece in sym.to_json_dict()["pieces"]] == [
-            ["disc", "coeff"], ["sector", "coeff"]]
-        back = SimpleSymbol.from_json(sym.to_json())
+    def test_json_round_trip(self, tmp_path):
+        # a symbol file's pieces are region_to_json's form plus a coeff
+        pieces = ((Disc(0.3 + 0.2j, 0.4), 1.25), (AnnularSector(1.0, 2.0, 0.5, 1.5), -0.75))
+        back = _read(tmp_path, {"pieces": [{**region_to_json(region), "coeff": coeff}
+                                           for region, coeff in pieces]})
         assert len(back.pieces) == 2
         disc, c0 = back.pieces[0]
         assert disc.center == 0.3 + 0.2j and disc.radius == 0.4 and c0 == 1.25
@@ -75,9 +73,9 @@ class TestSimpleSymbol:
         assert (sector.theta_start, sector.theta_end) == (0.5, 1.5)
         assert c1 == -0.75
 
-    def test_bad_json_piece(self):
-        with pytest.raises(ValueError):
-            SimpleSymbol.from_json_dict({"pieces": [{"coeff": 1.0}]})
+    def test_bad_json_piece(self, tmp_path):
+        with pytest.raises(cli.ConfigError, match="exactly one 'disc' or 'sector'"):
+            _read(tmp_path, {"pieces": [{"coeff": 1.0}]})
 
 
 class TestRadialSymbol:
@@ -97,8 +95,7 @@ class TestRadialSymbol:
             assert np.array_equal(disc.profile(r), ring.profile(r))
             assert np.array_equal(radial_assemble(disc, 30).data,
                                   radial_assemble(ring, 30).data)
-            assert disc.to_json_dict() == {
-                "radial": {"profile": "disc", "radius": radius, "height": height}}
+            assert (disc.kind, ring.kind) == ("disc", "annulus")
         with pytest.raises(ValueError, match="disc radius must be positive"):
             RadialSymbol.disc(0.0)
 
@@ -175,27 +172,30 @@ class TestRadialSymbol:
                 linf=0.1,
                 support_radius=1.0,
                 breakpoints=(),
-                params={},
                 profile_fn=lambda r: np.ones_like(r),
             )
 
-    def test_json_round_trip(self):
-        for sym in (
-            RadialSymbol.disc(0.8, height=2.0),
-            RadialSymbol.annulus(0.3, 1.1, height=-1.0),
-            RadialSymbol.gaussian(),
-            RadialSymbol.table([0.0, 0.4, 1.2], [0.5, -0.5, 0.0]),
+    def test_json_round_trip(self, tmp_path):
+        for spec, sym in (
+            ({"profile": "disc", "radius": 0.8, "height": 2.0},
+             RadialSymbol.disc(0.8, height=2.0)),
+            ({"profile": "disc", "radius": 0.8}, RadialSymbol.disc(0.8)),
+            ({"profile": "annulus", "r_inner": 0.3, "r_outer": 1.1, "height": -1.0},
+             RadialSymbol.annulus(0.3, 1.1, height=-1.0)),
+            ({"profile": "gaussian"}, RadialSymbol.gaussian()),
+            ({"profile": "table", "radii": [0.0, 0.4, 1.2], "values": [0.5, -0.5, 0.0]},
+             RadialSymbol.table([0.0, 0.4, 1.2], [0.5, -0.5, 0.0])),
         ):
-            back = RadialSymbol.from_json_dict(sym.to_json_dict())
+            back = _read(tmp_path, {"radial": spec})
             assert back.kind == sym.kind
             assert back.support_radius == sym.support_radius
             assert math.isclose(back.l1_norm(), sym.l1_norm(), rel_tol=1e-14)
             r = np.linspace(0.0, sym.support_radius, 37)
             np.testing.assert_allclose(back.profile(r), sym.profile(r), atol=1e-15)
 
-    def test_unknown_profile_raises(self):
-        with pytest.raises(ValueError, match="unknown radial profile"):
-            RadialSymbol.from_json_dict({"radial": {"profile": "mystery"}})
+    def test_unknown_profile_raises(self, tmp_path):
+        with pytest.raises(cli.ConfigError, match="unknown radial profile"):
+            _read(tmp_path, {"radial": {"profile": "mystery"}})
 
     @pytest.mark.parametrize("spec, accepts", [
         ({"profile": "disc", "radius": 1, "hieght": 0.5}, "radius, height"),
@@ -203,12 +203,13 @@ class TestRadialSymbol:
         ({"profile": "gaussian", "scale": 3}, "no other key"),
         ({"profile": "table", "radii": [0, 1], "values": [1, 0], "height": 2}, "radii, values"),
     ])
-    def test_unknown_profile_key_raises(self, spec, accepts):
+    def test_unknown_profile_key_raises(self, tmp_path, spec, accepts):
         # a misspelt or foreign key was once dropped: the disc above read
         # height 1.0 and the gaussian ignored its scale
         unknown = (set(spec) - {"profile"} - set(accepts.split(", "))).pop()
-        with pytest.raises(ValueError, match=f"takes no key {unknown}; it accepts {accepts}$"):
-            RadialSymbol.from_json_dict({"radial": spec})
+        message = f"takes no key {unknown}; it accepts {accepts}$"
+        with pytest.raises(cli.ConfigError, match=message):
+            _read(tmp_path, {"radial": spec})
 
     @pytest.mark.parametrize("make", [
         lambda r: RadialSymbol.disc(r),
@@ -235,7 +236,7 @@ class TestRadialSymbol:
         assert _bump().breakpoints == (0.7,)
         # a profile that returns one scalar for every radius is flat
         flat = RadialSymbol(kind="flat", linf=0.5, support_radius=1.0, breakpoints=(),
-                            params={}, profile_fn=lambda r: 0.5)
+                            profile_fn=lambda r: 0.5)
         assert flat.linf_norm() == 0.5
         for sym in (RadialSymbol.gaussian(), RadialSymbol.disc(1.3, -0.4),
                     RadialSymbol.annulus(0.4, 1.1, 2.0), _EDGE_TABLE):
@@ -255,7 +256,7 @@ class TestRadialSymbol:
         # linf is flat
         def make():
             return RadialSymbol(
-                kind="wobble", linf=1.0, support_radius=1.0, breakpoints=(), params={},
+                kind="wobble", linf=1.0, support_radius=1.0, breakpoints=(),
                 profile_fn=lambda r: 0.5 + wobble * np.cos(512.0 * math.pi * r))
 
         if turns:
@@ -393,8 +394,10 @@ def _radial_estimate_reference(sym, radial_cells):
 # A table from the approximation benchmark (seed 1) whose last edge
 # sqrt(t / pi) lands an ulp beyond its support; its profile turns at the
 # knots 0.451 and 0.924.
+_EDGE_RADII = [0.0, 0.4509803531452335, 0.9243293048079853, 1.2091957781879055,
+               1.6473244771888087]
 _EDGE_TABLE = RadialSymbol.table(
-    [0.0, 0.4509803531452335, 0.9243293048079853, 1.2091957781879055, 1.6473244771888087],
+    _EDGE_RADII,
     [0.08821288581299291, 0.3171597256152179, -0.770006049933502, -0.747410968126246,
      0.9510549808319149],
 )
@@ -404,7 +407,7 @@ def _bump():
     """exp(-(r - 0.7)^2) on r <= 2: smooth on either side of its peak, which
     is declared as a breakpoint."""
     return RadialSymbol(
-        kind="bump", linf=1.0, support_radius=2.0, breakpoints=(0.7,), params={},
+        kind="bump", linf=1.0, support_radius=2.0, breakpoints=(0.7,),
         profile_fn=lambda r: np.where(r <= 2.0, np.exp(-((r - 0.7) ** 2)), 0.0),
     )
 
@@ -500,7 +503,7 @@ class TestDiscretize:
 
     def test_table_crossings_only_at_knots(self, monkeypatch):
         brackets = _spy_crossings(monkeypatch)
-        knots = set(_EDGE_TABLE.params["radii"])
+        knots = set(_EDGE_RADII)
         for cells in (16, 64, 256, 1024, 4096):
             discretize(_EDGE_TABLE, cells)
         assert brackets
