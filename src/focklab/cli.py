@@ -61,15 +61,26 @@ _NUMBER_TYPES = frozenset((int, float))  # what json.load gives a number; a bool
 
 def _numbers(value, where: str, depth: int = 0):
     """value as read, once it is a JSON number (depth 0) or a list of them
-    nested depth deep, not a bool, string or null; where names it in errors."""
+    nested depth deep, not a bool, string or null, and converts to float;
+    where names it in errors."""
     if depth == 0:
         if type(value) not in _NUMBER_TYPES:
             raise ValueError(f"{where} must be a number, got {json.dumps(value)}")
-    elif type(value) is not list:
+        try:
+            float(value)
+        except OverflowError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        return value
+    if type(value) is not list:
         raise ValueError(f"{where} must be a list, got {json.dumps(value)}")
-    elif depth > 1 or not _NUMBER_TYPES.issuperset(map(type, value)):
-        for i, item in enumerate(value):
-            _numbers(item, f"{where}[{i}]", depth - 1)
+    if depth == 1 and _NUMBER_TYPES.issuperset(map(type, value)):
+        try:
+            sum(value, 0.0)  # raises OverflowError at an int past float range
+            return value
+        except OverflowError:
+            pass  # the entry-by-entry pass below names it
+    for i, item in enumerate(value):
+        _numbers(item, f"{where}[{i}]", depth - 1)
     return value
 
 

@@ -6,10 +6,10 @@ Four classes cover the lab's needs:
   coefficients and pairwise disjoint regions (checked at construction).
 - PolarGrid: a piecewise-constant symbol on the cells of a polar grid,
   stored as its edge and value arrays; what discretize() returns.
-- RadialSymbol: phi(z) = profile(|z|) with a declared sup bound and an
-  explicit integrability witness: compactly supported profiles carry their
-  support radius, the gaussian carries an effective support plus an analytic
-  tail formula.
+- RadialSymbol: phi(z) = profile(|z|) for a builtin profile (disc,
+  annulus, gaussian or knot table), stored as its parameters; its sup norm,
+  support radius and breakpoints follow from them exactly. The gaussian
+  carries an effective support plus an analytic tail formula.
 - SampledSymbol: a table of real values on Gauss-Laguerre nodes in
   t = pi r^2 times uniform angles, read off by bilinear interpolation in
   (t, theta).
@@ -21,7 +21,7 @@ radial quadrature below is written. cli.load_symbol reads symbol files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,9 +48,6 @@ _PANEL_WIDTH = 5.0
 # into ceil(R / _PANEL_WIDTH) panels, so time and memory grow with R: this
 # cap is 2,000 panels.
 _MAX_SUPPORT_RADIUS = 1e4
-
-# discretize refuses a symbol whose L1 mass beyond its support exceeds this.
-_TAIL_TOL = 1e-6
 
 __all__ = [
     "SimpleSymbol",
@@ -146,65 +143,76 @@ class PolarGrid:
         return float(np.max(np.abs(self.values)))
 
 
-def _undeclared_turn(r: np.ndarray, vals: np.ndarray, breakpoints, flat: float):
-    """The sample radius at which the profile samples vals at increasing
-    radii r first turn (change between rising and falling) with no
-    breakpoint between the two steps, or None. A step of at most flat is
-    ignored, and so is every step whose closed interval [r_k, r_k+1] holds
-    a breakpoint, where the profile may jump or turn."""
-    b = np.sort(np.asarray(breakpoints, dtype=float))
-    piece = np.searchsorted(b, r[:-1], side="left")  # breakpoints below r_k
-    inside = piece == np.searchsorted(b, r[1:], side="right")
-    step = np.diff(vals)
-    k = np.flatnonzero(inside & (np.abs(step) > flat))
-    sign = np.sign(step[k])
-    turns = np.flatnonzero((piece[k[1:]] == piece[k[:-1]]) & (sign[1:] != sign[:-1]))
-    return float(r[k[turns[0] + 1]]) if turns.size else None
-
-
 @dataclass(frozen=True, eq=False)
 class RadialSymbol:
-    """phi(z) = profile(|z|) with declared sup bound and support data.
+    """phi(z) = profile(|z|) for one of four builtin profiles, stored as its
+    parameters: kind "disc" or "annulus" with radii (r_inner, r_outer)
+    (r_inner 0 for a disc) and values (height,), kind "table" with its knot
+    radii and values, and kind "gaussian" with neither.
 
-    breakpoints lists the radii (interior to the support) where the profile
-    is not smooth or turns (changes between increasing and decreasing);
-    quadrature and discretization split there so no rule ever straddles a
-    jump or kink, and discretize's error estimate sees every profile piece
-    as smooth and monotone. Construction samples the profile at 513 evenly
-    spaced radii to spot-check linf, and raises ValueError where those
-    samples turn between two declared breakpoints (_undeclared_turn); a turn
-    that falls between two samples is not found. The support radius is at
-    most _MAX_SUPPORT_RADIUS (1e4).
+    linf, support_radius and breakpoints are derived from the parameters,
+    exactly. breakpoints lists the radii (interior to the support) where the
+    profile jumps, has a kink or changes sign: an annulus's inner edge, a
+    table's interior knots and the zeros of its interpolant. Every radius
+    where a builtin profile turns (changes between increasing and
+    decreasing) is among them, so quadrature and discretization, which
+    split there, see every profile piece as smooth and monotone. The
+    support radius is at most _MAX_SUPPORT_RADIUS (1e4).
     """
 
     kind: str
-    linf: float
-    support_radius: float
-    breakpoints: tuple
-    profile_fn: Callable = field(repr=False)
+    radii: np.ndarray = ()
+    values: np.ndarray = ()
+    linf: float = field(init=False)
+    support_radius: float = field(init=False)
+    breakpoints: tuple = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.linf) and self.linf >= 0.0):
-            raise ValueError("linf bound must be finite and >= 0")
-        if not (math.isfinite(self.support_radius) and self.support_radius > 0.0):
+        radii = np.array(self.radii, dtype=float)
+        values = np.array(self.values, dtype=float)
+        if self.kind == "gaussian":
+            if radii.size or values.size:
+                raise ValueError("the gaussian profile takes no radii or values")
+            linf, support, breaks = 1.0, GAUSSIAN_SUPPORT, ()
+        elif self.kind in ("disc", "annulus"):
+            if radii.shape != (2,) or values.shape != (1,):
+                raise ValueError(f"{self.kind} takes radii (r_inner, r_outer) and values (height,)")
+            (r_inner, r_outer), (height,) = radii.tolist(), values.tolist()
+            if self.kind == "disc" and r_outer <= 0.0:
+                raise ValueError("disc radius must be positive")
+            if self.kind == "disc" and r_inner != 0.0:
+                raise ValueError(f"disc inner radius must be 0, got {r_inner}")
+            if not (0.0 <= r_inner < r_outer):
+                raise ValueError("need 0 <= r_inner < r_outer")
+            if not math.isfinite(height):
+                raise ValueError(f"{self.kind} height must be finite")
+            linf, support = abs(height), r_outer
+            breaks = (r_inner,) if r_inner > 0.0 else ()
+        elif self.kind == "table":
+            linf, support, breaks = _table_data(radii, values)
+        else:
+            raise ValueError(f"unknown radial profile kind {self.kind!r}")
+        if not (math.isfinite(support) and support > 0.0):
             raise ValueError("support radius must be positive and finite")
-        if self.support_radius > _MAX_SUPPORT_RADIUS:
+        if support > _MAX_SUPPORT_RADIUS:
             raise ValueError(f"support radius must be at most {_MAX_SUPPORT_RADIUS:g} "
                              f"({_MAX_SUPPORT_RADIUS / _PANEL_WIDTH:,.0f} quadrature panels), "
-                             f"got {self.support_radius:g}")
-        # Spot-check the declared bound and breakpoints on a sample grid.
-        r = np.linspace(0.0, self.support_radius, 513)
-        vals = np.broadcast_to(self.profile(r), r.shape)
-        if np.max(np.abs(vals)) > self.linf * (1.0 + 1e-12) + 1e-300:
-            raise ValueError("profile exceeds its declared sup bound")
-        turn = _undeclared_turn(r, vals, self.breakpoints, 1e-12 * self.linf)
-        if turn is not None:
-            raise ValueError(f"profile turns near r = {turn:.6g}, where no breakpoint is "
-                             f"declared; declare that radius as a breakpoint")
+                             f"got {support:g}")
+        radii.setflags(write=False)
+        values.setflags(write=False)
+        for name, value in (("radii", radii), ("values", values), ("linf", linf),
+                            ("support_radius", support), ("breakpoints", breaks)):
+            object.__setattr__(self, name, value)
 
     def profile(self, r):
         """Profile values at radii r (vectorized)."""
-        return self.profile_fn(np.asarray(r, dtype=float))
+        r = np.asarray(r, dtype=float)
+        if self.kind == "gaussian":
+            return np.exp(-(r**2))
+        if self.kind == "table":
+            return np.where(r > self.support_radius, 0.0, np.interp(r, self.radii, self.values))
+        r_inner, r_outer = self.radii
+        return np.where((r >= r_inner) & (r <= r_outer), self.values[0], 0.0)
 
     def tail_l1_beyond(self, r: float) -> float:
         """Closed-form int_{|z| > r} |phi| dA (zero for compact profiles)."""
@@ -243,80 +251,47 @@ class RadialSymbol:
     @classmethod
     def disc(cls, radius: float, height: float = 1.0) -> "RadialSymbol":
         """annulus(0, radius, height) under kind "disc"."""
-        if float(radius) <= 0:
-            raise ValueError("disc radius must be positive")
-        return replace(cls.annulus(0.0, radius, height), kind="disc")
+        return cls("disc", (0.0, radius), (height,))
 
     @classmethod
     def annulus(cls, r_inner: float, r_outer: float, height: float = 1.0) -> "RadialSymbol":
-        r_inner = float(r_inner)
-        r_outer = float(r_outer)
-        height = float(height)
-        if not (0.0 <= r_inner < r_outer):
-            raise ValueError("need 0 <= r_inner < r_outer")
-
-        def prof(r):
-            return np.where((r >= r_inner) & (r <= r_outer), height, 0.0)
-
-        breaks = (r_inner,) if r_inner > 0.0 else ()
-        return cls(
-            kind="annulus",
-            linf=abs(height),
-            support_radius=r_outer,
-            breakpoints=breaks,
-            profile_fn=prof,
-        )
+        return cls("annulus", (r_inner, r_outer), (height,))
 
     @classmethod
     def gaussian(cls) -> "RadialSymbol":
-        def prof(r):
-            return np.exp(-(r**2))
-
-        return cls(
-            kind="gaussian",
-            linf=1.0,
-            support_radius=GAUSSIAN_SUPPORT,
-            breakpoints=(),
-            profile_fn=prof,
-        )
+        """exp(-r^2), cut at GAUSSIAN_SUPPORT, with its analytic tail."""
+        return cls("gaussian")
 
     @classmethod
     def table(cls, radii: Sequence[float], values: Sequence[float]) -> "RadialSymbol":
         """Piecewise linear profile through (radii, values); constant left of
         the first knot, zero beyond the last."""
-        radii = np.asarray(radii, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if radii.ndim != 1 or radii.size < 2 or radii.shape != values.shape:
-            raise ValueError("need matching 1-d knot and value arrays, length >= 2")
-        if radii[0] < 0.0 or np.any(np.diff(radii) <= 0.0):
-            raise ValueError("knot radii must be nonnegative and strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("knot values must be finite")
-        with np.errstate(over="ignore"):
-            slopes = np.diff(values) / np.diff(radii)
-        bad = np.flatnonzero(~np.isfinite(slopes))
-        if bad.size:
-            r0, r1 = float(radii[bad[0]]), float(radii[bad[0] + 1])
-            raise ValueError(f"knot slope between radii {r0} and {r1} overflows float64")
-        support = float(radii[-1])
+        return cls("table", radii, values)
 
-        def prof(r):
-            out = np.interp(r, radii, values)
-            return np.where(np.asarray(r) > support, 0.0, out)
 
-        # Interior knots are kinks; sign changes of the interpolant add exact
-        # crossing radii so |phi| stays smooth between breakpoints.
-        breaks = set(float(b) for b in radii[:-1] if 0.0 < b < support)
-        for (r0, r1, v0, v1) in zip(radii[:-1], radii[1:], values[:-1], values[1:]):
-            if np.sign(v0) * np.sign(v1) < 0.0:  # v0 * v1 can overflow
-                breaks.add(float(r0 + (r1 - r0) * (0.0 - v0) / (v1 - v0)))
-        return cls(
-            kind="table",
-            linf=float(np.max(np.abs(values))),
-            support_radius=support,
-            breakpoints=tuple(sorted(breaks)),
-            profile_fn=prof,
-        )
+def _table_data(radii: np.ndarray, values: np.ndarray) -> tuple:
+    """(linf, support radius, breakpoints) of a table profile; ValueError
+    names the first rule its knots break."""
+    if radii.ndim != 1 or radii.size < 2 or radii.shape != values.shape:
+        raise ValueError("need matching 1-d knot and value arrays, length >= 2")
+    if radii[0] < 0.0 or np.any(np.diff(radii) <= 0.0):
+        raise ValueError("knot radii must be nonnegative and strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("knot values must be finite")
+    with np.errstate(over="ignore"):
+        slopes = np.diff(values) / np.diff(radii)
+    bad = np.flatnonzero(~np.isfinite(slopes))
+    if bad.size:
+        r0, r1 = float(radii[bad[0]]), float(radii[bad[0] + 1])
+        raise ValueError(f"knot slope between radii {r0} and {r1} overflows float64")
+    support = float(radii[-1])
+    # Interior knots are kinks; sign changes of the interpolant add exact
+    # crossing radii so |phi| stays smooth between breakpoints.
+    breaks = set(float(b) for b in radii[:-1] if 0.0 < b < support)
+    for (r0, r1, v0, v1) in zip(radii[:-1], radii[1:], values[:-1], values[1:]):
+        if np.sign(v0) * np.sign(v1) < 0.0:  # v0 * v1 can overflow
+            breaks.add(float(r0 + (r1 - r0) * (0.0 - v0) / (v1 - v0)))
+    return float(np.max(np.abs(values))), support, tuple(sorted(breaks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,26 +441,17 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
     at its centre radius (where phi equals the cell value) and at any
     crossing left beside a breakpoint where the profile turns, so every
     segment is smooth and of one sign. The estimate is accurate to
-    quadrature precision only if every turn of the profile is a declared
-    breakpoint: a piece that turns inside a cell can cross the cell value
-    twice in one segment, unseen here, which is why RadialSymbol refuses a
-    profile whose construction samples turn between breakpoints. For
-    sampled symbols it is a midpoint estimate inflated by 10 percent to
-    stay on the conservative side, from 16 x 8 subsamples per cell that
-    value_at interpolates with its index work done once per axis. A
-    radial symbol whose L1 mass beyond its support exceeds 1e-6 raises
-    ValueError.
+    quadrature precision because every turn of a builtin profile is one of
+    its breakpoints: a piece that turned inside a cell could cross the cell
+    value twice in one segment, unseen here. For sampled symbols it is a
+    midpoint estimate inflated by 10 percent to stay on the conservative
+    side, from 16 x 8 subsamples per cell that value_at interpolates with
+    its index work done once per axis.
     """
     if radial_cells < 1 or angular_cells < 1:
         raise ValueError("cell counts must be >= 1")
 
     if isinstance(symbol, RadialSymbol):
-        tail = symbol.tail_l1_beyond(symbol.support_radius)
-        if tail > _TAIL_TOL:
-            raise ValueError(
-                f"tail mass {tail:.3e} beyond the declared support exceeds "
-                f"the limit {_TAIL_TOL:.0e}"
-            )
         edges = np.linspace(0.0, math.pi * symbol.support_radius**2, radial_cells + 1)
         r_mid = np.sqrt(0.5 * (edges[:-1] + edges[1:]) / math.pi)
         cvals = np.asarray(symbol.profile(r_mid), dtype=float)
@@ -510,7 +476,7 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
             radial_cells - 1,
         )
         err = _segments_abs_integral(symbol.profile, cvals[cell_idx], seg_edges)
-        return approx, err + tail
+        return approx, err + symbol.tail_l1_beyond(symbol.support_radius)
 
     if isinstance(symbol, SampledSymbol):
         t_max = float(symbol.radial.nodes[-1])

@@ -538,13 +538,22 @@ class TestRejections:
         ({"sector": {"r": [0, 1], "theta": [0, False]}},
          "pieces[0].sector.theta[1] must be a number, got false"),
         ({"disc": {"center": [0, 0], "radius": 10**400}}, "int too large to convert to float"),
+        ({"disc": {"center": [0, 0], "radius": -10**400}},
+         "pieces[0].disc.radius: int too large to convert to float"),
+        ({"disc": {"center": [0, 10**400], "radius": 1}},
+         "pieces[0].disc.center[1]: int too large to convert to float"),
+        ({"disc": {"center": [math.nan, 10**400], "radius": 1}},
+         "pieces[0].disc.center[1]: int too large to convert to float"),
+        ({"disc": {"center": [0, 0], "radius": 1}, "coeff": 10**400},
+         "pieces[0].coeff: int too large to convert to float"),
     ])
     def test_malformed_piece(self, run_cli, tmp_path, piece, message):
         # a one-number center or r once ended in an IndexError traceback, a
         # three-number one was cut to two, and a disc and a sector in one
         # piece were read as the disc alone, with exit 0; a boolean or a
         # numeric string was read as a number and an extra key was dropped,
-        # also with exit 0, and an integer past float range was a traceback
+        # also with exit 0, and an integer past float range was a traceback,
+        # then an error that named no key
         path = tmp_path / "piece.json"
         path.write_text(json.dumps({"pieces": [{"coeff": 1.0, **piece}]}))
         res = run_cli("bound", "--symbol", str(path), "--output-dir", str(tmp_path / "out"))
@@ -606,12 +615,23 @@ class TestRejections:
         ({"sampled": {"radial_count": 2, "angular_count": 2, "linf": 1.0,
                       "values": [[0.5, 0.5], [0.5]]}},
          "sampled.values rows must all have the same length"),
+        ({"radial": {"profile": "disc", "radius": 10**400}},
+         "radial.radius: int too large to convert to float"),
+        ({"radial": {"profile": "table", "radii": [0, 10**400], "values": [1, 0]}},
+         "radial.radii[1]: int too large to convert to float"),
+        ({"sampled": {"radial_count": 1, "angular_count": 2, "linf": 1.0,
+                      "values": [[0.5, -10**400]]}},
+         "sampled.values[0][1]: int too large to convert to float"),
+        ({"sampled": {"radial_count": 1, "angular_count": 2, "linf": 10**400,
+                      "values": [[0.5, 0.5]]}},
+         "sampled.linf: int too large to convert to float"),
     ])
     def test_malformed_symbol_file(self, run_cli, tmp_path, data, message):
         # each of these once read as a symbol, with exit 0: a boolean as 1.0,
         # a numeric string as its number, and an extra key dropped; a string
         # of pieces ended in "string indices must be integers", and a ragged
-        # table in numpy's "inhomogeneous shape", naming no key
+        # table in numpy's "inhomogeneous shape", naming no key, as an
+        # integer past float range did
         path = tmp_path / "symbol.json"
         path.write_text(json.dumps(data))
         res = run_cli("bound", "--symbol", str(path), "--output-dir", str(tmp_path / "out"))

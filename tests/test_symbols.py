@@ -78,6 +78,58 @@ class TestSimpleSymbol:
             _read(tmp_path, {"pieces": [{"coeff": 1.0}]})
 
 
+def _annulus_closure(r_inner, r_outer, height=1.0):
+    r_inner, r_outer, height = float(r_inner), float(r_outer), float(height)
+
+    def prof(r):
+        return np.where((r >= r_inner) & (r <= r_outer), height, 0.0)
+
+    return prof
+
+
+def _table_closure(radii, values):
+    radii = np.asarray(radii, dtype=float)
+    values = np.asarray(values, dtype=float)
+    support = float(radii[-1])
+
+    def prof(r):
+        out = np.interp(r, radii, values)
+        return np.where(np.asarray(r) > support, 0.0, out)
+
+    return prof
+
+
+# The profile closures RadialSymbol's builtins built before a symbol stored
+# its parameters: the bit-for-bit oracles of RadialSymbol.profile.
+_CLOSURES = {
+    "disc": lambda radius, height=1.0: _annulus_closure(0.0, radius, height),
+    "annulus": _annulus_closure,
+    "gaussian": lambda: (lambda r: np.exp(-(r**2))),
+    "table": _table_closure,
+}
+
+# A table from the approximation benchmark (seed 1) whose last edge
+# sqrt(t / pi) lands an ulp beyond its support; its profile turns at the
+# knots 0.451 and 0.924.
+_EDGE_RADII = [0.0, 0.4509803531452335, 0.9243293048079853, 1.2091957781879055,
+               1.6473244771888087]
+_EDGE_VALUES = [0.08821288581299291, 0.3171597256152179, -0.770006049933502,
+                -0.747410968126246, 0.9510549808319149]
+_EDGE_TABLE = RadialSymbol.table(_EDGE_RADII, _EDGE_VALUES)
+
+_BUILTIN_ARGS = [
+    ("disc", (0.8,)),
+    ("disc", (1.5, -2.0)),
+    ("annulus", (0.0, 1.1)),
+    ("annulus", (0.3, 1.1, -1.0)),
+    ("gaussian", ()),
+    ("table", (_EDGE_RADII, _EDGE_VALUES)),
+    ("table", ([0.25, 0.6, 1.3], [0.5, 1.0, 0.0])),
+    ("table", ([0.0, 0.5, 1.0, 1.5], [1.0, -0.3, 0.4, 0.0])),
+]
+_BUILTINS = [getattr(RadialSymbol, kind)(*args) for kind, args in _BUILTIN_ARGS]
+
+
 class TestRadialSymbol:
     def test_disc_profile(self):
         sym = RadialSymbol.disc(1.5, height=-2.0)
@@ -165,15 +217,37 @@ class TestRadialSymbol:
         with pytest.raises(ValueError, match="knot slope"):
             RadialSymbol.table([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0])
 
-    def test_declared_bound_spot_check(self):
-        with pytest.raises(ValueError, match="sup bound"):
-            RadialSymbol(
-                kind="table",
-                linf=0.1,
-                support_radius=1.0,
-                breakpoints=(),
-                profile_fn=lambda r: np.ones_like(r),
-            )
+    def test_constructor_takes_parameters_only(self):
+        # a sup bound, support or breakpoints the profile lacks was once
+        # declarable, checked at 513 sample radii only
+        ring = RadialSymbol("annulus", (0.4, 1.1), (2.0,))
+        assert (ring.linf, ring.support_radius, ring.breakpoints) == (2.0, 1.1, (0.4,))
+        for extra in ({"linf": 0.1}, {"support_radius": 1.0}, {"breakpoints": ()},
+                      {"profile_fn": lambda r: np.ones_like(r)}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                RadialSymbol("annulus", (0.4, 1.1), (2.0,), **extra)
+        with pytest.raises(TypeError):
+            RadialSymbol("table", lambda r: r, (1.0, 0.0))
+        for field_name in ("linf", "support_radius", "breakpoints"):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(ring, **{field_name: 0.5})
+
+    @pytest.mark.parametrize("kind, radii, values, message", [
+        ("bump", (0.0, 1.0), (1.0,), "unknown radial profile kind 'bump'"),
+        ("gaussian", (0.0, 1.0), (), "gaussian profile takes no radii or values"),
+        ("annulus", (0.0, 1.0), (1.0, 2.0), r"annulus takes radii \(r_inner, r_outer\)"),
+        ("disc", (0.0, 0.5, 1.0), (1.0,), r"disc takes radii \(r_inner, r_outer\)"),
+        ("disc", (0.2, 1.0), (1.0,), "disc inner radius must be 0, got 0.2"),
+        ("disc", (0.0, -1.0), (1.0,), "disc radius must be positive"),
+        ("annulus", (1.0, 0.5), (1.0,), "need 0 <= r_inner < r_outer"),
+        ("annulus", (0.0, 1.0), (math.inf,), "annulus height must be finite"),
+        ("disc", (0.0, 1.0), (math.nan,), "disc height must be finite"),
+        ("annulus", (0.5, math.inf), (1.0,), "support radius must be positive and finite"),
+        ("table", (0.0, math.inf), (1.0, 0.0), "support radius must be positive and finite"),
+    ])
+    def test_bad_parameters_raise(self, kind, radii, values, message):
+        with pytest.raises(ValueError, match=message):
+            RadialSymbol(kind, radii, values)
 
     def test_json_round_trip(self, tmp_path):
         for spec, sym in (
@@ -223,24 +297,7 @@ class TestRadialSymbol:
             with pytest.raises(ValueError, match="support radius must be at most 10000"):
                 make(radius)
 
-    def test_undeclared_turn_raises(self):
-        # the peak of exp(-(r - 0.7)^2), undeclared: discretize's estimate
-        # at 12 cells would be 3.7e-7 relative low
-        with pytest.raises(ValueError, match=r"turns near r = 0\.699219.*declare that radius"):
-            dataclasses.replace(_bump(), breakpoints=())
-        # a turn just past the declared breakpoint is still inside a piece
-        with pytest.raises(ValueError, match="declare that radius as a breakpoint"):
-            dataclasses.replace(_bump(), breakpoints=(0.6,))
-
     def test_declared_turns_construct(self):
-        assert _bump().breakpoints == (0.7,)
-        # a profile that returns one scalar for every radius is flat
-        flat = RadialSymbol(kind="flat", linf=0.5, support_radius=1.0, breakpoints=(),
-                            profile_fn=lambda r: 0.5)
-        assert flat.linf_norm() == 0.5
-        for sym in (RadialSymbol.gaussian(), RadialSymbol.disc(1.3, -0.4),
-                    RadialSymbol.annulus(0.4, 1.1, 2.0), _EDGE_TABLE):
-            dataclasses.replace(sym)
         # seeded tables whose values alternate in sign: a crossing breakpoint
         # between every two knots
         rng = np.random.default_rng(5)
@@ -248,22 +305,51 @@ class TestRadialSymbol:
             radii = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.8, size=6))])
             values = rng.uniform(0.1, 1.0, size=radii.size) * (-1.0) ** np.arange(radii.size)
             assert len(RadialSymbol.table(radii, values).breakpoints) == 11
+        # a copy derives the same data from the same parameters
+        for sym in _BUILTINS:
+            copy = dataclasses.replace(sym)
+            assert (copy.kind, copy.linf, copy.support_radius, copy.breakpoints) == (
+                sym.kind, sym.linf, sym.support_radius, sym.breakpoints)
 
-    @pytest.mark.parametrize("wobble, turns", [(4e-13, False), (1e-12, True)])
-    def test_flat_steps_ignored(self, wobble, turns):
-        # cos(512 pi r) is (-1)^k at the k-th of the 513 sample radii on
-        # [0, 1], so the steps between samples are 2 wobble: at most 1e-12
-        # linf is flat
-        def make():
-            return RadialSymbol(
-                kind="wobble", linf=1.0, support_radius=1.0, breakpoints=(),
-                profile_fn=lambda r: 0.5 + wobble * np.cos(512.0 * math.pi * r))
+    def test_parameters_stored_read_only(self):
+        radii, values = np.array([0.0, 0.5, 1.0]), np.array([1.0, -0.5, 0.0])
+        sym = RadialSymbol.table(radii, values)
+        radii[1], values[1] = 0.9, 5.0
+        assert sym.radii[1] == 0.5 and sym.values[1] == -0.5
+        for arr in (sym.radii, sym.values):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
 
-        if turns:
-            with pytest.raises(ValueError, match="turns near r = 0.00195312"):
-                make()
-        else:
-            assert make().support_radius == 1.0
+    @pytest.mark.parametrize("index", range(len(_BUILTIN_ARGS)))
+    def test_profile_bits_match_closures(self, index):
+        # the profile closures the builtins once built, applied to radii
+        # through every knot and edge, one ulp either side, and the support
+        kind, args = _BUILTIN_ARGS[index]
+        sym = getattr(RadialSymbol, kind)(*args)
+        closure = _CLOSURES[kind](*args)
+        knots = np.array([0.0, *sym.radii, sym.support_radius, *sym.breakpoints])
+        r = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                            np.linspace(0.0, 1.3 * sym.support_radius, 97)])
+        r = r[r >= 0.0]
+        assert np.array_equal(sym.profile(r), closure(np.asarray(r, dtype=float)))
+        assert np.array_equal(sym.profile(r[:, None]), closure(r[:, None]))
+        assert sym.profile(0.5) == closure(np.asarray(0.5))
+        assert sym.linf == np.max(np.abs(sym.profile(knots)))
+
+    def test_seeded_table_bits_and_linf(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            count = int(rng.integers(2, 9))
+            radii = rng.uniform(0.0, 0.3) * (rng.random() < 0.5) + np.concatenate(
+                [[0.0], np.cumsum(rng.uniform(0.05, 0.8, size=count - 1))])
+            values = rng.uniform(-2.0, 2.0, size=count)
+            sym = RadialSymbol.table(radii, values)
+            closure = _CLOSURES["table"](radii, values)
+            knots = np.concatenate([[0.0], radii, sym.breakpoints])
+            r = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                                rng.uniform(0.0, 1.2 * radii[-1], size=64)])
+            r = r[r >= 0.0]
+            assert np.array_equal(sym.profile(r), closure(r))
+            assert sym.linf == np.max(np.abs(sym.profile(radii)))
 
 
 def _smooth_sampled(radial_count=40, angular_count=64):
@@ -391,27 +477,6 @@ def _radial_estimate_reference(sym, radial_cells):
     return total + sym.tail_l1_beyond(sym.support_radius)
 
 
-# A table from the approximation benchmark (seed 1) whose last edge
-# sqrt(t / pi) lands an ulp beyond its support; its profile turns at the
-# knots 0.451 and 0.924.
-_EDGE_RADII = [0.0, 0.4509803531452335, 0.9243293048079853, 1.2091957781879055,
-               1.6473244771888087]
-_EDGE_TABLE = RadialSymbol.table(
-    _EDGE_RADII,
-    [0.08821288581299291, 0.3171597256152179, -0.770006049933502, -0.747410968126246,
-     0.9510549808319149],
-)
-
-
-def _bump():
-    """exp(-(r - 0.7)^2) on r <= 2: smooth on either side of its peak, which
-    is declared as a breakpoint."""
-    return RadialSymbol(
-        kind="bump", linf=1.0, support_radius=2.0, breakpoints=(0.7,),
-        profile_fn=lambda r: np.where(r <= 2.0, np.exp(-((r - 0.7) ** 2)), 0.0),
-    )
-
-
 def _spy_crossings(monkeypatch):
     """Record the brackets (lo, hi) handed to the crossing solver."""
     brackets = []
@@ -510,14 +575,32 @@ class TestDiscretize:
         assert all(lo in knots or hi in knots for lo, hi in brackets)
 
     @pytest.mark.parametrize("cells", [12, 45, 256])
-    def test_nonlinear_turn_inside_cell(self, monkeypatch, cells):
-        # at these counts a cell holds the peak 0.7 with its centre on one
-        # side and a crossing of its value on the other
-        brackets = _spy_crossings(monkeypatch)
-        sym = _bump()
-        _, est = discretize(sym, cells)
-        assert brackets and all(0.7 in pair for pair in brackets)
-        assert math.isclose(est, _radial_estimate_reference(sym, cells), rel_tol=1e-12)
+    def test_nonlinear_turn_inside_cell(self, cells):
+        # exp(-(r - 0.7)^2) on r <= 2, cut into cells uniform in t: at these
+        # counts the cell holding the peak 0.7 has its centre on one side
+        # and the mirror crossing of its value on the other, so the bracket
+        # from the peak to that cell's edge is monotone but not linear, and
+        # the Illinois loop needs more than one round
+        calls = []
+
+        def bump(r):
+            calls.append(np.size(r))
+            return np.exp(-((r - 0.7) ** 2))
+
+        t = np.linspace(0.0, 4.0 * math.pi, cells + 1)
+        radii = np.sqrt(t / math.pi)
+        j = int(np.searchsorted(radii, 0.7)) - 1
+        r_mid = math.sqrt(0.5 * (t[j] + t[j + 1]) / math.pi)
+        c = float(bump(r_mid))
+        lo, hi = (0.7, radii[j + 1]) if r_mid < 0.7 else (radii[j], 0.7)
+        cross = 1.4 - r_mid
+        assert lo < cross < hi
+        calls.clear()
+        root = symbols._false_position(
+            bump, np.array([c]), np.array([lo]), np.array([hi]),
+            np.array([float(bump(lo)) - c]), np.array([float(bump(hi)) - c]))
+        assert len(calls) > 1
+        assert math.isclose(root[0], cross, rel_tol=1e-12)
 
     def test_sampled_estimate_conservative(self):
         sym = _smooth_sampled()
@@ -544,10 +627,16 @@ class TestDiscretize:
         assert est <= 1.35 * ref + 1e-9
 
     def test_gaussian_tail_guard(self):
-        # a support of 2 leaves the tail pi e^{-4} = 0.0575 beyond it
-        cut = dataclasses.replace(RadialSymbol.gaussian(), support_radius=2.0)
-        with pytest.raises(ValueError, match="tail mass 5.754e-02 .* exceeds the limit 1e-06"):
-            discretize(cut, 8)
+        # the gaussian's support is fixed at 4.8, past which its mass is
+        # pi e^{-4.8^2} = 3.1e-10, and the estimate carries that tail; a
+        # support of 2, which once had to be refused, cannot be set
+        sym = RadialSymbol.gaussian()
+        assert sym.support_radius == symbols.GAUSSIAN_SUPPORT == 4.8
+        assert sym.tail_l1_beyond(4.8) < 3.2e-10
+        _, est = discretize(sym, 8)
+        assert est > sym.tail_l1_beyond(4.8)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(sym, support_radius=2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
