@@ -174,7 +174,8 @@ def load_symbol(path) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: a JSONDecodeError, or an integer past Python's digit limit
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read symbol file {path}: {exc}") from exc
     kinds = [key for key in ("pieces", "radial", "sampled")
              if isinstance(data, dict) and key in data]
@@ -461,7 +462,7 @@ def _read_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # as in load_symbol
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     # keys of other subcommands stay allowed, so that one file serves several
     return _fields(config, f"config {path}", (), _FLAGS)

@@ -14,15 +14,19 @@ Four classes cover the lab's needs:
   t = pi r^2 times uniform angles, read off by bilinear interpolation in
   (t, theta).
 
-L1 norms are plain Lebesgue integrals int |phi| dA. In the t coordinate a
-radial profile integrates as int |phi(sqrt(t/pi))| dt, which is how all the
-radial quadrature below is written. cli.load_symbol reads symbol files.
+L1 norms are plain Lebesgue integrals int |phi| dA. For a radial profile,
+both its L1 norm and the L1 error of its discretization are sums of
+2pi int |phi(r) - c| r dr over segments cut at the breakpoints, and on such
+a segment every builtin is constant, linear in r or e^{-r^2}, so each term
+has a closed form (_abs_mass) and no quadrature rule is involved; the
+Gauss-Legendre panels of RadialSymbol.panels serve radial_assemble alone.
+cli.load_symbol reads symbol files.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -238,13 +242,12 @@ class RadialSymbol:
                     yield gauss_legendre(_PANEL_ORDER, lo, hi)
 
     def l1_norm(self) -> float:
-        """2pi int |phi(r)| r dr on the breakpoint panels, plus the analytic
-        tail. Sign changes sit on breakpoints, so every panel integrand is
-        smooth."""
-        total = 0.0
-        for r, w in self.panels():
-            total += TWO_PI * float(np.dot(w * r, np.abs(self.profile(r))))
-        return total + self.tail_l1_beyond(self.support_radius)
+        """2pi int |phi(r)| r dr in closed form (_abs_mass with c = 0) on the
+        segments between 0, the breakpoints and the support radius, plus the
+        analytic tail. Sign changes sit on breakpoints, so every segment is
+        one piece of the profile, of one sign."""
+        edges = np.array([0.0, *self.breakpoints, self.support_radius])
+        return _abs_mass(self, edges, 0.0) + self.tail_l1_beyond(self.support_radius)
 
     # --- builtins ---
 
@@ -369,84 +372,67 @@ class SampledSymbol:
 # discretization
 
 
-def _false_position(phi: Callable, c: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
-    """Root of phi(r) = c in each bracket [a, b] whose ends ga = phi(a) - c
-    and gb = phi(b) - c have opposite signs, phi monotone on it.
+def _abs_mass(symbol: RadialSymbol, edges: np.ndarray, c) -> float:
+    """sum_k 2pi int_{edges[k]}^{edges[k+1]} |phi(r) - c[k]| r dr in closed
+    form, for edges cut at every breakpoint (so no segment holds a jump or a
+    kink) and c a scalar or one value per segment. A segment of zero length
+    (a breakpoint on a cell edge or centre) adds 0.
 
-    Vectorized Illinois false position (Dowell & Jarratt, BIT 11, 1971): b
-    is the latest iterate, and when a new one lands on b's side, a is kept
-    and its g halved. A bracket is done once it is at most 4 eps b wide (b as
-    given) or phi(x) == c; the loop stops after 100 rounds. An iterate that
-    rounds onto an end is moved one ulp inside, so every round shrinks the
-    bracket. On a linear piece the first iterate is the root.
-    """
-    a, b, ga, gb = (np.array(v, dtype=float) for v in (a, b, ga, gb))
-    tol = 4.0 * np.finfo(float).eps * b
-    live = np.arange(a.size)
-    for _ in range(100):
-        live = live[np.abs(b[live] - a[live]) > tol[live]]
-        if live.size == 0:
-            break
-        al, bl, gal, gbl = a[live], b[live], ga[live], gb[live]
-        x = bl - gbl * (bl - al) / (gbl - gal)
-        left, right = np.minimum(al, bl), np.maximum(al, bl)
-        x = np.minimum(np.maximum(x, np.nextafter(left, right)), np.nextafter(right, left))
-        gx = phi(x) - c[live]
-        # A sign change between x and b makes b the kept end; otherwise a
-        # is kept and its g halved. An exact hit collapses the bracket on x.
-        swap = np.sign(gx) * np.sign(gbl) < 0.0
-        a[live] = np.where(swap, bl, np.where(gx == 0.0, x, al))
-        ga[live] = np.where(swap, gbl, 0.5 * gal)
-        b[live] = x
-        gb[live] = gx
-    return 0.5 * (a + b)
-
-
-def _segments_abs_integral(phi: Callable, c: np.ndarray, edges: np.ndarray) -> float:
-    """sum_k 2pi int_{edges[k]}^{edges[k+1]} |phi(r) - c[k]| r dr, phi smooth
-    and monotone on each segment.
-
-    A segment whose ends give phi - c opposite signs is cut at its crossing
-    (_false_position); the callers' segments end at their cell's centre
-    radius, where phi - c is exactly 0, so only segments through a knot
-    where the profile turns need one. Every segment is then integrated once
-    by 16-node Gauss-Legendre, exact on polynomial profile pieces.
+    disc / annulus: phi is one constant v per segment, read at its midpoint,
+      so the term is pi |v - c| (hi - lo)(hi + lo).
+    gaussian: phi - c has one sign on a segment (the callers cut each cell at
+      its centre radius, where phi = c, and e^{-r^2} is monotone), so the
+      term is pi |e^{-lo^2} (1 - e^{-d}) - c d| with d = hi^2 - lo^2.
+    table: g = phi - c is linear in r; a segment whose ends differ in sign is
+      split at the root of that line (_split_at_zeros), and a one-signed
+      segment gives (pi h / 3)(|g_lo|(2 lo + hi) + |g_hi|(lo + 2 hi)), the
+      exact integral of a linear |g| times r, with no cancellation.
     """
     lo, hi = edges[:-1], edges[1:]
-    g = phi(edges)
-    g_lo, g_hi = g[:-1] - c, g[1:] - c
-    cross = np.flatnonzero(np.sign(g_lo) * np.sign(g_hi) < 0.0)
-    if cross.size:
-        root = _false_position(phi, c[cross], lo[cross], hi[cross], g_lo[cross], g_hi[cross])
-        lo = np.concatenate([lo, root])
-        hi = np.concatenate([hi, hi[cross]])
-        hi[cross] = root
-        c = np.concatenate([c, c[cross]])
+    if symbol.kind == "gaussian":
+        d = (hi - lo) * (hi + lo)
+        return math.pi * float(np.sum(np.abs(np.exp(-(lo**2)) * -np.expm1(-d) - c * d)))
+    if symbol.kind != "table":
+        g = symbol.profile(0.5 * (lo + hi)) - c
+        return math.pi * float(np.sum(np.abs(g) * ((hi - lo) * (hi + lo))))
+    phi = symbol.profile(edges)
+    lo, hi, g_lo, g_hi = _split_at_zeros(lo, hi, phi[:-1] - c, phi[1:] - c)
+    terms = (hi - lo) * (np.abs(g_lo) * (2.0 * lo + hi) + np.abs(g_hi) * (lo + 2.0 * hi))
+    return math.pi / 3.0 * float(np.sum(terms))
 
-    x, w = gauss_legendre(16, -1.0, 1.0)
-    half = 0.5 * (hi - lo)
-    nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * x[None, :]
-    vals = np.abs(phi(nodes) - c[:, None]) * nodes
-    return TWO_PI * float(np.dot(half, vals @ w))
+
+def _split_at_zeros(lo, hi, g_lo, g_hi):
+    """(lo, hi, g_lo, g_hi) with every segment of a line g whose ends differ
+    in sign cut at the line's root x = lo + h g_lo / (g_lo - g_hi): the
+    segment keeps [lo, x] with ends (g_lo, 0) and [x, hi] with ends (0, g_hi)
+    is appended. The callers cut each cell at its centre radius, where
+    g = 0, so only a segment beside a knot where the profile turns is cut."""
+    turn = np.sign(g_lo) * np.sign(g_hi) < 0.0  # g_lo * g_hi can overflow
+    a, b, ga, gb = lo[turn], hi[turn], g_lo[turn], g_hi[turn]
+    root = a + (b - a) * (ga / (ga - gb))
+    hi = hi.copy()
+    hi[turn] = root
+    return (np.concatenate([lo, root]), np.concatenate([hi, b]),
+            np.concatenate([g_lo, np.zeros_like(root)]),
+            np.concatenate([np.where(turn, 0.0, g_hi), gb]))
 
 
 def discretize(symbol, radial_cells: int, angular_cells: int = 1):
     """Approximate a radial or sampled symbol by a PolarGrid (uniform in
     t = pi r^2 and theta) carrying the cell-center values.
 
-    Returns (grid, l1_error_estimate) where the estimate is the
-    quadrature of |phi - phi_d| dA plus the tail mass beyond the grid. For
-    radial symbols the estimate cuts every cell at the profile breakpoints,
-    at its centre radius (where phi equals the cell value) and at any
-    crossing left beside a breakpoint where the profile turns, so every
-    segment is smooth and of one sign. The estimate is accurate to
-    quadrature precision because every turn of a builtin profile is one of
-    its breakpoints: a piece that turned inside a cell could cross the cell
-    value twice in one segment, unseen here. For sampled symbols it is a
-    midpoint estimate inflated by 10 percent to stay on the conservative
-    side, from 16 x 8 subsamples per cell that value_at interpolates with
-    its index work done once per axis.
+    Returns (grid, l1_error_estimate) where the estimate is int |phi -
+    phi_d| dA plus the tail mass beyond the grid. For radial symbols it is
+    exact up to rounding: every cell is cut at the profile breakpoints and
+    at its centre radius (where phi equals the cell value), so each segment
+    holds one constant, linear or gaussian piece, and _abs_mass integrates
+    it in closed form, splitting a linear piece at its root where it
+    changes sign (only beside a knot where the profile turns). That every
+    turn of a builtin profile is one of its breakpoints is what keeps a
+    piece from crossing the cell value twice inside one segment. For
+    sampled symbols it is a midpoint estimate inflated by 10 percent to
+    stay on the conservative side, from 16 x 8 subsamples per cell that
+    value_at interpolates with its index work done once per axis.
     """
     if radial_cells < 1 or angular_cells < 1:
         raise ValueError("cell counts must be >= 1")
@@ -464,18 +450,18 @@ def discretize(symbol, radial_cells: int, angular_cells: int = 1):
         approx = PolarGrid(radii, theta_edges,
                            np.broadcast_to(cvals[:, None], (radial_cells, angular_cells)))
 
-        # Error estimate: cut the cells at the breakpoints, so every segment
-        # sees a smooth profile piece, and at their centre radii, where
-        # phi - c is exactly 0, so a monotone piece changes sign only there.
-        r_breaks = np.asarray([float(b) for b in symbol.breakpoints], dtype=float)
-        seg_edges = np.unique(np.concatenate([radii, r_breaks, r_mid]))
-        seg_edges = seg_edges[(seg_edges >= 0.0) & (seg_edges <= radii[-1])]
-        cell_idx = np.clip(
-            np.searchsorted(radii, 0.5 * (seg_edges[:-1] + seg_edges[1:]), side="right") - 1,
-            0,
-            radial_cells - 1,
-        )
-        err = _segments_abs_integral(symbol.profile, cvals[cell_idx], seg_edges)
+        # Error: cut every cell at its centre radius, where phi - c is
+        # exactly 0, so a monotone piece changes sign only there, and at the
+        # breakpoints, so every segment sees one piece of the profile.
+        # Segments 2j and 2j + 1 are cell j's; a breakpoint splits the
+        # segment that holds it into two of the same cell.
+        seg_edges = np.empty(2 * radial_cells + 1)
+        seg_edges[0::2], seg_edges[1::2] = radii, r_mid
+        seg_cells = np.repeat(np.arange(radial_cells), 2)
+        at = np.searchsorted(seg_edges, symbol.breakpoints)
+        seg_edges = np.insert(seg_edges, at, symbol.breakpoints)
+        seg_cells = np.insert(seg_cells, at - 1, seg_cells[at - 1])
+        err = _abs_mass(symbol, seg_edges, cvals[seg_cells])
         return approx, err + symbol.tail_l1_beyond(symbol.support_radius)
 
     if isinstance(symbol, SampledSymbol):

@@ -1,11 +1,15 @@
-"""Test-side oracles: pointwise values of Fock functions and the full-plane
-Gauss-Laguerre x uniform rule, a (RadialRule, M) pair.
+"""Test-side oracles: pointwise values of Fock functions, the full-plane
+Gauss-Laguerre x uniform rule, a (RadialRule, M) pair, and a Gauss-Legendre
+sum of radial segment integrals, with the seeded radial profiles the tests
+run it on.
 
 focklab computes every compression in closed form; these routines evaluate
 functions point by point and integrate them against dlam = e^{-pi|z|^2} dA(z)
 on a product grid, so the tests can check the closed forms by an independent
 path. Weighted values f(z) e^{-pi|z|^2/2} come from
 focklab.fock.weighted_basis_matrix, whose terms have modulus at most one.
+The radial L1 errors of focklab.discretize are closed forms too, checked
+against segments_abs_integral.
 """
 from __future__ import annotations
 
@@ -16,8 +20,9 @@ import math
 import numpy as np
 
 from focklab.fock import weighted_basis_matrix
-from focklab.quadrature import RadialRule
+from focklab.quadrature import RadialRule, gauss_legendre
 from focklab.regions import TWO_PI
+from focklab.symbols import RadialSymbol
 
 
 def basis_eval(n: int, z: complex) -> complex:
@@ -88,3 +93,51 @@ def integrate_plane(g, rule: tuple | None = None) -> float | complex:
     if rule is None:
         rule = default_plane_rule()
     return integrate(rule, g(grid(rule)))
+
+
+def segments_abs_integral(phi, c, edges) -> float:
+    """sum_k 2pi int_{edges[k]}^{edges[k+1]} |phi(r) - c[k]| r dr by 16-node
+    Gauss-Legendre on each segment, phi smooth and monotone on each.
+
+    A segment whose ends give phi - c opposite signs is first cut at its
+    crossing, found by 100 rounds of bisection, so every piece integrated is
+    smooth and of one sign; the rule is exact on polynomial profile pieces.
+    """
+    edges = np.asarray(edges, dtype=float)
+    c = np.broadcast_to(np.asarray(c, dtype=float), (edges.size - 1,))
+    lo, hi = edges[:-1], edges[1:]
+    g = phi(edges)
+    g_lo, g_hi = g[:-1] - c, g[1:] - c
+    cross = np.flatnonzero(np.sign(g_lo) * np.sign(g_hi) < 0.0)
+    a, b = lo[cross].copy(), hi[cross].copy()
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        left = np.sign(phi(mid) - c[cross]) == np.sign(g_lo[cross])
+        a, b = np.where(left, mid, a), np.where(left, b, mid)
+    root = 0.5 * (a + b)
+    lo = np.concatenate([lo, root])
+    hi = np.concatenate([hi, hi[cross]])
+    hi[cross] = root
+    c = np.concatenate([c, c[cross]])
+
+    x, w = gauss_legendre(16, -1.0, 1.0)
+    half = 0.5 * (hi - lo)
+    nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * x[None, :]
+    vals = np.abs(phi(nodes) - c[:, None]) * nodes
+    return TWO_PI * float(np.dot(half, vals @ w))
+
+
+def seeded_radials():
+    """The gaussian, 40 seeded tables (knots 0 and four steps of 0.2-0.6,
+    values in [-1, 1]) and 40 seeded annuli."""
+    rng = np.random.default_rng(2024)
+    tables = []
+    for _ in range(40):
+        radii = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 0.6, size=4))])
+        tables.append(RadialSymbol.table(radii, rng.uniform(-1.0, 1.0, size=radii.size)))
+    annuli = []
+    for _ in range(40):
+        r_in = float(rng.uniform(0.0, 1.0))
+        annuli.append(RadialSymbol.annulus(r_in, r_in + float(rng.uniform(0.3, 1.2)),
+                                           float(rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.0))))
+    return [RadialSymbol.gaussian()] + tables + annuli

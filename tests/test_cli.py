@@ -427,6 +427,33 @@ class TestRejections:
         assert res.returncode == 2
         assert "truncaton" in res.stderr
 
+    # A JSON integer of 5,001 digits: json.load raises a plain ValueError past
+    # Python's integer string-conversion limit (4,300 digits), not a
+    # JSONDecodeError, and it once escaped as "error: Exceeds the limit ...",
+    # naming neither the file nor the key.
+    _HUGE = "1" + "0" * 5000
+
+    def _expect_unreadable(self, res, what, path):
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr and "=" not in res.stdout
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert res.stderr.startswith(f"error: cannot read {what} {path}: Exceeds the limit")
+        else:  # no digit limit: the number reads, and is too large for a float
+            assert str(path) in res.stderr
+
+    def test_symbol_integer_past_digit_limit(self, run_cli, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"radial": {"profile": "disc", "radius": %s}}' % self._HUGE)
+        res = run_cli("bound", "--symbol", str(path), "--output-dir", str(tmp_path / "out"))
+        self._expect_unreadable(res, "symbol file", path)
+
+    def test_config_integer_past_digit_limit(self, run_cli, tmp_path, gaussian_symbol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"symbol": %s, "truncation": %s}' % (json.dumps(str(gaussian_symbol)),
+                                                           self._HUGE))
+        res = run_cli("norm", "--config", str(cfg))
+        self._expect_unreadable(res, "config", cfg)
+
     @pytest.mark.parametrize("truncation", ["12", "25"])
     @pytest.mark.parametrize("command", ["verify-nt", "verify-lemma"])
     def test_truncation_below_suite_minimum(self, run_cli, tmp_path, command, truncation):

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from focklab import (
     radial_assemble,
 )
 from focklab.regions import region_to_json
-from plane_oracles import grid
+from plane_oracles import grid, seeded_radials, segments_abs_integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -477,17 +479,88 @@ def _radial_estimate_reference(sym, radial_cells):
     return total + sym.tail_l1_beyond(sym.support_radius)
 
 
-def _spy_crossings(monkeypatch):
-    """Record the brackets (lo, hi) handed to the crossing solver."""
-    brackets = []
-    solve = symbols._false_position
+# pi to 50 digits, for the exact references below
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
 
-    def spy(phi, c, a, b, ga, gb):
-        brackets.extend(zip(a.tolist(), b.tolist()))
-        return solve(phi, c, a, b, ga, gb)
 
-    monkeypatch.setattr(symbols, "_false_position", spy)
-    return brackets
+def _segments(sym, radial_cells):
+    """(edges, c): discretize's segments of a radial symbol, built apart from
+    discretize's own interleaving: the cell edges, breakpoints and centre
+    radii merged by np.unique, each segment given the value of the cell
+    holding its middle."""
+    t = np.linspace(0.0, math.pi * sym.support_radius**2, radial_cells + 1)
+    radii = np.sqrt(t / math.pi)
+    radii[-1] = sym.support_radius
+    r_mid = np.sqrt(0.5 * (t[:-1] + t[1:]) / math.pi)
+    edges = np.unique(np.concatenate([radii, sym.breakpoints, r_mid]))
+    cell = np.searchsorted(radii, 0.5 * (edges[:-1] + edges[1:]), side="right") - 1
+    return edges, sym.profile(r_mid)[cell]
+
+
+def _exact_abs_mass(sym, edges, c) -> float:
+    """sum_k 2pi int |phi - c_k| r dr over the segments, in fractions, for a
+    disc, annulus or table: each term is rational in the float edges, cell
+    values and (for a table) the profile's float values at the edges, which
+    a table's line interpolates; a line whose ends differ in sign is split
+    at its exact root."""
+    c = np.broadcast_to(c, (edges.size - 1,))
+    phi = sym.profile(edges)
+    total = Fraction(0)
+    for k in range(edges.size - 1):
+        lo, hi, ck = Fraction(edges[k]), Fraction(edges[k + 1]), Fraction(c[k])
+        if sym.kind != "table":
+            r_inner, r_outer = (Fraction(r) for r in sym.radii)
+            v = Fraction(sym.values[0]) if r_inner <= lo and hi <= r_outer else 0
+            total += abs(v - ck) * (hi - lo) * (hi + lo)
+            continue
+        g_lo, g_hi = Fraction(phi[k]) - ck, Fraction(phi[k + 1]) - ck
+        pieces = [(lo, hi, g_lo, g_hi)]
+        if g_lo * g_hi < 0:
+            x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            pieces = [(lo, x, g_lo, 0), (x, hi, 0, g_hi)]
+        for a, b, ga, gb in pieces:
+            total += (b - a) * (abs(ga) * (2 * a + b) + abs(gb) * (a + 2 * b)) / 3
+    return float(total * Fraction(_PI))
+
+
+def _gaussian_abs_mass(edges, c) -> float:
+    """sum_k 2pi int |e^{-r^2} - c_k| r dr over the segments plus the tail
+    pi e^{-R^2}, with 40 significant digits (decimal): e^{-r^2} - c_k has one
+    sign on every segment, so each term is pi |e^{-lo^2} - e^{-hi^2} -
+    c_k (hi^2 - lo^2)|."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = [Decimal(x) for x in edges.tolist()]
+        e = [(-(x * x)).exp() for x in r]
+        total = sum(abs(e[k] - e[k + 1] - Decimal(ck) * (r[k + 1] ** 2 - r[k] ** 2))
+                    for k, ck in enumerate(c.tolist()))
+        return float(_PI * (total + e[-1]))
+
+
+def _spy_splits(monkeypatch):
+    """Record each segment that _split_at_zeros cuts, as (lo, hi, g_lo,
+    g_hi, root)."""
+    cuts = []
+    split = symbols._split_at_zeros
+
+    def spy(lo, hi, g_lo, g_hi):
+        out = split(lo, hi, g_lo, g_hi)
+        turn = np.sign(g_lo) * np.sign(g_hi) < 0.0
+        cuts.extend(zip(lo[turn].tolist(), hi[turn].tolist(), g_lo[turn].tolist(),
+                        g_hi[turn].tolist(), out[0][lo.size:].tolist()))
+        return out
+
+    monkeypatch.setattr(symbols, "_split_at_zeros", spy)
+    return cuts
+
+
+def _turning_knots(sym) -> set:
+    """The interior knots of a table where its slope changes sign."""
+    slopes = np.sign(np.diff(sym.values))
+    return set(sym.radii[1:-1][slopes[:-1] * slopes[1:] < 0.0].tolist())
+
+
+_TABLES = [_EDGE_TABLE] + [sym for sym in seeded_radials() if sym.kind == "table"]
 
 
 class TestDiscretize:
@@ -558,49 +631,110 @@ class TestDiscretize:
         assert grid.radii[-1] == _EDGE_TABLE.support_radius
         assert math.isclose(est, _radial_estimate_reference(_EDGE_TABLE, 16), rel_tol=1e-13)
 
-    @pytest.mark.parametrize("cells", [16, 64, 256, 1024, 4096])
-    def test_gaussian_needs_no_crossing_solver(self, monkeypatch, cells):
-        # every cell is cut at its centre radius, the gaussian's only
-        # crossing of its cell value
-        brackets = _spy_crossings(monkeypatch)
-        discretize(RadialSymbol.gaussian(), cells)
-        assert brackets == []
+    def test_table_splits_only_beside_turning_knots(self, monkeypatch):
+        # each cell is cut at its centre radius, where phi - c = 0, so on a
+        # line g changes sign only past a knot where the profile turns
+        cuts = _spy_splits(monkeypatch)
+        for sym in _TABLES:
+            turning = _turning_knots(sym)
+            cuts.clear()
+            for cells in (16, 64, 256, 1024, 4096):
+                discretize(sym, cells)
+            assert all(lo in turning or hi in turning for lo, hi, *_ in cuts)
+            assert cuts or sym is not _EDGE_TABLE
 
-    def test_table_crossings_only_at_knots(self, monkeypatch):
-        brackets = _spy_crossings(monkeypatch)
-        knots = set(_EDGE_RADII)
-        for cells in (16, 64, 256, 1024, 4096):
-            discretize(_EDGE_TABLE, cells)
-        assert brackets
-        assert all(lo in knots or hi in knots for lo, hi in brackets)
+    def test_split_roots_on_the_linear_zero(self, monkeypatch):
+        # the root of the line through (lo, g_lo) and (hi, g_hi), to within
+        # rounding: at most one ulp from the exact rational root
+        cuts = _spy_splits(monkeypatch)
+        for sym in _TABLES:
+            for cells in (16, 256, 4096):
+                discretize(sym, cells)
+        assert len(cuts) > 100
+        for lo, hi, g_lo, g_hi, root in cuts:
+            lo, hi, g_lo, g_hi = (Fraction(v) for v in (lo, hi, g_lo, g_hi))
+            exact = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            assert lo < exact < hi
+            assert abs(Fraction(root) - exact) <= Fraction(float(np.spacing(root)))
 
-    @pytest.mark.parametrize("cells", [12, 45, 256])
-    def test_nonlinear_turn_inside_cell(self, cells):
-        # exp(-(r - 0.7)^2) on r <= 2, cut into cells uniform in t: at these
-        # counts the cell holding the peak 0.7 has its centre on one side
-        # and the mirror crossing of its value on the other, so the bracket
-        # from the peak to that cell's edge is monotone but not linear, and
-        # the Illinois loop needs more than one round
-        calls = []
+    @pytest.mark.parametrize("cells", [1, 16, 64, 256, 1024, 4096])
+    def test_gaussian_and_annuli_never_split(self, monkeypatch, cells):
+        # the gaussian is monotone and cut at each centre radius, so phi - c
+        # keeps one sign on every segment; an annulus is constant on each
+        cuts = _spy_splits(monkeypatch)
+        seen = []
+        mass = symbols._abs_mass
 
-        def bump(r):
-            calls.append(np.size(r))
-            return np.exp(-((r - 0.7) ** 2))
+        def record(sym, edges, c):
+            seen.append((edges, c))
+            return mass(sym, edges, c)
 
-        t = np.linspace(0.0, 4.0 * math.pi, cells + 1)
-        radii = np.sqrt(t / math.pi)
-        j = int(np.searchsorted(radii, 0.7)) - 1
-        r_mid = math.sqrt(0.5 * (t[j] + t[j + 1]) / math.pi)
-        c = float(bump(r_mid))
-        lo, hi = (0.7, radii[j + 1]) if r_mid < 0.7 else (radii[j], 0.7)
-        cross = 1.4 - r_mid
-        assert lo < cross < hi
-        calls.clear()
-        root = symbols._false_position(
-            bump, np.array([c]), np.array([lo]), np.array([hi]),
-            np.array([float(bump(lo)) - c]), np.array([float(bump(hi)) - c]))
-        assert len(calls) > 1
-        assert math.isclose(root[0], cross, rel_tol=1e-12)
+        monkeypatch.setattr(symbols, "_abs_mass", record)
+        for sym in seeded_radials() + [RadialSymbol.disc(0.8), RadialSymbol.disc(1.5, -2.0)]:
+            if sym.kind == "table":
+                continue
+            seen.clear()
+            discretize(sym, cells)
+            (edges, c), = seen
+            lo, hi = edges[:-1], edges[1:]
+            if sym.kind == "gaussian":
+                g_lo, g_hi = sym.profile(lo) - c, sym.profile(hi) - c
+                assert not np.any(np.sign(g_lo) * np.sign(g_hi) < 0.0)
+            else:
+                wide = hi > lo
+                inside = sym.profile(np.nextafter(lo, hi)[wide])
+                assert np.array_equal(inside, sym.profile(np.nextafter(hi, lo)[wide]))
+        assert cuts == []
+
+    @pytest.mark.parametrize("cells", [1, 16, 256, 4096])
+    def test_estimate_matches_gauss_legendre_oracle(self, cells):
+        # the 16-node Gauss-Legendre segment sum that discretize once used,
+        # for the 81 seeded profiles
+        for sym in seeded_radials():
+            edges, c = _segments(sym, cells)
+            ref = segments_abs_integral(sym.profile, c, edges)
+            _, est = discretize(sym, cells)
+            assert math.isclose(est, ref + sym.tail_l1_beyond(sym.support_radius),
+                                rel_tol=1e-13)
+
+    @pytest.mark.parametrize("cells", [1, 16, 256, 4096])
+    def test_estimate_matches_exact_fractions(self, cells):
+        profiles = [sym for sym in seeded_radials() + _BUILTINS if sym.kind != "gaussian"]
+        if cells == 4096:
+            profiles = profiles[::8]
+        for sym in profiles:
+            _, est = discretize(sym, cells)
+            ref = _exact_abs_mass(sym, *_segments(sym, cells))
+            assert abs(est - ref) <= 1e-15 * ref
+
+    def test_gaussian_estimate_matches_decimal(self):
+        sym = RadialSymbol.gaussian()
+        for cells in (1, 2, 7, 16, 256, 1024, 4096):
+            _, est = discretize(sym, cells)
+            assert math.isclose(est, _gaussian_abs_mass(*_segments(sym, cells)), rel_tol=1e-14)
+
+    def test_l1_norm_in_closed_form(self):
+        # once a 64-node Gauss-Legendre sum per panel, 2 ulps high on the
+        # gaussian
+        assert RadialSymbol.gaussian().l1_norm() == math.pi
+        for sym in _TABLES + _BUILTINS:
+            if sym.kind != "gaussian":
+                edges = np.array([0.0, *sym.breakpoints, sym.support_radius])
+                ref = _exact_abs_mass(sym, edges, 0.0)
+                assert abs(sym.l1_norm() - ref) <= 1e-15 * ref
+
+    def test_no_quadrature(self, monkeypatch):
+        # l1_norm and discretize take no Gauss-Legendre rule, so unlike
+        # radial_assemble they make no LAPACK call through numpy's leggauss
+        def refuse(*args):
+            raise AssertionError("Gauss-Legendre rule built")
+
+        monkeypatch.setattr(symbols, "gauss_legendre", refuse)
+        for sym in _BUILTINS:
+            sym.l1_norm()
+            discretize(sym, 64)
+        with pytest.raises(AssertionError, match="Gauss-Legendre"):
+            radial_assemble(_EDGE_TABLE, 8)
 
     def test_sampled_estimate_conservative(self):
         sym = _smooth_sampled()

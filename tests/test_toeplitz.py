@@ -39,7 +39,7 @@ from focklab import toeplitz, tridiagonal
 from focklab.fock import weighted_basis_matrix
 from focklab.quadrature import gauss_legendre
 from focklab.symbols import discretize
-from plane_oracles import eval_weighted, grid, radii, weights
+from plane_oracles import eval_weighted, grid, radii, seeded_radials, weights
 
 TWO_PI = 2.0 * math.pi
 
@@ -1135,22 +1135,6 @@ class TestSpectra:
         assert abs(abs(v[0]) - 1.0) < 1e-10
 
 
-def _seeded_radials():
-    """The gaussian, 40 seeded tables (knots 0 and four steps of 0.2-0.6,
-    values in [-1, 1]) and 40 seeded annuli."""
-    rng = np.random.default_rng(2024)
-    tables = []
-    for _ in range(40):
-        radii = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 0.6, size=4))])
-        tables.append(RadialSymbol.table(radii, rng.uniform(-1.0, 1.0, size=radii.size)))
-    annuli = []
-    for _ in range(40):
-        r_in = float(rng.uniform(0.0, 1.0))
-        annuli.append(RadialSymbol.annulus(r_in, r_in + float(rng.uniform(0.3, 1.2)),
-                                           float(rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.0))))
-    return [RadialSymbol.gaussian()] + tables + annuli
-
-
 _DIAGONAL_SIZES = (1, 7, 32, 48, 120)
 
 
@@ -1164,13 +1148,13 @@ class TestDiagonalNorm:
 
     @pytest.mark.parametrize("n", _DIAGONAL_SIZES)
     def test_radial_sections(self, n):
-        for symbol in _seeded_radials():
+        for symbol in seeded_radials():
             a = radial_assemble(symbol, n)
             assert operator_norm(a) == _lapack_norm(a.data)
 
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_ring_grids(self, m):
-        for symbol in _seeded_radials():
+        for symbol in seeded_radials():
             grid, _ = discretize(symbol, m * m, 1)
             for n in _DIAGONAL_SIZES:
                 a = assemble(grid, n)
@@ -1233,7 +1217,7 @@ class TestRingDiagonal:
 
     @pytest.mark.parametrize("rings", [1, 16, 256, 4096])
     def test_ring_grids_against_gammainc(self, rings):
-        for symbol in _seeded_radials():
+        for symbol in seeded_radials():
             grid, _ = discretize(symbol, rings, 1)
             ref = _ring_reference(grid.radii, grid.values[:, 0], 120)
             for n in (1, 17, 48, 120):
