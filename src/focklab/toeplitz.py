@@ -10,7 +10,8 @@ and mask from _gather_tables, built once per size), full annuli and
 centered discs into one diagonal (_ring_diagonal: one table of Poisson
 weights, one matrix-vector product and one prefix sum). A section made of
 rings alone, like a radial one, stays a diagonal: a HermitianMatrix built
-by _of_diagonal, checked in O(N), that keeps it beside the dense data.
+by _of_diagonal, checked in O(N), that keeps only it and builds the dense
+data when that is first read.
 _piece_compression builds only the parts its (region, coefficient) pieces
 have: each off-center disc D(c, r) as the Weyl translate
 W_c T_{1_D(0, r)} W_c^* of the centered disc, in real
@@ -27,7 +28,11 @@ rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() reads a kept diagonal d's norm off as max |d|, exactly
 and in O(N), and takes every other matrix's largest eigenvalue modulus from
-LAPACK (numpy.linalg.eigvalsh); method="jacobi" uses
+LAPACK (numpy.linalg.eigvalsh, through _eigvalsh, which solves again at a
+power-of-two scale where LAPACK would rescale by another factor).
+top_eigenpair() takes that eigenvalue and its eigenvector, by inverse
+iteration (numpy.linalg.solve), so no code here calls numpy.linalg.eigh.
+method="jacobi" uses
 the solver of jacobi_eigenvalues instead, which makes no LAPACK call, and
 neither does any assembly but a compact radial profile's, whose
 Gauss-Legendre panels come from numpy's leggauss (one eigvalsh call per
@@ -74,12 +79,16 @@ class HermitianMatrix:
     construction: finite entries with max |A - A^H| <= 1e-10 max |A_ij|, a
     test relative to the largest entry so that it holds at every scale, are
     stored, read-only, as (A + A^H) / 2; anything else raises ValueError.
+    The check makes one pass for max |A_ij|, which is NaN or inf exactly
+    when an entry is not finite, and builds A^H once, contiguous, for both
+    the defect and the average.
 
     A section that assembly builds as a diagonal (_of_diagonal: radial
     sections, ring grids, centered discs and full annuli) is checked in O(N)
-    instead and keeps that diagonal, so operator_norm reads its norm off it,
-    exactly and in O(N); data is still the dense matrix. A dense array
-    passed to the constructor keeps no diagonal, even a diagonal one."""
+    instead and keeps only that diagonal, so operator_norm reads its norm off
+    it, exactly and in O(N); data, the dense diag(d), is built on its first
+    read. A dense array passed to the constructor keeps no diagonal, even a
+    diagonal one."""
 
     data: np.ndarray
     # the real diagonal d of data = diag(d), recorded by _of_diagonal
@@ -89,22 +98,34 @@ class HermitianMatrix:
         a = np.asarray(self.data, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("matrix data must be square and nonempty")
-        # a NaN defect would pass the Hermitian test below
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        defect = float(np.max(np.abs(a - a.conj().T)))
         largest = float(np.max(np.abs(a)))
+        # a NaN defect would pass the Hermitian test below
+        if not math.isfinite(largest):
+            raise ValueError("matrix entries must be finite")
+        adjoint = np.conjugate(a.T, order="C")
+        defect = float(np.max(np.abs(a - adjoint)))
         if defect > 1e-10 * largest:
             raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} exceeds "
                              f"1e-10 times the largest entry {largest:.3e})")
-        h = 0.5 * (a + a.conj().T)
+        h = np.add(a, adjoint, out=adjoint)
+        h *= 0.5
         h.setflags(write=False)
         object.__setattr__(self, "data", h)
+
+    def __getattr__(self, name):
+        # reached only for attributes not yet set: a diagonal section's data
+        if name != "data" or self._diagonal is None:
+            raise AttributeError(name)
+        data = np.diag(self._diagonal.astype(np.complex128))
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
+        return data
 
     @classmethod
     def _of_diagonal(cls, d) -> "HermitianMatrix":
         """diag(d) for a real, finite, nonempty 1-d d, with d recorded: the
-        checks and the record are O(N), and the data holds d's bits."""
+        checks and the record are O(N), and the data, built when first read,
+        holds d's bits."""
         d = np.array(d)
         if d.ndim != 1 or d.shape[0] < 1:
             raise ValueError("a diagonal must be 1-d and nonempty")
@@ -113,17 +134,14 @@ class HermitianMatrix:
         d = d.astype(np.float64, copy=False)
         if not np.all(np.isfinite(d)):
             raise ValueError("matrix entries must be finite")
-        data = np.diag(d.astype(np.complex128))
-        for table in (d, data):
-            table.setflags(write=False)
+        d.setflags(write=False)
         matrix = cls.__new__(cls)
-        object.__setattr__(matrix, "data", data)
         object.__setattr__(matrix, "_diagonal", d)
         return matrix
 
     @property
     def dimension(self) -> int:
-        return self.data.shape[0]
+        return len(self._diagonal) if self._diagonal is not None else self.data.shape[0]
 
     def to_json(self) -> str:
         entries = [[z.real, z.imag] for z in self.data.reshape(-1)]
@@ -486,12 +504,70 @@ def _hermitian(matrix) -> HermitianMatrix:
     return matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
 
 
+def _scaled(data: np.ndarray):
+    """(2^shift data, shift) for the power of two that brings the largest
+    real or imaginary part of the complex data into [1/2, 1), exactly."""
+    parts = data.view(np.float64)
+    shift = -math.frexp(float(np.max(np.abs(parts))))[1]
+    return np.ldexp(parts, shift).view(np.complex128), shift
+
+
+def _eigvalsh(h: HermitianMatrix):
+    """(eigs, a, shift): eigs = numpy.linalg.eigvalsh(a), ascending, for a =
+    2^shift h.data, so that 2^-shift eigs are h's eigenvalues.
+
+    zheevd scales a matrix whose largest entry lies outside [2^-485, 2^485],
+    and the dsterf it calls a tridiagonal block whose largest entry lies
+    below 2^-405, by factors that are not powers of two, which can move the
+    last bit. The largest |eigenvalue| nu bounds both: A's largest entry lies
+    in [nu / N, nu], and that of nu's block in [nu / 3, nu]. So where
+    max(3 2^-405, N 2^-485) <= nu <= 2^485 (or nu = 0), neither scales,
+    shift is 0 and a is h.data, with no pass beyond eigvalsh; elsewhere
+    eigvalsh runs again on A scaled by the power of two of _scaled, which no
+    LAPACK routine scales further."""
+    a = h.data
+    eigs = np.linalg.eigvalsh(a)
+    nu = float(np.max(np.abs(eigs)))
+    if nu == 0.0 or max(3.0 * 2.0**-405, len(eigs) * 2.0**-485) <= nu <= 2.0**485:
+        return eigs, a, 0
+    a, shift = _scaled(a)
+    return np.linalg.eigvalsh(a), a, shift
+
+
+# top_eigenpair starts from the chirp e^{i _CHIRP m^2}. A constant start
+# vector holds so little of some sector sections' top eigenvectors that one
+# solve leaves residuals up to 1e-11 |lambda|, and half of them need two
+_CHIRP = math.pi * (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def top_eigenpair(matrix):
-    """(lambda, v) for the eigenvalue of largest magnitude, from LAPACK eigh;
-    v has unit norm."""
-    eigs, vecs = np.linalg.eigh(_hermitian(matrix).data)
-    i = int(np.argmax(np.abs(eigs)))
-    return float(eigs[i]), vecs[:, i]
+    """(lambda, v) for the eigenvalue of largest magnitude, v of unit norm.
+
+    lambda is the eigenvalue whose modulus operator_norm reports, bit for
+    bit: the first of largest modulus in _eigvalsh's ascending list, so of
+    an exact +-lambda tie the negative end. v comes from inverse iteration
+    on the matrix _eigvalsh solved: solves of (A - sigma I) v = v, each
+    normalized, from the chirp v_m = e^{i _CHIRP m^2}, with sigma = lambda +
+    delta just above lambda, delta = 2^-52 |lambda| (2^-52 for the zero
+    matrix). The solves stop once ||A v - lambda v|| <= 2^-46 |lambda|:
+    after one on most sections, a second where the chirp has little of v,
+    and at most three. A sigma that is exactly an eigenvalue, so that
+    numpy.linalg.solve raises, moves to lambda - delta."""
+    eigs, a, shift = _eigvalsh(_hermitian(matrix))
+    lam = float(eigs[np.argmax(np.abs(eigs))])
+    delta = math.ldexp(abs(lam) or 1.0, -52)
+    sigma, eye = lam + delta, np.eye(a.shape[0])
+    v = np.exp(1j * _CHIRP * np.arange(a.shape[0]) ** 2)
+    for _ in range(3):
+        try:
+            v = np.linalg.solve(a - sigma * eye, v)
+        except np.linalg.LinAlgError:  # sigma is exactly an eigenvalue of a
+            sigma = lam - delta
+            v = np.linalg.solve(a - sigma * eye, v)
+        v /= np.linalg.norm(v)
+        if np.linalg.norm(a @ v - lam * v) <= 2.0**-46 * abs(lam):
+            break
+    return math.ldexp(lam, -shift), v
 
 
 def _tridiagonal(a: np.ndarray):
@@ -538,9 +614,7 @@ def _lead_block(matrix):
     lead block, the smallest leading k x k block whose dropped couplings have
     2 sum_{j >= k-1} e_j^2 <= (1e-14 ||A||_F)^2. The eigenvalues of A are
     2^-shift times those of the lead block and the tail entries d[k:]."""
-    parts = _hermitian(matrix).data.view(np.float64)
-    shift = -math.frexp(float(np.max(np.abs(parts))))[1]
-    a = np.ldexp(parts, shift).view(np.complex128)
+    a, shift = _scaled(_hermitian(matrix).data)
     d, e = _tridiagonal(a)
     # tails[k - 1] = 2 sum_{j >= k-1} e_j^2 for the lead sizes k = 1 .. N
     tails = np.append(np.cumsum(2.0 * e[::-1] ** 2)[::-1], 0.0)
@@ -591,11 +665,11 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
     a diagonal d (HermitianMatrix._of_diagonal) is its own spectrum, so its
     norm is max |d|, exactly and in O(N), with no solver call. Every other
     matrix, a dense diagonal passed in included, goes to LAPACK
-    (numpy.linalg.eigvalsh). On a diagonal zheevd makes no reflection and
-    dsterf splits it into 1 x 1 blocks, so the two routes agree bit for bit
-    wherever zheevd does not rescale, that is where the largest |d| lies in
-    [2^-485, 2^485]; outside it zheevd scales by a factor that is not a
-    power of two and can move the last bit, and max |d| stays exact.
+    (numpy.linalg.eigvalsh) through _eigvalsh, which keeps the norm exact
+    under power-of-two scaling: where LAPACK would rescale by a factor that
+    is not a power of two, it solves A scaled by one instead. On a diagonal
+    zheevd makes no reflection and dsterf splits it into 1 x 1 blocks, so
+    the two routes agree bit for bit at every scale.
     "jacobi" uses the solver of jacobi_eigenvalues, which makes no LAPACK
     call, but bisects only the two extreme brackets of its lead block: the
     norm is max(-lambda_min, lambda_max), equal to max |jacobi_eigenvalues|.
@@ -609,7 +683,8 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
     if method == "auto":
         if h._diagonal is not None:
             return float(np.max(np.abs(h._diagonal)))
-        return float(np.max(np.abs(np.linalg.eigvalsh(h.data))))
+        eigs, _, shift = _eigvalsh(h)
+        return math.ldexp(float(np.max(np.abs(eigs))), -shift)
     if method == "jacobi":
         lo, hi = _extreme_eigenvalues(h)
         return max(abs(lo), abs(hi))

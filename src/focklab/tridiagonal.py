@@ -33,18 +33,39 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     pivots, _POINTS rows of a call that multisects every bracket (_POINTS
     points in each of len(d) brackets), so memory grows linearly with len(d);
     the 2 x _POINTS points of a call on the two extreme brackets fit in one
-    block."""
+    block. A block is first formed with no guard, one subtraction per row,
+    and only a block that holds an exact zero pivot (-0.0 included) is
+    formed again from its incoming pivots by _guarded_block. A block with
+    no zero pivot divided by none, so both passes give it the same pivots."""
     count = 0
     height = max(1, _POINTS**2 * len(d) // len(x))
     e2, prev = [0.0] + e2.tolist(), 1.0  # row 0 subtracts 0 / 1
     for start in range(0, len(d), height):
-        block = np.subtract.outer(d[start:start + height], x)
-        for row, e2_i in zip(block, e2[start:]):
-            row -= e2_i / prev
-            row[row == 0.0] = -2.0**-900
-            prev = row
+        rows, couplings, incoming = d[start:start + height], e2[start:start + height], prev
+        block = np.subtract.outer(rows, x)
+        # a zero pivot's successors are +-inf or nan here, and are formed again
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for row, e2_i in zip(block, couplings):
+                row -= e2_i / prev
+                prev = row
+        if not block.all():
+            block = _guarded_block(rows, couplings, x, incoming)
+            prev = block[-1]
         count += (block < 0.0).sum(axis=0)
     return count
+
+
+def _guarded_block(rows: np.ndarray, couplings, x: np.ndarray, prev) -> np.ndarray:
+    """One block of _sturm_counts' pivots, each exact zero pivot replaced by
+    -2^-900 before the next row divides by it: rows are the block's
+    diagonal entries, couplings their squared couplings to the row above,
+    and prev the pivots of the row above the block."""
+    block = np.subtract.outer(rows, x)
+    for row, e2_i in zip(block, couplings):
+        row -= e2_i / prev
+        row[row == 0.0] = -2.0**-900
+        prev = row
+    return block
 
 
 def _multisection(d: np.ndarray, e: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from focklab import SimpleSymbol, Disc, assemble, cli, operator_norm
+from focklab import Disc, HermitianMatrix, RadialSymbol, SimpleSymbol, assemble, cli, operator_norm
 
 ONE_MINUS_EXP_NEG_ONE = 0.6321205588285577
 ONE_MINUS_EXP_NEG_PI = 0.9567860817362276
@@ -87,6 +87,27 @@ class TestAssemble:
         im = np.loadtxt(out / "mat_imag.csv", delimiter=",")
         lib = assemble(SimpleSymbol(((Disc(0.0, 1.0), 1.0),)), 6)
         assert np.array_equal(re + 1j * im, lib.data)
+
+    def test_diagonal_section_writes_dense_bytes(self, run_cli, tmp_path, disc_symbol,
+                                                 gaussian_symbol):
+        # a centred disc and the gaussian keep only their diagonal; the
+        # JSON and CSV files hold the bytes of the dense diag(d)
+        out = tmp_path / "out"
+        for path, symbol in ((disc_symbol, SimpleSymbol(((Disc(0.0, 1.0), 1.0),))),
+                             (gaussian_symbol, RadialSymbol.gaussian())):
+            kept = assemble(symbol, 7)
+            dense = HermitianMatrix(np.diag(kept._diagonal.astype(complex)))
+            res = run_cli("assemble", "--symbol", str(path), "--truncation", "7",
+                          "--output", "mat", "--output-dir", str(out))
+            assert res.returncode == 0, res.stderr
+            assert (out / "mat.json").read_text() == dense.to_json() + "\n"
+            res = run_cli("assemble", "--symbol", str(path), "--truncation", "7",
+                          "--format", "csv", "--output", "mat", "--output-dir", str(out))
+            assert res.returncode == 0, res.stderr
+            dense.write_csv(tmp_path / "re.csv", tmp_path / "im.csv")
+            for part in ("real", "imag"):
+                written = (out / f"mat_{part}.csv").read_bytes()
+                assert written == (tmp_path / f"{part[:2]}.csv").read_bytes()
 
     def test_output_accepts_filename_with_extension(self, run_cli, tmp_path, disc_symbol):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1073,7 +1074,8 @@ class TestSpectra:
         def lapack(*args, **kwargs):
             raise AssertionError("LAPACK was called")
 
-        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr"):
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "solve", "inv",
+                     "cholesky", "lstsq", "det", "slogdet"):
             monkeypatch.setattr(np.linalg, name, lapack)
         for name in ("eigh", "eigh_tridiagonal", "eigvalsh_tridiagonal"):
             monkeypatch.setattr(scipy.linalg, name, lapack)
@@ -1170,13 +1172,32 @@ class TestDiagonalNorm:
 
     @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-146, 1.0, 1e146, 1e300])
     def test_scaled_random_diagonals(self, scale):
-        # 1e+-146 lie just inside the range LAPACK leaves unscaled, 1e+-300
-        # outside it
+        # a dense diagonal reads max |d| exactly at every scale: with
+        # eigvalsh's bits at 0 and 1, and at 1e+-146, about the edges of the
+        # range LAPACK leaves unscaled, and 1e+-300, outside it, through the
+        # power-of-two rescaling that keeps them
         rng = np.random.default_rng(17)
         for n in _DIAGONAL_SIZES:
             for _ in range(20):
                 a = np.diag(rng.uniform(-1.0, 1.0, size=n) * scale).astype(complex)
-                assert operator_norm(a) == _lapack_norm(a)
+                assert operator_norm(a) == float(np.max(np.abs(np.diag(a))))
+                if scale in (0.0, 1.0):
+                    assert operator_norm(a) == _lapack_norm(a)
+
+    def test_dense_norm_exact_under_power_of_two_scaling(self):
+        # eigvalsh alone read 2^600 A as 4.0 * 2^600, where A reads
+        # 3.9999999999999982; inside LAPACK's unscaled range the bits are
+        # eigvalsh's, and 2^k A reads 2^k times A's norm at every k here
+        def times(m, k):  # 2^k m, exactly
+            return np.ldexp(m.view(np.float64), k).view(complex)
+
+        a = np.array([[1.0, 2.0 + 1.0j], [2.0 - 1.0j, -3.0]])
+        assert operator_norm(a) == _lapack_norm(a) == 3.9999999999999982
+        assert operator_norm(times(a, 600)) == 2.0**600 * operator_norm(a)
+        for m in (a, _random_hermitian(np.random.default_rng(29), 30)):
+            norm = operator_norm(m)
+            for k in range(-900, 901, 20):
+                assert operator_norm(times(m, k)) == math.ldexp(norm, k)
 
     def test_diagonal_makes_no_solver_call(self, monkeypatch):
         calls = []
@@ -1198,9 +1219,12 @@ class TestDiagonalNorm:
         a[3, 5] = a[5, 3] = 1e-300
         assert operator_norm(a) == expect
         assert calls == [(32, 32)] * 2
+        # outside LAPACK's unscaled range a dense matrix is solved again,
+        # scaled by a power of two, and reads max |d| exactly; eigvalsh
+        # alone reads 1.9999999999999997e-300
         tiny = np.diag([1e-300, -2e-300]).astype(complex)
-        assert operator_norm(tiny) == float(np.max(np.abs(solve(tiny))))
-        assert len(calls) == 3
+        assert operator_norm(tiny) == 2e-300
+        assert len(calls) == 4
 
 
 def _ring_reference(radii, values, n):
@@ -1297,6 +1321,28 @@ class TestDiagonalSections:
                 d = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 40))) * scale
                 assert operator_norm(HermitianMatrix._of_diagonal(d)) == np.max(np.abs(d))
         assert calls == []
+
+    def test_data_is_built_on_first_read(self):
+        # a kept diagonal stores d alone; data, built when first read, is
+        # the read-only diag(d) with d's bits, and later reads return it
+        a = assemble(SimpleSymbol(((Disc(0.0, 0.8), 1.5),)), 48)
+        assert a.dimension == 48 and "data" not in vars(a)
+        assert operator_norm(a) == float(np.max(np.abs(a._diagonal)))
+        assert "data" not in vars(a)
+        data = a.data
+        assert a.data is data and not data.flags.writeable
+        assert np.array_equal(data, np.diag(a._diagonal.astype(complex)))
+
+    def test_large_gaussian_norm_builds_no_dense_data(self):
+        # the dense 4096 x 4096 data would take 256 MiB
+        tracemalloc.start()
+        try:
+            norm = operator_norm(radial_assemble(RadialSymbol.gaussian(), 4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert norm == math.pi / (math.pi + 1.0)
 
     def test_diagonal_validation(self):
         for bad in ([], [[1.0]], [1.0, math.nan], [1.0, math.inf], [1.0 + 1e-3j]):
@@ -1396,6 +1442,152 @@ class TestJacobiNorm:
             with np.errstate(divide="raise", invalid="raise"):
                 assert np.array_equal(tridiagonal._sturm_counts(d, e2, x),
                                          _reference_sturm_counts(d, e2, x))
+
+    @staticmethod
+    def _guarded(monkeypatch):
+        """The row counts of the blocks that tridiagonal._sturm_counts forms
+        again with the zero-pivot guard, one entry per guarded block."""
+        blocks = []
+        guarded = tridiagonal._guarded_block
+
+        def spy(rows, couplings, x, prev):
+            blocks.append(len(rows))
+            return guarded(rows, couplings, x, prev)
+
+        monkeypatch.setattr(tridiagonal, "_guarded_block", spy)
+        return blocks
+
+    @pytest.mark.parametrize("zero_row", [
+        15,  # the last row of the first block of 16
+        6,   # inside the first block
+    ])
+    def test_zero_pivot_fast_path(self, monkeypatch, zero_row):
+        # 640 points on 40 rows make blocks of 16 rows. q_{zero_row} = 1 -
+        # 1 / 1 = 0 at x = 0, and the row after it divides by that pivot:
+        # guarded, by -2^-900, it is hugely positive, unguarded -inf. Only
+        # the block that holds the zero is formed again, and after a zero
+        # on a block's last row the next block starts from the guarded pivot
+        blocks = self._guarded(monkeypatch)
+        e2 = np.zeros(39)
+        e2[zero_row - 1] = e2[zero_row] = 1.0
+        x = np.concatenate([[0.0], np.random.default_rng(47).uniform(-3.0, 3.0, 639)])
+        with np.errstate(all="raise"):
+            got = tridiagonal._sturm_counts(np.ones(40), e2, x)
+            expect = _reference_sturm_counts(np.ones(40), e2, x)
+        assert np.array_equal(got, expect)
+        assert blocks == [16]
+
+    def test_negative_zero_pivot(self, monkeypatch):
+        # d_1 - 0 = -0.0 - 0.0 = -0.0 with e2_0 = 0: a -0.0 pivot is a zero
+        # pivot, guarded like +0.0, where an unguarded one counts as
+        # non-negative and sends the next pivot to +inf
+        blocks = self._guarded(monkeypatch)
+        d, e2 = np.array([1.0, -0.0, 0.5, 2.0]), np.array([0.0, 1.0, 0.25])
+        x = np.array([0.0, -1.0, 0.3, 1.5])
+        with np.errstate(all="raise"):
+            assert np.array_equal(tridiagonal._sturm_counts(d, e2, x),
+                                  _reference_sturm_counts(d, e2, x))
+        assert blocks == [4]
+
+    def test_criterion7_norms_take_no_guarded_block(self, monkeypatch):
+        blocks = self._guarded(monkeypatch)
+        sections = _criterion7_sections()
+        assert len(sections) == 62
+        for a in sections:
+            operator_norm(a, method="jacobi")
+        assert blocks == []
+
+
+def _displaced_disc_sections():
+    """Off-centre discs at N = 60, 80 and 100, the sizes of the benchmark's
+    sharpness cases."""
+    rng = np.random.default_rng(53)
+    sections = []
+    for n in (60, 80, 100):
+        for _ in range(3):
+            disc = Disc(complex(*rng.uniform(-0.8, 0.8, 2)), float(rng.uniform(0.4, 1.2)))
+            sections.append(assemble(SimpleSymbol(((disc, 1.0),)), n).data)
+    return sections
+
+
+class TestTopEigenpair:
+    """top_eigenpair takes lambda from eigvalsh, with the bits operator_norm
+    reads, and v from inverse iteration."""
+
+    @staticmethod
+    def _solves(monkeypatch):
+        """One entry per numpy.linalg.solve call: True where it raised."""
+        calls = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                out = solve(a, b)
+            except np.linalg.LinAlgError:
+                calls.append(True)
+                raise
+            calls.append(False)
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        return calls
+
+    @staticmethod
+    def _check_pair(a, lam, v):
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        assert np.linalg.norm(a @ v - lam * v) <= 2.0**-46 * abs(lam)
+
+    def test_lambda_is_the_norm(self):
+        for a in _criterion7_sections()[:50] + _displaced_disc_sections():
+            lam, _ = top_eigenpair(a)
+            assert abs(lam) == operator_norm(a)
+
+    def test_vector_against_eigh(self, monkeypatch):
+        # eigh, here a test-local oracle, and inverse iteration find the
+        # same unit vector up to phase, in one to three solves
+        calls = self._solves(monkeypatch)
+        cases = _criterion7_sections()[:50] + _displaced_disc_sections()
+        cases += [_random_hermitian(np.random.default_rng(31), 61)]
+        for a in cases:
+            calls.clear()
+            lam, v = top_eigenpair(a)
+            assert 1 <= len(calls) <= 3 and not any(calls)
+            eigs, vecs = np.linalg.eigh(a)
+            oracle = vecs[:, int(np.argmax(np.abs(eigs)))]
+            assert abs(abs(np.vdot(oracle, v)) - 1.0) <= 1e-12
+            self._check_pair(a, lam, v)
+
+    def test_tie_returns_the_negative_end(self):
+        for a in (np.diag([2.0, 0.5, -2.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  np.array([[0.0, 1.0j], [-1.0j, 0.0]])):
+            lam, v = top_eigenpair(a)
+            assert lam == -operator_norm(a)
+            self._check_pair(a, lam, v)
+
+    def test_singular_shift(self, monkeypatch):
+        # the zero matrix and diag(0, 0, 1) are solved at a shift that is
+        # no eigenvalue; diag(-1, -(1 - 2^-52)) has lambda = -1, and its
+        # first shift -1 + 2^-52 is its other eigenvalue, so that solve
+        # raises and the shift moves to -1 - 2^-52
+        calls = self._solves(monkeypatch)
+        for a, expect, first in ((np.zeros((3, 3)), 0.0, False),
+                                 (np.diag([0.0, 0.0, 1.0]), 1.0, False),
+                                 (np.diag([-1.0, -(1.0 - 2.0**-52)]), -1.0, True)):
+            calls.clear()
+            lam, v = top_eigenpair(a)
+            assert lam == expect and calls[0] is first and not any(calls[1:])
+            self._check_pair(a, lam, v)
+
+    def test_extreme_scales(self):
+        # eigvalsh alone would rescale 2^+-600 A; top_eigenpair iterates on
+        # A scaled by a power of two, so lambda scales exactly and v stays
+        a = _random_hermitian(np.random.default_rng(37), 24)
+        lam, v = top_eigenpair(a)
+        for k in (-600, 600):
+            scaled = np.ldexp(a.view(np.float64), k).view(complex)
+            got, w = top_eigenpair(scaled)
+            assert got == math.ldexp(lam, k) == math.copysign(operator_norm(scaled), lam)
+            assert abs(abs(np.vdot(v, w)) - 1.0) <= 1e-12
 
 
 def _grid_rayleigh_radial(symbol, f):
@@ -1606,6 +1798,21 @@ class TestHermitianMatrix:
         assert not mat.data.flags.writeable
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianMatrix(np.array([[1.0, 0.5 + 3e-10j], [0.5, 2.0]]))
+
+    def test_stored_bits(self):
+        # the nudged criterion-7 sections are Hermitian only to rounding:
+        # each is stored as 0.5 (A + A^H), bit for bit, signed zeros included
+        for a in _criterion7_sections() + _displaced_disc_sections():
+            expect = 0.5 * (a + a.conj().T)
+            assert np.array_equal(HermitianMatrix(a).data.view(np.uint64), expect.view(np.uint64))
+
+    def test_non_finite_entry_is_named_first(self):
+        # a non-finite entry is reported as such even where the matrix is
+        # also not Hermitian; an entry inf + nan j has modulus inf
+        for bad in ([[1.0, math.nan], [0.0, 1.0]], [[complex(math.inf, math.nan)]],
+                    [[1.0, 5.0], [complex(0.0, -math.inf), 1.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                HermitianMatrix(np.array(bad, dtype=complex))
 
     def test_hermitian_test_is_relative(self):
         # 1e-10 of the largest entry, so the test holds at every scale: a
