@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import LN_PI, gammainc_lower, log_factorial
+from .special import LN_PI, gammainc_lower, log_factorial, poisson_weight
 
 DEFAULT_TRUNCATION = 64
 TAIL_WARN_THRESHOLD = 1e-12
@@ -98,24 +98,19 @@ class FockFunction:
 def coherent(w0: complex, truncation: int = DEFAULT_TRUNCATION) -> FockFunction:
     """Normalized kernel function K(., w0) / sqrt(K(w0, w0)), truncated.
 
-    Coefficients a_n = e^{-pi|w0|^2/2} sqrt(pi^n/n!) conj(w0)^n; |a_n|^2 is
-    the Poisson(pi|w0|^2) weight at n. The dropped tail mass is
-    Pr[Poisson(pi|w0|^2) >= N]; when it exceeds 1e-12 a UserWarning flags the
-    truncation as lossy (callers that probe under-resolved regimes on purpose
-    can filter it).
+    Coefficients a_n = e^{-pi|w0|^2/2} sqrt(pi^n/n!) conj(w0)^n: |a_n|^2 is
+    the Poisson(pi|w0|^2) weight at n, taken from special.poisson_weight
+    (e_0 at w0 = 0), and the phase of a_n is -n arg w0. The dropped tail
+    mass is Pr[Poisson(pi|w0|^2) >= N]; when it exceeds 1e-12 a UserWarning
+    flags the truncation as lossy (callers that probe under-resolved regimes
+    on purpose can filter it).
     """
     w0 = complex(w0)
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     mu = math.pi * abs(w0) ** 2
     ns = np.arange(truncation)
-    if w0 == 0:
-        coeffs = np.zeros(truncation, dtype=np.complex128)
-        coeffs[0] = 1.0
-        return FockFunction(coeffs)
-    log_mag = -0.5 * mu + 0.5 * (ns * LN_PI - log_factorial(ns)) + ns * math.log(abs(w0))
-    phase = -ns * cmath.phase(w0)
-    coeffs = np.exp(log_mag + 1j * phase)
+    coeffs = np.sqrt(poisson_weight(2 * ns, mu)) * np.exp(-1j * cmath.phase(w0) * ns)
     tail = float(gammainc_lower(truncation, mu)[-1])  # Pr[Poisson(mu) >= truncation]
     if tail > TAIL_WARN_THRESHOLD:
         warnings.warn(

@@ -3,7 +3,11 @@ in numpy and the standard library alone: ln Gamma at half-integers, Poisson
 weights, and the regularized lower incomplete gamma P(a, x) by prefixes:
 gammainc_lower(a_max, x) at every a = 1/2, 1, ..., a_max, shape
 x.shape + (2 a_max,), and gammainc_lower_int_prefix(a_max, x) at every
-a = 1, 2, ..., a_max, shape x.shape + (a_max,). Assembly reads the Poisson
+a = 1, 2, ..., a_max, shape x.shape + (a_max,). Every Poisson weight
+x^b e^{-x} / Gamma(b + 1) in the package has one formula, Loader's
+saddle-point form, formed by one helper (_log_weights) from the constants
+of _lattice: poisson_weight gives it at any half-integer b, and
+gammainc_lower sums it over a lattice slice. Assembly reads the Poisson
 weights and gammainc_lower; gammainc_lower_int_prefix has no caller in the
 package and stays for the tests and the benchmark's tracing.
 """
@@ -15,7 +19,6 @@ import math
 import numpy as np
 
 LN_PI = math.log(math.pi)
-_TINY = np.finfo(float).tiny
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Cephes lgam (S. L. Moshier, Cephes Math Library) for x >= 1: a rational
@@ -88,18 +91,6 @@ def log_factorial(n):
     return lgamma_halves(2 * int(n.max(initial=0)))[2 * n]
 
 
-def poisson_weight(k, x, log_w=0.0) -> np.ndarray:
-    """w x^a e^{-x} / Gamma(a + 1) elementwise (numpy broadcasting) for the
-    half-integers a = k / 2 of a non-negative integer array k, with log_w =
-    ln w, formed in the log domain so that neither the power nor the gamma
-    function overflows; Gamma(a + 1) is read from lgamma_halves. ln x is
-    taken at max(x, tiny): at x = 0 every weight with a > 0 underflows to 0
-    and a = 0 gives w."""
-    k = np.asarray(k)
-    lgam = lgamma_halves(int(k.max()))[k]
-    return np.exp(k / 2 * np.log(np.maximum(x, _TINY)) - x + log_w - lgam)
-
-
 def _stirling_series(b):
     """The asymptotic series of the Stirling error to five terms: at b >= 16
     its truncation error is below 2e-16."""
@@ -139,6 +130,51 @@ def _lattice(size: int) -> np.ndarray:
     rows = np.stack([b, 1.0 / b, const])
     rows.setflags(write=False)
     return rows
+
+
+def _lattice_size(last: int) -> int:
+    """The _lattice size that holds b = 1/2 .. last: 256 times a power of
+    two, so that calls at nearby sizes share one cached table."""
+    return 256 << max(0, math.ceil(math.log2(last / 256.0)))
+
+
+def _log_weights(q, b, const, zero: bool):
+    """ln w = const - b (q - 1 - ln q) of Loader's form, for q = x / b,
+    formed in place in the order ln q, q - 1, times b, plus the constant
+    (q itself is overwritten). zero says that some x is 0: there ln q =
+    -inf, so ln w = -inf and the weight is 0."""
+    if zero:
+        with np.errstate(divide="ignore"):
+            w = np.log(q)
+    else:
+        w = np.log(q)
+    q -= 1.0
+    w -= q
+    w *= b
+    w += const
+    return w
+
+
+def poisson_weight(k, x, log_w=0.0) -> np.ndarray:
+    """w x^b e^{-x} / Gamma(b + 1) elementwise (numpy broadcasting) for the
+    half-integers b = k / 2 of a non-negative integer array k and x >= 0,
+    with log_w = ln w. Each weight is Loader's saddle-point form (C. Loader,
+    "Fast and accurate computation of binomial probabilities", 2000), the
+    form gammainc_lower sums:
+        exp(ln w - e(b) - b (q - 1 - ln q)) / sqrt(2 pi b),  q = x / b,
+    with b, 1/b and -e(b) - ln sqrt(2 pi b) read from _lattice (e the
+    Stirling error), so no term of size b ln b cancels and the relative
+    error does not grow with b. b = 0 gives w e^{-x}; at x = 0 every weight
+    with b > 0 is 0."""
+    k = np.asarray(k)
+    x = np.asarray(x, dtype=float)
+    size = _lattice_size(max(1, math.ceil(int(k.max()) / 2)))
+    # b = k/2 sits at flat position 2 size - k; k = 0 reads b = 1/2 and is
+    # replaced below
+    b, inv_b, const = np.take(_lattice(size).reshape(3, -1), 2 * size - k, axis=1, mode="clip")
+    w = np.asarray(_log_weights(x * inv_b, b, const + log_w, x.size > 0 and x.min() == 0.0))
+    np.copyto(w, log_w - x, where=k == 0)
+    return np.exp(w, out=w)
 
 
 def _reach(a: float, x: float) -> float:
@@ -191,19 +227,9 @@ def gammainc_lower(a_max, x) -> np.ndarray:
         last = math.ceil(x_hi + _reach(x_hi, x_hi))
     else:
         last = math.ceil(a_max + _reach(a_max, x_hi))
-    size = 256 << max(0, math.ceil(math.log2(last / 256.0)))
+    size = _lattice_size(last)
     b, inv_b, const = _lattice(size)[:, size - last:]
-
-    q = flat.reshape(-1, 1, 1) * inv_b
-    if x_lo > 0.0:
-        w = np.log(q)
-    else:
-        with np.errstate(divide="ignore"):  # ln 0 = -inf: the weights at x = 0 are 0
-            w = np.log(q)
-    q -= 1.0
-    w -= q
-    w *= b
-    w += const
+    w = _log_weights(flat.reshape(-1, 1, 1) * inv_b, b, const, x_lo == 0.0)
     np.exp(w, out=w)
     # b = j/2 sits at flat position 2 last - j; a sum near 1 can round a few
     # ulps above it

@@ -19,7 +19,8 @@ both its L1 norm and the L1 error of its discretization are sums of
 2pi int |phi(r) - c| r dr over segments cut at the breakpoints, and on such
 a segment every builtin is constant, linear in r or e^{-r^2}, so each term
 has a closed form (_abs_mass) and no quadrature rule is involved; the
-Gauss-Legendre panels of RadialSymbol.panels serve radial_assemble alone.
+Gauss-Legendre panels of RadialSymbol.panels serve radial_assemble on a
+table alone (a disc or an annulus is assembled as a ring, in closed form).
 cli.load_symbol reads symbol files.
 """
 from __future__ import annotations
@@ -48,9 +49,9 @@ GAUSSIAN_SUPPORT = 4.8
 # RadialSymbol.panels: Gauss-Legendre order and the widest panel in r.
 _PANEL_ORDER = 64
 _PANEL_WIDTH = 5.0
-# The largest support radius of a RadialSymbol. panels() splits the support
-# into ceil(R / _PANEL_WIDTH) panels, so time and memory grow with R: this
-# cap is 2,000 panels.
+# The largest support radius of a RadialSymbol, for every kind. panels()
+# splits a table's support into ceil(R / _PANEL_WIDTH) panels, so time and
+# memory grow with R: this cap is 2,000 panels.
 _MAX_SUPPORT_RADIUS = 1e4
 
 __all__ = [
@@ -228,12 +229,13 @@ class RadialSymbol:
         return self.linf
 
     def panels(self):
-        """(r, w): order-64 Gauss-Legendre nodes and weights in r on each
-        panel between consecutive edges 0, breakpoints..., support_radius, so
-        no panel straddles a jump or kink. An interval wider than 5 is split
-        evenly into panels at most 5 wide. The rule does not depend on N:
-        r^{2n+1} e^{-pi r^2} is a bump about 0.3 wide for every n, and order 64
-        resolves it on any such panel."""
+        """(r, w): radial_assemble's rule for a table profile, order-64
+        Gauss-Legendre nodes and weights in r on each panel between
+        consecutive edges 0, breakpoints..., support_radius, so no panel
+        straddles a jump or kink. An interval wider than 5 is split evenly
+        into panels at most 5 wide. The rule does not depend on N:
+        r^{2n+1} e^{-pi r^2} is a bump about 0.3 wide for every n, and order
+        64 resolves it on any such panel."""
         edges = [0.0] + [float(b) for b in self.breakpoints] + [self.support_radius]
         for a, b in zip(edges[:-1], edges[1:]):
             if b > a:

@@ -20,10 +20,12 @@ arithmetic from the positive half-spectrum of a section of a + a^*
 and the Hermite recurrence of tridiagonal._polynomial_rows, with no LAPACK
 call), then one matrix for the origin-centered rest. A SimpleSymbol is its
 pieces, and region_compression() is the one-piece symbol ((region, 1),).
-radial_assemble() gives radial symbols' diagonal compressions, the
-gaussian's in closed form and compact profiles' on RadialSymbol.panels(), a
-fixed rule for every N; those panels and sampled grids take their radial
-moments from one log-domain routine (special.poisson_weight).
+radial_assemble() gives radial symbols' diagonal compressions: the
+gaussian's in closed form, a disc's or an annulus's as the ring it is
+(_ring_diagonal, the bits of the equal centred Disc or full
+AnnularSector), and a table's on RadialSymbol.panels(), a fixed rule for
+every N. Ring diagonals, table panels and sampled grids take their Poisson
+weights from special.poisson_weight, in Loader's form.
 rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() reads a kept diagonal d's norm off as max |d|, exactly
@@ -31,12 +33,12 @@ and in O(N), and takes every other matrix's largest eigenvalue modulus from
 LAPACK (numpy.linalg.eigvalsh, through _eigvalsh, which solves again at a
 power-of-two scale where LAPACK would rescale by another factor).
 top_eigenpair() takes that eigenvalue and its eigenvector, by inverse
-iteration (numpy.linalg.solve), so no code here calls numpy.linalg.eigh.
-method="jacobi" uses
-the solver of jacobi_eigenvalues instead, which makes no LAPACK call, and
-neither does any assembly but a compact radial profile's, whose
-Gauss-Legendre panels come from numpy's leggauss (one eigvalsh call per
-order per process), so the Jacobi path is LAPACK-free for every other
+iteration (numpy.linalg.solve), so no code here calls numpy.linalg.eigh;
+a kept diagonal gives its entry of largest modulus and e_i, with no solver
+call. method="jacobi" uses the solver of jacobi_eigenvalues instead, which
+makes no LAPACK call, and neither does any assembly but a radial table's,
+whose Gauss-Legendre panels come from numpy's leggauss (one eigvalsh call
+per order per process), so the Jacobi path is LAPACK-free for every other
 symbol. _lead_block reduces the matrix to a real symmetric tridiagonal form
 by Householder reflections (_tridiagonal) and splits off the trailing block
 whose couplings are negligible, its diagonal taken as eigenvalues;
@@ -247,9 +249,13 @@ def _ring_diagonal(x, w, truncation: int) -> np.ndarray:
 
     P(n + 1, x) = 1 - sum_{i <= n} e^{-x} x^i / i!, so gamma_n is sum_j w_j
     minus the prefix sum over i <= n of S_i = sum_j w_j poisson_weight(2i,
-    x_j): one exp table, one matrix-vector product and one length-N cumsum.
-    Real; a -0.0 entry becomes 0.0.
+    x_j): one table of Poisson weights, one matrix-vector product and one
+    length-N cumsum. Rings whose summed weight is exactly 0 (most radii of a
+    discretized annulus) are dropped before the table is built. Real; a
+    -0.0 entry becomes 0.0.
     """
+    keep = w != 0.0
+    x, w = np.asarray(x)[keep], w[keep]
     s = poisson_weight(2 * np.arange(truncation)[:, None], x) @ w
     return (np.sum(w) - np.cumsum(s)) + 0.0
 
@@ -473,11 +479,14 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
     """Diagonal compression of a radial symbol.
 
     gamma_n = (1/n!) int_0^inf phi(sqrt(t/pi)) t^n e^{-t} dt, which is
-    (pi/(pi+1))^{n+1} for the gaussian. Compactly supported profiles use the
-    Gauss-Legendre panels in r of RadialSymbol.panels(), split at the profile
-    breakpoints, so jumps never sit inside a panel and piecewise-polynomial
-    profiles are integrated at spectral accuracy. The panels are the same for
-    every N, so no gamma_n depends on N and N has no cap.
+    (pi/(pi+1))^{n+1} for the gaussian. A disc or an annulus is the ring it
+    is: its edges go through _per_radius and _ring_diagonal, the path of a
+    centred Disc or a full AnnularSector in a SimpleSymbol, with the same
+    bits. A table uses the Gauss-Legendre panels in r of
+    RadialSymbol.panels(), split at the profile breakpoints, so kinks never
+    sit inside a panel and the piecewise-linear profile is integrated at
+    spectral accuracy. Neither path depends on N beyond the entries it
+    returns, so N has no cap.
     """
     if not isinstance(symbol, RadialSymbol):
         raise TypeError("radial_assemble requires a RadialSymbol")
@@ -486,11 +495,13 @@ def radial_assemble(symbol: RadialSymbol, truncation: int) -> HermitianMatrix:
 
     if symbol.kind == "gaussian":
         gamma = (math.pi / (math.pi + 1.0)) ** np.arange(1.0, truncation + 1.0)
-    else:
+    elif symbol.kind == "table":
         # every breakpoint panel in one product
         r, w = map(np.concatenate, zip(*symbol.panels()))
         gamma = (poisson_weight(2 * np.arange(truncation)[:, None], math.pi * r * r)
                  @ (w * TWO_PI * r * symbol.profile(r)))
+    else:  # disc or annulus
+        gamma = _ring_diagonal(*_per_radius([symbol.radii.tolist()], symbol.values), truncation)
 
     return HermitianMatrix._of_diagonal(gamma)
 
@@ -552,8 +563,22 @@ def top_eigenpair(matrix):
     matrix). The solves stop once ||A v - lambda v|| <= 2^-46 |lambda|:
     after one on most sections, a second where the chirp has little of v,
     and at most three. A sigma that is exactly an eigenvalue, so that
-    numpy.linalg.solve raises, moves to lambda - delta."""
-    eigs, a, shift = _eigvalsh(_hermitian(matrix))
+    numpy.linalg.solve raises, moves to lambda - delta.
+
+    A section kept as its diagonal d (HermitianMatrix._of_diagonal) is read
+    off instead, in O(N) with no solver call and no dense data: lambda is
+    the entry of largest modulus, the one operator_norm reports, signed (of
+    an exact +-tie the negative end, as above), and v is the unit vector e_i
+    at its index i."""
+    h = _hermitian(matrix)
+    if h._diagonal is not None:
+        d = h._diagonal
+        ends = np.flatnonzero(np.abs(d) == np.max(np.abs(d)))
+        i = ends[np.argmin(d[ends])]
+        v = np.zeros(len(d), dtype=np.complex128)
+        v[i] = 1.0
+        return float(d[i]), v
+    eigs, a, shift = _eigvalsh(h)
     lam = float(eigs[np.argmax(np.abs(eigs))])
     delta = math.ldexp(abs(lam) or 1.0, -52)
     sigma, eye = lam + delta, np.eye(a.shape[0])
@@ -675,9 +700,8 @@ def operator_norm(matrix, *, method: str = "auto") -> float:
     norm is max(-lambda_min, lambda_max), equal to max |jacobi_eigenvalues|.
     Assembly makes no LAPACK call either (_hermite_eigh included), so
     assemble followed by the Jacobi norm is LAPACK-free end to end, except
-    for a compact radial profile (disc, annulus, table): its Gauss-Legendre
-    panels come from numpy's leggauss, which calls eigvalsh once per order
-    per process.
+    for a radial table: its Gauss-Legendre panels come from numpy's
+    leggauss, which calls eigvalsh once per order per process.
     """
     h = _hermitian(matrix)
     if method == "auto":

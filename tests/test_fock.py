@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -103,6 +104,19 @@ class TestCoherent:
         for n in (0, 1, 7, 20):
             expect = math.exp(-mu) * mu**n / math.factorial(n)
             assert math.isclose(probs[n], expect, rel_tol=1e-12)
+
+    def test_coefficients_against_50_digits(self):
+        # |a_n|^2 is the Poisson weight of special.poisson_weight (Loader's
+        # form); the log-domain formula it replaced was 3.7e-15 off here
+        w0 = 6.0 - 4.0j
+        mu = math.pi * abs(w0) ** 2
+        probs = np.abs(coherent(w0, 900).coeffs) ** 2
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            pmf = [(-decimal.Decimal(mu)).exp()]
+            for n in range(1, 900):
+                pmf.append(pmf[-1] * decimal.Decimal(mu) / n)
+        assert max(abs(float(decimal.Decimal(p) - q)) for p, q in zip(probs, pmf)) <= 2e-16
 
     def test_norm_close_to_one(self):
         f = coherent(1.1 - 0.4j, 64)

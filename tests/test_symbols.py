@@ -724,8 +724,10 @@ class TestDiscretize:
                 assert abs(sym.l1_norm() - ref) <= 1e-15 * ref
 
     def test_no_quadrature(self, monkeypatch):
-        # l1_norm and discretize take no Gauss-Legendre rule, so unlike
-        # radial_assemble they make no LAPACK call through numpy's leggauss
+        # l1_norm and discretize take no Gauss-Legendre rule, and neither
+        # does radial_assemble on a disc or an annulus (rings, in closed
+        # form), so they make no LAPACK call through numpy's leggauss; a
+        # table's section still takes its panels
         def refuse(*args):
             raise AssertionError("Gauss-Legendre rule built")
 
@@ -733,6 +735,8 @@ class TestDiscretize:
         for sym in _BUILTINS:
             sym.l1_norm()
             discretize(sym, 64)
+            if sym.kind in ("disc", "annulus"):
+                radial_assemble(sym, 8)
         with pytest.raises(AssertionError, match="Gauss-Legendre"):
             radial_assemble(_EDGE_TABLE, 8)
 

@@ -41,6 +41,7 @@ from focklab.fock import weighted_basis_matrix
 from focklab.quadrature import gauss_legendre
 from focklab.symbols import discretize
 from plane_oracles import eval_weighted, grid, radii, seeded_radials, weights
+from test_special import _decimal_gammainc
 
 TWO_PI = 2.0 * math.pi
 
@@ -291,8 +292,8 @@ class TestRadialAssemble:
             assert np.max(np.abs(gamma[:240] - oracle)) < 1e-14
 
     def test_compact_truncation_limit(self):
-        # the panels do not depend on N, so N = 1017 (past the old cap of
-        # 1016) and 2000 work to the same accuracy as small N
+        # a disc's ring diagonal does not depend on N, so N = 1017 (past the
+        # old cap of 1016) and 2000 work to the same accuracy as small N
         for truncation in (1017, 2000):
             gamma = np.diag(radial_assemble(RadialSymbol.disc(0.8), truncation).data).real
             closed = gammainc(np.arange(truncation) + 1.0, math.pi * 0.64)
@@ -312,9 +313,8 @@ class TestRadialAssemble:
             assert np.max(np.abs(gamma - reference[:truncation])) < 1e-15, truncation
 
     def test_wide_disc(self):
-        # radius 16 > 5: four panels 4 wide, each resolving the bump
-        # r^{2n+1} e^{-pi r^2}; one order-64 panel over [0, 16] put the norm
-        # at 1.00000041, a false violation of the bound 1
+        # radius 16: a single order-64 Gauss-Legendre panel over [0, 16] put
+        # the norm at 1.00000041, a false violation of the bound 1
         disc = RadialSymbol.disc(16.0)
         gamma = np.diag(radial_assemble(disc, 40).data).real
         assert np.max(np.abs(gamma - gammainc(np.arange(40) + 1.0, 256.0 * math.pi))) < 1e-12
@@ -1256,6 +1256,82 @@ class TestRingDiagonal:
             assert np.max(np.abs(got - ref[:n])) < 1e-15
 
 
+def _decimal_ring_diagonal(r_inner, r_outer, n):
+    """P(k+1, pi r_outer^2) - P(k+1, pi r_inner^2), k < n, from the 40-digit
+    _decimal_gammainc."""
+    def column(r):
+        if r == 0.0:
+            return np.zeros(n)
+        table = _decimal_gammainc(n, math.pi * r * r)
+        return np.array([table[float(k + 1)] for k in range(n)])
+    return column(r_outer) - column(r_inner)
+
+
+class TestRadialRings:
+    """A radial disc or annulus is assembled as the ring it is, the path of
+    a centred Disc or a full AnnularSector, in Loader's Poisson weights."""
+
+    @pytest.mark.parametrize("radius", [5.0, 10.0, 20.0, 30.0])
+    def test_wide_rings_against_40_digits(self, radius):
+        # every n up to pi R^2 + 12 R + 40, well past the peak of P(n+1, .);
+        # the log-domain weights were up to 6.2e-12 off at R = 30, and the
+        # norm read up to 4.9e-12 above linf
+        n = int(math.pi * radius**2 + 12.0 * radius + 40.0)
+        for symbol, r_inner in ((RadialSymbol.disc(radius), 0.0),
+                                (RadialSymbol.annulus(radius / 2, radius), radius / 2)):
+            gamma = radial_assemble(symbol, n)
+            ref = _decimal_ring_diagonal(r_inner, radius, n)
+            assert np.max(np.abs(gamma._diagonal - ref)) <= 4e-15
+            norm = operator_norm(gamma)
+            if symbol.kind == "disc":
+                assert norm <= symbol.linf
+            else:
+                assert norm <= symbol.linf * (1.0 + 2.0**-51)
+
+    def test_disc_bound_holds_without_slack(self):
+        # margin -1.16e-12 before: it held only through NORM_SLACK
+        assert verify_norm_bound(RadialSymbol.disc(20.0), 1340).margin >= 0.0
+
+    @pytest.mark.parametrize("r_inner, r_outer, height", [
+        (0.0, 0.8, 0.75), (0.0, 5.0, -2.0), (0.0, 20.0, 1.0),
+        (0.5, 1.5, 1.0), (0.4, 1.3, -0.5), (10.0, 20.0, 3.0),
+    ])
+    def test_same_bits_as_the_simple_symbol(self, r_inner, r_outer, height):
+        if r_inner == 0.0:
+            radial, regions = RadialSymbol.disc(r_outer, height), [Disc(0.0, r_outer)]
+        else:
+            radial, regions = RadialSymbol.annulus(r_inner, r_outer, height), []
+        regions.append(AnnularSector(r_inner, r_outer, 0.0, TWO_PI))
+        for n in (1, 40, 700):
+            gamma = radial_assemble(radial, n)._diagonal
+            for region in regions:
+                assert np.array_equal(gamma, assemble(SimpleSymbol(((region, height),)), n)._diagonal)
+
+    def test_cap_radius(self):
+        # at the largest support radius every weight below N = 64 underflows,
+        # and each entry is the height itself
+        gamma = radial_assemble(RadialSymbol.disc(1e4), 64)._diagonal
+        assert np.all(gamma == 1.0)
+
+    def test_zero_weight_rings_dropped(self, monkeypatch):
+        # a discretized annulus has 2 nonzero ring weights among 4,097: only
+        # those reach the weight table, and the diagonal is unchanged
+        grid, _ = discretize(RadialSymbol.annulus(0.5, 1.5), 4096, 1)
+        widths = []
+        weight = toeplitz.poisson_weight
+
+        def spy(k, x, log_w=0.0):
+            widths.append(np.shape(x))
+            return weight(k, x, log_w)
+
+        monkeypatch.setattr(toeplitz, "poisson_weight", spy)
+        gamma = assemble(grid, 40)._diagonal
+        assert widths == [(2,)]
+        v = grid.values[:, 0]
+        r_inner, r_outer = grid.radii[np.flatnonzero(np.diff(v, prepend=0.0, append=0.0))]
+        assert np.max(np.abs(gamma - _decimal_ring_diagonal(r_inner, r_outer, 40))) <= 1e-15
+
+
 def _diagonal_symbols():
     """The three kinds of symbol whose sections assembly keeps as a
     diagonal: the gaussian, a 4,096-ring grid of it and a centered disc."""
@@ -1577,6 +1653,28 @@ class TestTopEigenpair:
             lam, v = top_eigenpair(a)
             assert lam == expect and calls[0] is first and not any(calls[1:])
             self._check_pair(a, lam, v)
+
+    def test_kept_diagonal(self, monkeypatch):
+        # a centred disc's section is kept as its diagonal: lambda and e_i
+        # are read off it, with the dense route's lambda bit for bit and
+        # its vector up to phase, and no dense data and no solver call
+        for n in (20, 60, 400):
+            section = assemble(SimpleSymbol(((Disc(0.0, 0.8), 1.0),)), n)
+            lam_dense, v_dense = top_eigenpair(np.diag(section._diagonal))
+            calls = self._solves(monkeypatch)
+            monkeypatch.setattr(np.linalg, "eigvalsh", None)
+            lam, v = top_eigenpair(section)
+            monkeypatch.undo()
+            assert calls == [] and "data" not in vars(section)
+            assert lam == lam_dense and v.dtype == np.complex128
+            assert abs(abs(np.vdot(v, v_dense)) - 1.0) <= 1e-12
+
+    def test_kept_diagonal_tie_returns_the_negative_end(self):
+        for d in ([2.0, 0.5, -2.0], [-1.0, 1.0], [0.5, -2.0, 2.0, -2.0], [0.0, 0.0]):
+            lam, v = top_eigenpair(HermitianMatrix._of_diagonal(d))
+            i = int(np.argmax(np.abs(v)))
+            assert lam == top_eigenpair(np.diag(d))[0] == d[i]
+            assert np.array_equal(v, np.eye(len(d))[i])
 
     def test_extreme_scales(self):
         # eigvalsh alone would rescale 2^+-600 A; top_eigenpair iterates on
