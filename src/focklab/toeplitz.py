@@ -28,20 +28,22 @@ every N. Ring diagonals, table panels and sampled grids take their Poisson
 weights from special.poisson_weight, in Loader's form.
 rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
-operator_norm() reads a kept diagonal d's norm off as max |d|, exactly
-and in O(N), and takes every other matrix's largest eigenvalue modulus from
-LAPACK (numpy.linalg.eigvalsh, through _eigvalsh, which solves again at a
-power-of-two scale where LAPACK would rescale by another factor).
-top_eigenpair() takes that eigenvalue and its eigenvector, by inverse
-iteration (numpy.linalg.solve), so no code here calls numpy.linalg.eigh;
-a kept diagonal gives its entry of largest modulus and e_i, with no solver
-call. method="jacobi" uses the solver of jacobi_eigenvalues instead, which
-makes no LAPACK call, and neither does any assembly but a radial table's,
-whose Gauss-Legendre panels come from numpy's leggauss (one eigvalsh call
-per order per process), so the Jacobi path is LAPACK-free for every other
-symbol. _lead_block reduces the matrix to a real symmetric tridiagonal form
-by Householder reflections (_tridiagonal) and splits off the trailing block
-whose couplings are negligible, its diagonal taken as eigenvalues;
+operator_norm() and top_eigenpair() read the two ends of one spectrum,
+_spectrum(): a kept diagonal d gives min d and max d under either method,
+exactly and in O(N), and every other matrix goes to LAPACK
+(numpy.linalg.eigvalsh, solved again at a power-of-two scale where LAPACK
+would rescale by another factor) or, with method="jacobi", to the solver
+of jacobi_eigenvalues. The norm is the larger modulus of the two ends.
+top_eigenpair() takes that end, signed, and its eigenvector: e_i on a
+kept diagonal, with no solver call, and otherwise by inverse iteration
+(numpy.linalg.solve) on the matrix LAPACK solved, so no code here calls
+numpy.linalg.eigh. The Jacobi solver makes no LAPACK call, and neither
+does any assembly but a radial table's, whose Gauss-Legendre panels come
+from numpy's leggauss (one eigvalsh call per order per process), so the
+Jacobi path is LAPACK-free for every other symbol. _lead_block reduces
+the matrix to a real symmetric tridiagonal form by Householder
+reflections (_tridiagonal) and splits off the trailing block whose
+couplings are negligible, its diagonal taken as eigenvalues;
 tridiagonal._multisection finds the lead block's eigenvalues by
 Sturm-count multisection.
 jacobi_eigenvalues bisects every bracket of the lead block, the norm only
@@ -87,10 +89,10 @@ class HermitianMatrix:
 
     A section that assembly builds as a diagonal (_of_diagonal: radial
     sections, ring grids, centered discs and full annuli) is checked in O(N)
-    instead and keeps only that diagonal, so operator_norm reads its norm off
-    it, exactly and in O(N); data, the dense diag(d), is built on its first
-    read. A dense array passed to the constructor keeps no diagonal, even a
-    diagonal one."""
+    instead and keeps only that diagonal, so _spectrum reads the ends of its
+    spectrum off it under either method, exactly and in O(N); data, the
+    dense diag(d), is built on its first read. A dense array passed to the
+    constructor keeps no diagonal, even a diagonal one."""
 
     data: np.ndarray
     # the real diagonal d of data = diag(d), recorded by _of_diagonal
@@ -523,78 +525,6 @@ def _scaled(data: np.ndarray):
     return np.ldexp(parts, shift).view(np.complex128), shift
 
 
-def _eigvalsh(h: HermitianMatrix):
-    """(eigs, a, shift): eigs = numpy.linalg.eigvalsh(a), ascending, for a =
-    2^shift h.data, so that 2^-shift eigs are h's eigenvalues.
-
-    zheevd scales a matrix whose largest entry lies outside [2^-485, 2^485],
-    and the dsterf it calls a tridiagonal block whose largest entry lies
-    below 2^-405, by factors that are not powers of two, which can move the
-    last bit. The largest |eigenvalue| nu bounds both: A's largest entry lies
-    in [nu / N, nu], and that of nu's block in [nu / 3, nu]. So where
-    max(3 2^-405, N 2^-485) <= nu <= 2^485 (or nu = 0), neither scales,
-    shift is 0 and a is h.data, with no pass beyond eigvalsh; elsewhere
-    eigvalsh runs again on A scaled by the power of two of _scaled, which no
-    LAPACK routine scales further."""
-    a = h.data
-    eigs = np.linalg.eigvalsh(a)
-    nu = float(np.max(np.abs(eigs)))
-    if nu == 0.0 or max(3.0 * 2.0**-405, len(eigs) * 2.0**-485) <= nu <= 2.0**485:
-        return eigs, a, 0
-    a, shift = _scaled(a)
-    return np.linalg.eigvalsh(a), a, shift
-
-
-# top_eigenpair starts from the chirp e^{i _CHIRP m^2}. A constant start
-# vector holds so little of some sector sections' top eigenvectors that one
-# solve leaves residuals up to 1e-11 |lambda|, and half of them need two
-_CHIRP = math.pi * (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def top_eigenpair(matrix):
-    """(lambda, v) for the eigenvalue of largest magnitude, v of unit norm.
-
-    lambda is the eigenvalue whose modulus operator_norm reports, bit for
-    bit: the first of largest modulus in _eigvalsh's ascending list, so of
-    an exact +-lambda tie the negative end. v comes from inverse iteration
-    on the matrix _eigvalsh solved: solves of (A - sigma I) v = v, each
-    normalized, from the chirp v_m = e^{i _CHIRP m^2}, with sigma = lambda +
-    delta just above lambda, delta = 2^-52 |lambda| (2^-52 for the zero
-    matrix). The solves stop once ||A v - lambda v|| <= 2^-46 |lambda|:
-    after one on most sections, a second where the chirp has little of v,
-    and at most three. A sigma that is exactly an eigenvalue, so that
-    numpy.linalg.solve raises, moves to lambda - delta.
-
-    A section kept as its diagonal d (HermitianMatrix._of_diagonal) is read
-    off instead, in O(N) with no solver call and no dense data: lambda is
-    the entry of largest modulus, the one operator_norm reports, signed (of
-    an exact +-tie the negative end, as above), and v is the unit vector e_i
-    at its index i."""
-    h = _hermitian(matrix)
-    if h._diagonal is not None:
-        d = h._diagonal
-        ends = np.flatnonzero(np.abs(d) == np.max(np.abs(d)))
-        i = ends[np.argmin(d[ends])]
-        v = np.zeros(len(d), dtype=np.complex128)
-        v[i] = 1.0
-        return float(d[i]), v
-    eigs, a, shift = _eigvalsh(h)
-    lam = float(eigs[np.argmax(np.abs(eigs))])
-    delta = math.ldexp(abs(lam) or 1.0, -52)
-    sigma, eye = lam + delta, np.eye(a.shape[0])
-    v = np.exp(1j * _CHIRP * np.arange(a.shape[0]) ** 2)
-    for _ in range(3):
-        try:
-            v = np.linalg.solve(a - sigma * eye, v)
-        except np.linalg.LinAlgError:  # sigma is exactly an eigenvalue of a
-            sigma = lam - delta
-            v = np.linalg.solve(a - sigma * eye, v)
-        v /= np.linalg.norm(v)
-        if np.linalg.norm(a @ v - lam * v) <= 2.0**-46 * abs(lam):
-            break
-    return math.ldexp(lam, -shift), v
-
-
 def _tridiagonal(a: np.ndarray):
     """(d, e) of a real symmetric tridiagonal matrix, diagonal d and
     off-diagonal e >= 0, unitarily similar to the Hermitian a.
@@ -683,36 +613,112 @@ def _extreme_eigenvalues(matrix):
     return float(np.ldexp(np.min(eigs), -shift)), float(np.ldexp(np.max(eigs), -shift))
 
 
-def operator_norm(matrix, *, method: str = "auto") -> float:
-    """Spectral norm of a Hermitian matrix: the largest eigenvalue modulus.
+def _spectrum(h: HermitianMatrix, method: str):
+    """(lo, hi, a, shift): the smallest and largest eigenvalues of 2^shift
+    h, and the dense matrix a that LAPACK solved (None where none was).
 
-    method="auto" has one route per kind of matrix. A section assembled as
-    a diagonal d (HermitianMatrix._of_diagonal) is its own spectrum, so its
-    norm is max |d|, exactly and in O(N), with no solver call. Every other
-    matrix, a dense diagonal passed in included, goes to LAPACK
-    (numpy.linalg.eigvalsh) through _eigvalsh, which keeps the norm exact
-    under power-of-two scaling: where LAPACK would rescale by a factor that
-    is not a power of two, it solves A scaled by one instead. On a diagonal
-    zheevd makes no reflection and dsterf splits it into 1 x 1 blocks, so
-    the two routes agree bit for bit at every scale.
+    method is checked first: "auto" or "jacobi", else ValueError. A kept
+    diagonal d (HermitianMatrix._of_diagonal) is its own spectrum under
+    either method: lo = min d and hi = max d, exactly and in O(N), with no
+    solver call and no dense data. "jacobi" takes the ends of any other
+    matrix from _extreme_eigenvalues, scaled back already, and "auto" from
+    numpy.linalg.eigvalsh, the first and last of its ascending list.
+
+    zheevd scales a matrix whose largest entry lies outside [2^-485, 2^485],
+    and the dsterf it calls a tridiagonal block whose largest entry lies
+    below 2^-405, by factors that are not powers of two, which can move the
+    last bit. The largest |eigenvalue| nu bounds both: A's largest entry lies
+    in [nu / N, nu], and that of nu's block in [nu / 3, nu]. So where
+    max(3 2^-405, N 2^-485) <= nu <= 2^485 (or nu = 0), neither scales,
+    shift is 0 and a is h.data, with no pass beyond eigvalsh; elsewhere
+    eigvalsh runs again on A scaled by the power of two of _scaled, which no
+    LAPACK routine scales further."""
+    if method not in ("auto", "jacobi"):
+        raise ValueError(f"unknown method: {method!r}")
+    d = h._diagonal
+    if d is not None:
+        return float(np.min(d)), float(np.max(d)), None, 0
+    if method == "jacobi":
+        return (*_extreme_eigenvalues(h), None, 0)
+    a, shift = h.data, 0
+    eigs = np.linalg.eigvalsh(a)
+    nu = max(abs(eigs[0]), abs(eigs[-1]))
+    if nu != 0.0 and not max(3.0 * 2.0**-405, len(eigs) * 2.0**-485) <= nu <= 2.0**485:
+        a, shift = _scaled(a)
+        eigs = np.linalg.eigvalsh(a)
+    return float(eigs[0]), float(eigs[-1]), a, shift
+
+
+def operator_norm(matrix, *, method: str = "auto") -> float:
+    """Spectral norm of a Hermitian matrix: the largest eigenvalue modulus,
+    max(|lo|, |hi|) 2^-shift from _spectrum's ends for the method.
+
+    A section assembled as a diagonal d (HermitianMatrix._of_diagonal) is
+    its own spectrum under either method, so its norm is max |d|, exactly
+    and in O(N), with no solver call and no dense data. method="auto" takes
+    every other matrix, a dense diagonal passed in included, to LAPACK
+    (numpy.linalg.eigvalsh), exact under power-of-two scaling: where LAPACK
+    would rescale by a factor that is not a power of two, _spectrum solves
+    A scaled by one instead. On a diagonal zheevd makes no reflection and
+    dsterf splits it into 1 x 1 blocks, so the two routes agree bit for bit
+    at every scale.
     "jacobi" uses the solver of jacobi_eigenvalues, which makes no LAPACK
     call, but bisects only the two extreme brackets of its lead block: the
-    norm is max(-lambda_min, lambda_max), equal to max |jacobi_eigenvalues|.
+    norm is max(|lambda_min|, |lambda_max|), equal to max
+    |jacobi_eigenvalues|.
     Assembly makes no LAPACK call either (_hermite_eigh included), so
     assemble followed by the Jacobi norm is LAPACK-free end to end, except
     for a radial table: its Gauss-Legendre panels come from numpy's
-    leggauss, which calls eigvalsh once per order per process.
+    leggauss, which calls eigvalsh once per order per process. Any other
+    method raises ValueError, on a kept diagonal too.
     """
+    lo, hi, _, shift = _spectrum(_hermitian(matrix), method)
+    return math.ldexp(max(abs(lo), abs(hi)), -shift)
+
+
+# top_eigenpair starts from the chirp e^{i _CHIRP m^2}. A constant start
+# vector holds so little of some sector sections' top eigenvectors that one
+# solve leaves residuals up to 1e-11 |lambda|, and half of them need two
+_CHIRP = math.pi * (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def top_eigenpair(matrix):
+    """(lambda, v) for the eigenvalue of largest magnitude, v of unit norm.
+
+    lambda is the end of _spectrum(matrix, "auto") of larger modulus, and of
+    an exact +-lambda tie the negative end, so |lambda| is what
+    operator_norm reports, bit for bit. A section kept as its diagonal d
+    (HermitianMatrix._of_diagonal) gives d[i] at the first index i where d
+    equals lambda, and v = e_i: O(N), with no solver call and no dense
+    data. Any other matrix's v comes from inverse iteration on the matrix
+    _spectrum solved: solves of (A - sigma I) v = v, each normalized, from
+    the chirp v_m = e^{i _CHIRP m^2}, with sigma = lambda + delta just above
+    lambda, delta = 2^-52 |lambda| (2^-52 for the zero matrix). The solves
+    stop once ||A v - lambda v|| <= 2^-46 |lambda|: after one on most
+    sections, a second where the chirp has little of v, and at most three.
+    A sigma that is exactly an eigenvalue, so that numpy.linalg.solve
+    raises, moves to lambda - delta."""
     h = _hermitian(matrix)
-    if method == "auto":
-        if h._diagonal is not None:
-            return float(np.max(np.abs(h._diagonal)))
-        eigs, _, shift = _eigvalsh(h)
-        return math.ldexp(float(np.max(np.abs(eigs))), -shift)
-    if method == "jacobi":
-        lo, hi = _extreme_eigenvalues(h)
-        return max(abs(lo), abs(hi))
-    raise ValueError(f"unknown method: {method!r}")
+    lo, hi, a, shift = _spectrum(h, "auto")
+    lam = lo if abs(lo) >= abs(hi) else hi
+    if a is None:  # a kept diagonal
+        i = int(np.argmax(h._diagonal == lam))
+        v = np.zeros(h.dimension, dtype=np.complex128)
+        v[i] = 1.0
+        return float(h._diagonal[i]), v
+    delta = math.ldexp(abs(lam) or 1.0, -52)
+    sigma, eye = lam + delta, np.eye(a.shape[0])
+    v = np.exp(1j * _CHIRP * np.arange(a.shape[0]) ** 2)
+    for _ in range(3):
+        try:
+            v = np.linalg.solve(a - sigma * eye, v)
+        except np.linalg.LinAlgError:  # sigma is exactly an eigenvalue of a
+            sigma = lam - delta
+            v = np.linalg.solve(a - sigma * eye, v)
+        v /= np.linalg.norm(v)
+        if np.linalg.norm(a @ v - lam * v) <= 2.0**-46 * abs(lam):
+            break
+    return math.ldexp(lam, -shift), v
 
 
 # ---------------------------------------------------------------------------

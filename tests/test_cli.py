@@ -166,6 +166,32 @@ class TestNormAndBound:
         auto = operator_norm(assemble(cli.load_symbol(path), 60))
         assert abs(jacobi - auto) < 1e-12
 
+    @pytest.mark.parametrize("symbol", [
+        {"radial": {"profile": "disc", "radius": 0.8, "height": 0.75}},
+        {"radial": {"profile": "annulus", "r_inner": 0.5, "r_outer": 1.5}},
+        {"radial": {"profile": "gaussian"}},
+        {"radial": {"profile": "table", "radii": [0, 0.5, 1.2, 2], "values": [1, -0.8, 0.6, 0]}},
+        {"pieces": [{"disc": {"center": [0.0, 0.0], "radius": 0.8}, "coeff": 1.5},
+                    {"sector": {"r": [1.0, 1.7], "theta": [0.0, 2.0 * math.pi]}, "coeff": -0.6}]},
+    ])
+    def test_norm_jacobi_reads_a_kept_diagonal(self, run_cli, tmp_path, symbol):
+        # each section is kept as its diagonal, which both methods read off:
+        # the same norm= line, and JSON that differs only in "method"
+        path = tmp_path / "symbol.json"
+        path.write_text(json.dumps(symbol))
+        lines, payloads = [], []
+        for method in ("auto", "jacobi"):
+            res = run_cli("norm", "--symbol", str(path), "--truncation", "60", "--method", method,
+                          "--output", method, "--output-dir", str(tmp_path))
+            assert res.returncode == 0, res.stderr
+            lines.append(res.stdout.splitlines()[0])
+            payloads.append((tmp_path / f"{method}.json").read_text())
+        assert lines[0].startswith("norm=") and lines[1] == lines[0]
+        auto, jacobi = (json.loads(payload) for payload in payloads)
+        assert auto.pop("method") == "auto" and jacobi.pop("method") == "jacobi"
+        assert jacobi == auto
+        assert payloads[1] == payloads[0].replace('"auto"', '"jacobi"')
+
     def test_bound_gaussian(self, run_cli, tmp_path, gaussian_symbol):
         res = run_cli("bound", "--symbol", str(gaussian_symbol),
                       "--output-dir", str(tmp_path))

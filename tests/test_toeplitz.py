@@ -1688,6 +1688,119 @@ class TestTopEigenpair:
             assert abs(abs(np.vdot(v, w)) - 1.0) <= 1e-12
 
 
+def _kept_diagonals():
+    """Sections kept as their diagonal: random ones at scales 2^-900 ..
+    2^900, subnormals, signed zeros, +-ties, one whose small entry
+    underflows under the largest's scaling, and radial and centred-disc
+    sections."""
+    rng = np.random.default_rng(59)
+    ds = [np.ldexp(rng.uniform(-1.0, 1.0, int(rng.integers(1, 40))), k)
+          for k in range(-900, 901, 100) for _ in range(6)]
+    ds += [[5e-324, -1e-320], [-0.0], [0.0], [-0.0, 0.0], [0.0, -0.0, -0.0], [2.0, -2.0],
+           [-2.0, 2.0], [1.0, 1.0, -1.0], [0.5, -2.0, 2.0, -2.0], [2.0**900, 2.0**-1000]]
+    for n in (1, 7, 60, 400):
+        for symbol in (RadialSymbol.gaussian(), RadialSymbol.disc(0.8, 0.75),
+                       RadialSymbol.disc(20.0, -1.0), RadialSymbol.annulus(0.5, 1.5)):
+            ds.append(radial_assemble(symbol, n)._diagonal)
+        ds.append(assemble(SimpleSymbol(((Disc(0.0, 0.8), -1.5),)), n)._diagonal)
+    return [HermitianMatrix._of_diagonal(d) for d in ds]
+
+
+def _reference_eigvalsh(a):
+    """(eigs, shift) as operator_norm's eigvalsh route found them before the
+    one spectral routine: eigvalsh of a, solved again at _scaled's power of
+    two where zheevd or dsterf could rescale."""
+    eigs = np.linalg.eigvalsh(a)
+    nu = float(np.max(np.abs(eigs)))
+    if nu == 0.0 or max(3.0 * 2.0**-405, len(eigs) * 2.0**-485) <= nu <= 2.0**485:
+        return eigs, 0
+    a, shift = toeplitz._scaled(a)
+    return np.linalg.eigvalsh(a), shift
+
+
+def _reference_norm(h, method):
+    """operator_norm as it was read before the one spectral routine: max |d|
+    of a kept diagonal under auto, the Jacobi ends of the dense data (a
+    kept diagonal's diag(d) included) under jacobi, and else eigvalsh's
+    largest modulus."""
+    if method == "jacobi":
+        data = np.diag(h._diagonal) if h._diagonal is not None else h.data
+        lo, hi = toeplitz._extreme_eigenvalues(data)
+        return max(abs(lo), abs(hi))
+    if h._diagonal is not None:
+        return float(np.max(np.abs(h._diagonal)))
+    eigs, shift = _reference_eigvalsh(h.data)
+    return math.ldexp(float(np.max(np.abs(eigs))), -shift)
+
+
+def _reference_top_lambda(h):
+    """top_eigenpair's lambda as it was read before the one spectral
+    routine: of a kept diagonal, the smallest entry of largest modulus at
+    its first index, and else the first of largest modulus in eigvalsh's
+    ascending list."""
+    d = h._diagonal
+    if d is not None:
+        ends = np.flatnonzero(np.abs(d) == np.max(np.abs(d)))
+        return float(d[ends[np.argmin(d[ends])]])
+    eigs, shift = _reference_eigvalsh(h.data)
+    return math.ldexp(float(eigs[np.argmax(np.abs(eigs))]), -shift)
+
+
+class TestOneSpectrum:
+    """operator_norm and top_eigenpair read the ends of toeplitz._spectrum,
+    with the bits of the formulas each held before; a kept diagonal is read
+    off under either method."""
+
+    @staticmethod
+    def _sections():
+        dense = _criterion7_sections()[:50] + _displaced_disc_sections()
+        # outside LAPACK's unscaled range: the power-of-two rescue
+        dense += [np.ldexp(dense[0].view(np.float64), k).view(complex) for k in (-600, 600)]
+        dense += [np.zeros((3, 3)), np.diag([2.0, 0.5, -2.0]), np.diag([1e-300, -2e-300])]
+        return [HermitianMatrix(a) for a in dense] + _kept_diagonals()
+
+    def test_same_bits_as_the_former_formulas(self):
+        for h in self._sections():
+            for method in ("auto", "jacobi"):
+                got, expect = operator_norm(h, method=method), _reference_norm(h, method)
+                assert got.hex() == expect.hex(), (method, got, expect)
+            lam, v = top_eigenpair(h)
+            assert lam.hex() == _reference_top_lambda(h).hex()
+            assert abs(lam) == operator_norm(h)
+            if h._diagonal is not None:
+                assert np.array_equal(v, np.eye(h.dimension)[int(np.argmax(np.abs(v)))])
+
+    def test_ends_of_a_kept_diagonal(self):
+        for h in _kept_diagonals():
+            for method in ("auto", "jacobi"):
+                lo, hi, a, shift = toeplitz._spectrum(h, method)
+                assert (lo, hi, a, shift) == (np.min(h._diagonal), np.max(h._diagonal), None, 0)
+
+    def test_jacobi_reads_a_kept_diagonal(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(toeplitz, "_lead_block", lambda *args: calls.append(args))
+        for symbol in _diagonal_symbols():
+            section = assemble(symbol, 120)
+            assert operator_norm(section, method="jacobi") == float(np.max(np.abs(section._diagonal)))
+            assert calls == [] and "data" not in vars(section)
+
+    def test_large_gaussian_jacobi_norm_builds_no_dense_data(self):
+        section = radial_assemble(RadialSymbol.gaussian(), 4096)
+        tracemalloc.start()
+        try:
+            norm = operator_norm(section, method="jacobi")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and "data" not in vars(section)
+        assert norm == math.pi / (math.pi + 1.0)
+
+    def test_unknown_method(self):
+        for matrix in (HermitianMatrix._of_diagonal([1.0, -2.0]), np.eye(3)):
+            with pytest.raises(ValueError, match="'bogus'"):
+                operator_norm(matrix, method="bogus")
+
+
 def _grid_rayleigh_radial(symbol, f):
     """int phi |f|^2 dlambda by direct quadrature of |f|^2 on a polar grid:
     Gauss-Laguerre in t for the gaussian, else Gauss-Legendre panels in r
