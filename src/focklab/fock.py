@@ -5,7 +5,9 @@ The orthonormal basis is e_n(z) = sqrt(pi^n / n!) z^n for the inner product
 vector: compressions and Rayleigh quotients read the coefficients alone, and
 the package evaluates no function at a point. weighted_basis_matrix gives
 the weighted values e_n(z) e^{-pi|z|^2/2} at sample points for checks by
-quadrature: each has modulus at most one everywhere (the peak of |e_n|
+quadrature: the square root of the Poisson(pi|z|^2) weight at n, from
+special.poisson_weight, times e^{i n arg z}, as coherent builds its
+coefficients. Each has modulus at most one everywhere (the peak of |e_n|
 e^{-pi|z|^2/2} sits at pi|z|^2 = n), so sums of them stay well scaled at any
 point of the plane and for any truncation order.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import LN_PI, gammainc_lower, log_factorial, poisson_weight
+from .special import gammainc_lower, poisson_weight
 
 DEFAULT_TRUNCATION = 64
 TAIL_WARN_THRESHOLD = 1e-12
@@ -35,24 +37,16 @@ __all__ = [
 def weighted_basis_matrix(truncation: int, z) -> np.ndarray:
     """Stack of weighted basis values w_n(z) = e_n(z) e^{-pi|z|^2/2}.
 
-    Shape (truncation, *shape(z)). |w_n| <= 1 pointwise, so the matrix is
-    safe to build for any sample points, including far-out quadrature nodes.
+    Shape (truncation, *shape(z)). |w_n(z)|^2 is the Poisson(pi|z|^2)
+    weight at n, taken from special.poisson_weight, and the phase of w_n(z)
+    is n arg z, as for coherent's coefficients. So |w_n| <= 1 pointwise, and
+    the matrix is safe to build for any sample points, including far-out
+    quadrature nodes; at z = 0 it is e_0.
     """
     zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    ns = np.arange(truncation)
-    az = np.abs(zz)
-    zero = az == 0.0
-    # log|z| with a placeholder at z = 0; those columns are patched afterwards.
-    log_az = np.log(np.where(zero, 1.0, az))
-    shape_pad = (truncation,) + (1,) * zz.ndim
-    ncol = ns.reshape(shape_pad)
-    pref = (0.5 * (ns * LN_PI - log_factorial(ns))).reshape(shape_pad)
-    expo = pref + ncol * log_az[None] - 0.5 * math.pi * (az[None] ** 2)
-    w = np.exp(expo + 1j * ncol * np.angle(zz)[None])
-    if np.any(zero):
-        w[:, zero] = 0.0
-        w[0, zero] = 1.0
-    return w
+    ns = np.arange(truncation).reshape((truncation,) + (1,) * zz.ndim)
+    phase = np.exp(1j * ns * np.angle(zz))
+    return np.sqrt(poisson_weight(2 * ns, math.pi * np.abs(zz) ** 2)) * phase
 
 
 @dataclass(frozen=True, eq=False)

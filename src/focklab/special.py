@@ -1,15 +1,17 @@
 """Small special-function kit shared by the quadrature and assembly code,
-in numpy and the standard library alone: ln Gamma at half-integers, Poisson
-weights, and the regularized lower incomplete gamma P(a, x) by prefixes:
-gammainc_lower(a_max, x) at every a = 1/2, 1, ..., a_max, shape
-x.shape + (2 a_max,), and gammainc_lower_int_prefix(a_max, x) at every
-a = 1, 2, ..., a_max, shape x.shape + (a_max,). Every Poisson weight
-x^b e^{-x} / Gamma(b + 1) in the package has one formula, Loader's
+in numpy and the standard library alone: Poisson weights, and the
+regularized lower incomplete gamma P(a, x) by prefixes: gammainc_lower(a_max,
+x) at every a = 1/2, 1, ..., a_max, shape x.shape + (2 a_max,), and
+gammainc_lower_int_prefix(a_max, x) at every a = 1, 2, ..., a_max, shape
+x.shape + (a_max,). Every Gamma value in the package enters through one
+formula for the Poisson weight x^b e^{-x} / Gamma(b + 1), Loader's
 saddle-point form, formed by one helper (_log_weights) from the constants
-of _lattice: poisson_weight gives it at any half-integer b, and
-gammainc_lower sums it over a lattice slice. Assembly reads the Poisson
-weights and gammainc_lower; gammainc_lower_int_prefix has no caller in the
-package and stays for the tests and the benchmark's tracing.
+of _lattice: _log_poisson_weight gives its log at any half-integer b,
+poisson_weight the weight itself, and gammainc_lower sums it over a
+lattice slice. Assembly reads the Poisson weights, their logs (for the
+gather scale Gamma((m+n)/2 + 1) / sqrt(m! n!), as a ratio of weights) and
+gammainc_lower; gammainc_lower_int_prefix has no caller in the package and
+stays for the tests and the benchmark's tracing.
 """
 from __future__ import annotations
 
@@ -18,77 +20,7 @@ import math
 
 import numpy as np
 
-LN_PI = math.log(math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Cephes lgam (S. L. Moshier, Cephes Math Library) for x >= 1: a rational
-# fit on [2, 3] reached by the recurrence below 13, Stirling's series above.
-_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
-
-
-def _horner(x: float, coeffs) -> float:
-    out = coeffs[0]
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
-def _lgam(x: float) -> float:
-    """ln Gamma(x) for x >= 1 by Cephes lgam, operation for operation, so
-    that it has the bits of scipy.special.gammaln (checked at every x = k/2
-    + 1, k < 400,001); math.lgamma differs from those in about half the
-    half-integers."""
-    if x >= 13.0:
-        q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # Cephes' ln sqrt(2 pi)
-        if x > 1e8:
-            return q
-        p = 1.0 / (x * x)
-        if x >= 1000.0:
-            return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                        + 0.0833333333333333333333) / x
-        return q + _horner(p, _LGAM_A) / x
-    z, shift, u = 1.0, 0.0, x
-    while u >= 3.0:
-        shift -= 1.0
-        u = x + shift
-        z *= u
-    if u < 2.0:  # x in [1, 2)
-        z /= u
-        shift += 1.0
-        u = x + shift
-    if u == 2.0:
-        return math.log(z)
-    x += shift - 2.0
-    return math.log(z) + x * _horner(x, _LGAM_B) / _horner(x, _LGAM_C)
-
-
-_lgamma_halves = np.zeros(0)
-
-
-def lgamma_halves(k_max: int) -> np.ndarray:
-    """ln Gamma(k/2 + 1) for k = 0 .. k_max at least: one read-only table,
-    built with _lgam and rebuilt at twice the length (1,024 at least)
-    whenever a call asks past its end, so every caller reads the same bits."""
-    global _lgamma_halves
-    if len(_lgamma_halves) <= k_max:
-        size = max(2 * len(_lgamma_halves), k_max + 1, 1024)
-        table = np.array([_lgam(0.5 * k + 1.0) for k in range(size)])
-        table.setflags(write=False)
-        _lgamma_halves = table
-    return _lgamma_halves
-
-
-def log_factorial(n):
-    """ln(n!) for an int or integer array n >= 0, read from lgamma_halves."""
-    n = np.asarray(n)
-    if n.size and not n.min() >= 0:
-        raise ValueError("n must be >= 0")
-    return lgamma_halves(2 * int(n.max(initial=0)))[2 * n]
 
 
 def _stirling_series(b):
@@ -155,17 +87,18 @@ def _log_weights(q, b, const, zero: bool):
     return w
 
 
-def poisson_weight(k, x, log_w=0.0) -> np.ndarray:
-    """w x^b e^{-x} / Gamma(b + 1) elementwise (numpy broadcasting) for the
-    half-integers b = k / 2 of a non-negative integer array k and x >= 0,
-    with log_w = ln w. Each weight is Loader's saddle-point form (C. Loader,
-    "Fast and accurate computation of binomial probabilities", 2000), the
-    form gammainc_lower sums:
-        exp(ln w - e(b) - b (q - 1 - ln q)) / sqrt(2 pi b),  q = x / b,
+def _log_poisson_weight(k, x, log_w=0.0) -> np.ndarray:
+    """ln(w x^b e^{-x} / Gamma(b + 1)) elementwise (numpy broadcasting) for
+    the half-integers b = k / 2 of a non-negative integer array k and
+    x >= 0, with log_w = ln w: the exponent of poisson_weight, a new array.
+    Loader's saddle-point form (C. Loader, "Fast and accurate computation of
+    binomial probabilities", 2000), the form gammainc_lower sums:
+        ln w - e(b) - b (q - 1 - ln q) - ln sqrt(2 pi b),  q = x / b,
     with b, 1/b and -e(b) - ln sqrt(2 pi b) read from _lattice (e the
     Stirling error), so no term of size b ln b cancels and the relative
-    error does not grow with b. b = 0 gives w e^{-x}; at x = 0 every weight
-    with b > 0 is 0."""
+    error of the weight does not grow with b. b = 0 gives ln w - x; at x = 0
+    every b > 0 gives -inf. Each entry depends on its k and x alone, not on
+    the other entries or the array's size."""
     k = np.asarray(k)
     x = np.asarray(x, dtype=float)
     size = _lattice_size(max(1, math.ceil(int(k.max()) / 2)))
@@ -174,6 +107,15 @@ def poisson_weight(k, x, log_w=0.0) -> np.ndarray:
     b, inv_b, const = np.take(_lattice(size).reshape(3, -1), 2 * size - k, axis=1, mode="clip")
     w = np.asarray(_log_weights(x * inv_b, b, const + log_w, x.size > 0 and x.min() == 0.0))
     np.copyto(w, log_w - x, where=k == 0)
+    return w
+
+
+def poisson_weight(k, x, log_w=0.0) -> np.ndarray:
+    """w x^b e^{-x} / Gamma(b + 1) elementwise (numpy broadcasting) for the
+    half-integers b = k / 2 of a non-negative integer array k and x >= 0,
+    with log_w = ln w: exp of _log_poisson_weight, Loader's saddle-point
+    form. b = 0 gives w e^{-x}; at x = 0 every weight with b > 0 is 0."""
+    w = _log_poisson_weight(k, x, log_w)
     return np.exp(w, out=w)
 
 

@@ -25,7 +25,9 @@ gaussian's in closed form, a disc's or an annulus's as the ring it is
 (_ring_diagonal, the bits of the equal centred Disc or full
 AnnularSector), and a table's on RadialSymbol.panels(), a fixed rule for
 every N. Ring diagonals, table panels and sampled grids take their Poisson
-weights from special.poisson_weight, in Loader's form.
+weights from special.poisson_weight, and the gather's scale
+Gamma((m+n)/2 + 1) / sqrt(m! n!) is a ratio of Poisson weights from their
+logs, special._log_poisson_weight: every Gamma value here is Loader's form.
 rayleigh() is the quadratic form Re(f^H M f) of assemble().
 
 operator_norm() and top_eigenpair() read the two ends of one spectrum,
@@ -61,7 +63,7 @@ import numpy as np
 
 from .fock import FockFunction
 from .regions import TWO_PI, AnnularSector, Disc, Region
-from .special import gammainc_lower, lgamma_halves, log_factorial, poisson_weight
+from .special import _log_poisson_weight, gammainc_lower, poisson_weight
 from .symbols import PolarGrid, RadialSymbol, SampledSymbol, SimpleSymbol
 from .tridiagonal import _multisection, _polynomial_rows
 
@@ -163,15 +165,26 @@ class HermitianMatrix:
 @functools.lru_cache(maxsize=8)
 def _gather_tables(size: int):
     """The scale Gamma((m+n)/2 + 1) / sqrt(m! n!) and the mask m > n of
-    _gather_moments for m, n < size. No entry depends on size, so a leading
-    block serves every smaller truncation. Read-only, since the cache hands
-    the same arrays to every caller."""
+    _gather_moments for m, n < size. With s = (m+n)/2 the scale is the
+    ratio sqrt(w(m, s) w(n, s)) / w(s, s) of Poisson weights
+    w(b, x) = x^b e^{-x} / Gamma(b + 1), so it is exp(0.5 (L + L^T) - H)
+    for L[m, n] = ln w(m, s) and the Hankel H[m, n] = ln w(s, s), each
+    from special._log_poisson_weight: Loader's form, in which no term of
+    size s ln s cancels. The diagonal is exactly 1 (L[m, m] and H[m, m]
+    are the same computation), the table exactly symmetric, and no entry
+    depends on size, so a leading block serves every smaller truncation.
+    Read-only, since the cache hands the same arrays to every caller."""
     idx = np.arange(size)
-    lgam = lgamma_halves(2 * size - 2)[:2 * size - 1]  # Gamma(l/2 + 1), l = 0 .. 2 size - 2
-    # lgam[m + n] at flat offset m + n: a strided (Hankel) view
-    hankel = np.ndarray((size, size), np.float64, lgam, 0, (lgam.itemsize,) * 2)
-    lf = log_factorial(idx)
-    tables = np.exp(hankel - 0.5 * np.add.outer(lf, lf)), np.greater.outer(idx, idx)
+    ls = np.arange(2 * size - 1)  # l = m + n
+    s = ls / 2.0
+    h = _log_poisson_weight(ls, s)
+    # s[m + n] and h[m + n] at flat offset m + n: strided (Hankel) views
+    s_mn, h_mn = (np.ndarray((size, size), np.float64, a, 0, (a.itemsize,) * 2) for a in (s, h))
+    log_w = _log_poisson_weight(2 * idx[:, None], s_mn)
+    scale = np.add(log_w, log_w.T)
+    scale *= 0.5
+    scale -= h_mn
+    tables = np.exp(scale, out=scale), np.greater.outer(idx, idx)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -185,8 +198,9 @@ def _gather_moments(radial: np.ndarray, angular: np.ndarray, truncation: int) ->
     C-contiguous with columns k = n - m = 0 .. N-1. A real symbol has
     D[l, -k] = conj(D[l, k]), so M below the diagonal is the conjugate
     transpose of M above it. D is one real GEMM on angular's interleaved real
-    and imaginary parts. The scale and the mask are leading blocks of
-    _gather_tables, built once per size rounded up to a multiple of 64.
+    and imaginary parts. The scale (a ratio of Poisson weights, exactly 1 on
+    the diagonal) and the mask are leading blocks of _gather_tables, built
+    once per size rounded up to a multiple of 64.
     """
     n = truncation
     d = (radial @ angular.view(np.float64)).view(np.complex128)
@@ -632,7 +646,12 @@ def _spectrum(h: HermitianMatrix, method: str):
     max(3 2^-405, N 2^-485) <= nu <= 2^485 (or nu = 0), neither scales,
     shift is 0 and a is h.data, with no pass beyond eigvalsh; elsewhere
     eigvalsh runs again on A scaled by the power of two of _scaled, which no
-    LAPACK routine scales further."""
+    LAPACK routine scales further.
+
+    Off a kept diagonal, each end is accurate to a few eps max(|lo|, |hi|)
+    absolute, not relative: an end far below the other in modulus may have
+    no correct digit (diag(2^900, 2^-1000) gives lo = 0.0 under either
+    method), so a caller that needs lo must not read it relatively."""
     if method not in ("auto", "jacobi"):
         raise ValueError(f"unknown method: {method!r}")
     d = h._diagonal

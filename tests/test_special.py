@@ -6,25 +6,11 @@ import pytest
 from scipy.special import gammainc as scipy_gammainc
 
 from focklab.special import (
+    _log_poisson_weight,
     gammainc_lower,
     gammainc_lower_int_prefix,
-    log_factorial,
     poisson_weight,
 )
-
-
-def test_log_factorial_values():
-    assert log_factorial(0) == 0.0
-    assert log_factorial(1) == 0.0
-    assert math.isclose(log_factorial(5), math.log(120.0), rel_tol=1e-14)
-    arr = log_factorial(np.array([0, 3, 10]))
-    assert np.allclose(arr, [0.0, math.log(6.0), math.log(3628800.0)], rtol=1e-14)
-
-
-def test_log_factorial_has_no_cap():
-    assert log_factorial(5000) == math.lgamma(5001)
-    arr = log_factorial(np.array([4096, 4097, 100000]))
-    assert np.allclose(arr, [math.lgamma(n + 1) for n in (4096, 4097, 100000)], rtol=1e-15)
 
 
 def test_gammainc_prefix_past_old_table():
@@ -187,17 +173,6 @@ def test_poisson_tail_against_40_digits():
         assert abs(gammainc_lower(n, mu)[-1] - ref) <= 1e-13 * ref
 
 
-def test_log_factorial_against_exact_logs():
-    # ln n! of the exact integer n!, to 40 digits
-    n = np.arange(0, 600)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        exact = np.array([float(decimal.Decimal(math.factorial(k)).ln()) for k in n])
-    assert np.all(np.abs(log_factorial(n) - exact) <= 4 * np.spacing(np.maximum(exact, 1.0)))
-    with pytest.raises(ValueError):
-        log_factorial(-1)
-
-
 def _decimal_poisson_weight(j: int, x: float) -> decimal.Decimal:
     """x^b e^{-x} / Gamma(b + 1) at b = j/2 to 50 digits, by the recurrence
     w(b + 1) = w(b) x / (b + 1) from w(0) = e^{-x} or w(1/2) = 2 sqrt(x/pi)
@@ -244,3 +219,13 @@ def test_poisson_weight_edges_and_log_weight():
     scaled = poisson_weight(k, x, math.log(0.25))
     assert np.allclose(scaled, 0.25 * got, rtol=1e-15, atol=0)
     assert np.array_equal(poisson_weight(0, x, math.log(0.25)), np.exp(math.log(0.25) - x))
+
+
+def test_log_poisson_weight_is_the_exponent():
+    # poisson_weight is exp of it, bit for bit: ln w - x at b = 0 and -inf
+    # at x = 0 for every b > 0
+    k = np.arange(9)[:, None]
+    x = np.array([0.0, 0.5, 3.0, 40.0])
+    log_w = _log_poisson_weight(k, x, math.log(0.25))
+    assert np.array_equal(np.exp(log_w), poisson_weight(k, x, math.log(0.25)))
+    assert np.array_equal(log_w[0], math.log(0.25) - x) and np.all(log_w[1:, 0] == -np.inf)

@@ -1,4 +1,5 @@
 """Matrix compressions, spectra, and quadratic forms."""
+import decimal
 import functools
 import json
 import math
@@ -39,9 +40,10 @@ from focklab.experiments import NORM_SLACK
 from focklab import toeplitz, tridiagonal
 from focklab.fock import weighted_basis_matrix
 from focklab.quadrature import gauss_legendre
+from focklab.special import _log_poisson_weight
 from focklab.symbols import discretize
 from plane_oracles import eval_weighted, grid, radii, seeded_radials, weights
-from test_special import _decimal_gammainc
+from test_special import _PI_40, _decimal_gammainc
 
 TWO_PI = 2.0 * math.pi
 
@@ -588,15 +590,34 @@ def _hermite_eigh_oracle(size):
 
 
 def _gather_from_scratch(radial, angular, n):
-    """_gather_moments with its scale and mask built at exactly n."""
+    """_gather_moments with its scale and mask built at exactly n, the scale
+    exp(0.5 (L + L^T) - H) from full tables: L[m, n] = ln w(m, s) and
+    H[m, n] = ln w(s, s), s = (m+n)/2, for the Poisson weights w."""
     d = (radial @ angular.view(np.float64)).view(np.complex128)
     idx = np.arange(n)
     upper = d[idx[:, None] + idx[None, :], idx[None, :] - idx[:, None]]
     out = np.where(np.greater.outer(idx, idx), upper.T.conj(), upper)
-    lgam = gammaln(np.arange(1.0, n + 0.5, 0.5))
-    lf = gammaln(idx + 1.0)
-    out *= np.exp(lgam[idx[:, None] + idx[None, :]] - 0.5 * np.add.outer(lf, lf))
+    s = np.add.outer(idx, idx) / 2.0
+    log_w = _log_poisson_weight(2 * idx[:, None], s)
+    out *= np.exp(0.5 * (log_w + log_w.T) - _log_poisson_weight(np.add.outer(idx, idx), s))
     return out
+
+
+def _decimal_gather_scale(size):
+    """Gamma((m+n)/2 + 1) / sqrt(m! n!) for m, n < size to 40 digits, from
+    exact factorials and Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        fact = [math.factorial(k) for k in range(2 * size + 1)]
+        sqrt_pi = _PI_40.sqrt()
+        # Gamma(l/2 + 1), l = 0 .. 2 size - 2; at odd l it is Gamma(k + 1/2),
+        # k = (l + 1)/2
+        gamma = [decimal.Decimal(fact[l // 2]) if l % 2 == 0 else
+                 decimal.Decimal(fact[l + 1]) * sqrt_pi / (4 ** ((l + 1) // 2) * fact[(l + 1) // 2])
+                 for l in range(2 * size - 1)]
+        root = [decimal.Decimal(f).sqrt() for f in fact[:size]]
+        return np.array([[float(gamma[m + n] / (root[m] * root[n])) for n in range(size)]
+                         for m in range(size)])
 
 
 class TestGatherTables:
@@ -612,12 +633,34 @@ class TestGatherTables:
         toeplitz._gather_moments(radial[:199], np.ascontiguousarray(angular[:, :100]), 100)
         assert toeplitz._gather_tables.cache_info()[:2] == (1, 3)
 
+    def test_scale_is_exact_on_the_diagonal_and_symmetric(self):
+        scale = toeplitz._gather_tables(192)[0]
+        assert np.all(np.diag(scale) == 1.0) and np.array_equal(scale, scale.T)
+        assert np.array_equal(toeplitz._gather_tables(64)[0], scale[:64, :64])
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_scale_against_40_digits(self, size):
+        # Loader's form: no term of size s ln s cancels, so entries near the
+        # diagonal, which carry most of a section's weight, keep a few ulps
+        rel = np.abs(toeplitz._gather_tables(size)[0] / _decimal_gather_scale(size) - 1.0)
+        assert rel.max() <= 3e-14
+        idx = np.arange(size)
+        assert rel[np.abs(np.subtract.outer(idx, idx)) <= 10].max() <= 3e-15
+
     def test_tables_are_read_only(self):
         scale, lower = toeplitz._gather_tables(64)
         with pytest.raises(ValueError):
             scale[0, 0] = 0.0
         with pytest.raises(ValueError):
             lower[0, 0] = True
+
+    @pytest.mark.parametrize("truncation", [100, 200])
+    @pytest.mark.parametrize("method", ["auto", "jacobi"])
+    def test_large_sector_norm_stays_at_its_linf(self, truncation, method):
+        # the indicator of a sector has linf 1; a scale off by 1.7e-13 put
+        # this section's norm at 1 + 1.5e-14 and 1 + 1.6e-14
+        section = region_compression(AnnularSector(0.0, 8.0, 0.0, 3.0), truncation)
+        assert operator_norm(section, method=method) <= 1.0 + 2e-15
 
 
 def _must_not_run(*args, **kwargs):
@@ -1775,6 +1818,16 @@ class TestOneSpectrum:
             for method in ("auto", "jacobi"):
                 lo, hi, a, shift = toeplitz._spectrum(h, method)
                 assert (lo, hi, a, shift) == (np.min(h._diagonal), np.max(h._diagonal), None, 0)
+
+    def test_ends_are_accurate_to_the_norm_not_relatively(self):
+        # 2^-1000 beside 2^900 comes back as 0.0 under both methods, and
+        # 1e-310 beside 1 as 1.00000000000005e-310 under "jacobi"
+        for d in ([2.0**900, 2.0**-1000], [1.0, 1e-310]):
+            h = HermitianMatrix(np.diag(d))
+            for method in ("auto", "jacobi"):
+                lo, hi, _, shift = toeplitz._spectrum(h, method)
+                for end, true in ((lo, min(d)), (hi, max(d))):
+                    assert abs(math.ldexp(end, -shift) - true) <= 4 * np.finfo(float).eps * max(d)
 
     def test_jacobi_reads_a_kept_diagonal(self, monkeypatch):
         calls = []
